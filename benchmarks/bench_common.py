@@ -18,8 +18,7 @@ ratio the same way:
   checks (:func:`record_check`) so CI can fail fast on regressions and
   archive the numbers as artifacts.
 
-Extracted from ``bench_kernels`` / ``bench_transport``, which had grown
-identical copies of this plumbing; ``bench_batch`` reuses it wholesale.
+Every ``bench_*.py`` script here except ``bench_micro`` builds on it.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ resident consumer pays: the maintenance loop's verify step, the service
 snapshot capture, the demotion prefilter.  This PR ports it to the
 compiled runtime behind the kernel provider registry
 (:mod:`repro.engine.dispatch`); this benchmark times the same counts
-three ways on one deployment:
+both ways on one deployment:
 
 - **numpy** — ``REPRO_KERNEL_BACKEND=numpy``: the scipy CSR matvec
   reference path, in-tree.
@@ -14,8 +14,6 @@ three ways on one deployment:
   batch shape is where the win lives: R replicas are laid out
   lane-interleaved ((n, R) uint8), so one gathered row index serves all
   R lanes through 16-wide uint16 accumulators.
-- **numba** — only when numba is importable (the container does not
-  ship it; the best-effort CI leg does).
 
 Every row is asserted **bit-identical** across all measured providers
 and across thread counts (1 vs 4) before any ratio is reported: 0/1
@@ -120,14 +118,6 @@ def forced_backend(name: Optional[str]):
             os.environ["REPRO_KERNEL_BACKEND"] = prev
 
 
-def _providers() -> list:
-    from repro.engine import dispatch
-    names = ["numpy", "native"]
-    if dispatch._numba_module() is not None:
-        names.append("numba")
-    return names
-
-
 def measure(n: int, replicas: int, *, seed: int, repeats: int,
             before_src: Optional[str]) -> dict:
     udg = random_udg(n, density=DENSITY, seed=seed)
@@ -137,7 +127,7 @@ def measure(n: int, replicas: int, *, seed: int, repeats: int,
 
     results = {}
     times = {}
-    for name in _providers():
+    for name in ("numpy", "native"):
         with forced_backend(name):
             kernels.member_counts_batch(art, indicators=masks)  # warm
             t_batch, counts = timed_best(
@@ -191,8 +181,6 @@ def measure(n: int, replicas: int, *, seed: int, repeats: int,
         "before_seconds": None,
         "speedup_vs_before": None,
     }
-    if "numba" in times:
-        row["numba_batch_seconds"] = times["numba"][0]
     if before_src is not None:
         before = run_before_scenario(
             before_src, _SUBPROCESS_SCRIPT, n=n, density=DENSITY,

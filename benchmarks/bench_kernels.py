@@ -6,7 +6,7 @@ adoption on the CSR kernel layer (:mod:`repro.engine.kernels`) with
 batched PCG64 node streams (:mod:`repro.simulation.vecrng`) — on random
 unit-disk graphs, and times the same computation two ways:
 
-- **reference flag** — ``execute(..., reference_direct=True)``: the
+- **reference flag** — ``execute(..., reference=True)``: the
   per-node loops kept verbatim-faithful to the paper (the bit-exactness
   oracle), running in-tree.  Asserted bit-identical to the kernel run
   (same members, same ``RunStats``) before any speedup is reported.
@@ -104,8 +104,7 @@ def timed_reference(udg, *, seed: int, repeats: int):
     for _ in range(repeats):
         program = UDGProgram(udg, K, "random", seed)
         t0 = time.perf_counter()
-        result = execute(program, "direct", seed=seed,
-                         reference_direct=True)
+        result = execute(program, "direct", seed=seed, reference=True)
         best = min(best, time.perf_counter() - t0)
     return best, result
 

@@ -4,7 +4,7 @@ per-node generator loop.
 Runs Algorithm 1 (``FractionalProgram``, ``mode="message"``) on random
 unit-disk graphs and times the same execution two ways:
 
-- **reference flag** — ``execute(..., reference_protocols=True)``: the
+- **reference flag** — ``execute(..., reference=True)``: the
   original per-node path (one ``ProtocolNode.step`` generator
   resumption per node per round, a Python inbox loop per receiver),
   running in-tree.  This is the bit-identity oracle: its ``x`` and
@@ -16,7 +16,7 @@ unit-disk graphs and times the same execution two ways:
   inbox reductions as CSR segment-reductions through
   ``repro.engine.dispatch`` (native C, threaded).
 
-Unlike the transport benchmark, the in-tree flag here *is* the honest
+The in-tree flag here *is* the honest
 baseline — the per-node path is retained verbatim, so the flag ratio
 measures exactly what the stepping plane replaced.  ``--before
 PATH/src`` (e.g. ``git worktree add .bench-before <base>``) additionally
@@ -63,12 +63,12 @@ ACCEPTANCE_SPEEDUP = 5.0      # vs the in-tree per-node reference
 GUARD_N = 2000
 GUARD_SPEEDUP = 3.0           # CI perf-smoke fail-fast guard
 
-#: UDG radius per size — same instances as the transport benchmark.
+#: UDG radius per size.
 RADIUS = {500: 0.11, 2000: 0.05, 10_000: 0.022}
 
 #: The scenario as a standalone script, run under the pre-stepper
-#: tree's PYTHONPATH (which predates the reference_protocols flag, so
-#: its default message path *is* the per-node loop).
+#: tree's PYTHONPATH (which predates the reference flag, so its
+#: default message path *is* the per-node loop).
 _SUBPROCESS_SCRIPT = r'''
 import json, time
 from repro.core.fractional import FractionalProgram, _resolve_instance
@@ -117,8 +117,7 @@ def check_stepper_engaged(*, t: int, seed: int) -> None:
 def timed_execute(program, *, seed: int, reference: bool, repeats: int):
     """Best-of-``repeats`` wall time plus the (identical) result."""
     return timed_best(
-        lambda: execute(program, "message", seed=seed,
-                        reference_protocols=reference),
+        lambda: execute(program, "message", seed=seed, reference=reference),
         repeats)
 
 

@@ -13,9 +13,8 @@ no new dependency).  Everything here is strictly optional:
   bit-for-bit equivalent (pinned by ``tests/test_vecrng.py``);
 * the compiled path is an *implementation detail behind the existing
   ``engine.kernels`` / ``simulation.vecrng`` surfaces* — callers never
-  see it.  This is the stepping stone layout for the planned
-  numba/GPU backend: swap the ``.so`` for a device module, keep the
-  surface.
+  see it.  A device backend would swap the ``.so`` for a device
+  module and keep the surface.
 
 Threading: every kernel takes an explicit slab of its iteration space,
 so the shim can split one call across a worker pool.  ctypes releases

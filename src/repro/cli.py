@@ -20,7 +20,7 @@ Commands
     report on shutdown (SIGINT/SIGTERM drain gracefully).
 ``repro kernels``
     Show the kernel provider registry: which provider (native C /
-    numba / numpy) serves each hot entry point under the current
+    numpy) serves each hot entry point under the current
     ``REPRO_KERNEL_BACKEND`` selection.
 ``repro experiment e1 [--scale full] [--seed 0] [--json out.json]``
     Run one of the E1-E23 experiments and print its report.
@@ -445,9 +445,9 @@ def _cmd_kernels(args) -> int:
     The ops-facing face of :func:`repro.engine.dispatch.provider_status`
     (the same dict lands in ``repro serve --json`` and
     ``ExperimentReport.timing``): backend selection, native build
-    digest and thread count, numba availability, and per-entry provider
-    resolution.  A misconfigured ``REPRO_KERNEL_BACKEND`` exits 2 with
-    the registry's error instead of a traceback.
+    digest and thread count, and per-entry provider resolution.  A
+    misconfigured ``REPRO_KERNEL_BACKEND`` exits 2 with the registry's
+    error instead of a traceback.
     """
     from repro.engine.dispatch import provider_status
     from repro.errors import KernelBackendError
@@ -462,7 +462,6 @@ def _cmd_kernels(args) -> int:
           + (" (forced)" if status["forced"] else ""))
     print(f"native: available={native['available']} "
           f"digest={native['digest'] or '-'} threads={native['threads']}")
-    print(f"numba: available={status['numba']['available']}")
     print()
     rows = []
     for entry, info in status["entry_points"].items():

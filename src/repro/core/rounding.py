@@ -281,7 +281,7 @@ class RoundingProgram(RoundProgram):
 
     def direct_reference(self, instr: Instrumentation) -> DominatingSet:
         """The per-node reference loop (bit-exactness oracle for the
-        kernel path; select with ``execute(..., reference_direct=True)``)."""
+        kernel path; select with ``execute(..., reference=True)``)."""
         lp, x, policy = self.lp, self.x, self.policy
         rngs = spawn_node_rngs(lp.nodes, self.seed)
         delta = lp.delta

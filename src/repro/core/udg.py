@@ -5,8 +5,9 @@ Part I (the Gao-et-al.-style sparsification): ``log_xi(log n)`` rounds
 random identifier from ``[1, n^4]`` each round, elects the highest
 identifier among active nodes within the current sensing radius ``theta``
 (possibly itself), and stays active iff somebody elected it.  ``theta``
-doubles every round, ending at 1/2, so the surviving "leaders" form a
-plain dominating set of expected O(1) density per unit disk (Lemma 5.5).
+doubles every round, ending at half the communication radius, so the
+surviving "leaders" form a plain dominating set of expected O(1) density
+per unit disk (Lemma 5.5).
 
 Part II: leaders repeatedly *adopt* deficient neighbors — non-leader nodes
 with fewer than ``k`` leaders in their closed neighborhood — promoting up
@@ -17,9 +18,9 @@ the set are exempt) of expected size O(OPT) (Theorem 5.7).
 Interpretive notes (documented in DESIGN.md):
 
 - The paper's analysis uses ``theta_i = 2^{i-1} / (log n)^{1/log xi}``
-  (which makes the final radius exactly 1/2); Algorithm 3's line 3 carries
-  an extra factor 1/2 that would end at radius 1/4.  We follow the
-  analysis.
+  (which makes the final radius exactly 1/2 of the unit radius);
+  Algorithm 3's line 3 carries an extra factor 1/2 that would end at
+  radius 1/4.  We follow the analysis, scaled to the graph's radius.
 - Line 18's ``U(v) := {u in N_v | c(v) < k}`` is read as
   ``{u in N_v | c(u) < k}`` with already-promoted nodes excluded, the only
   reading consistent with the proofs of Lemmas 5.6 / Theorem 5.7 (selected
@@ -66,23 +67,26 @@ def part_one_round_count(n: int) -> int:
     return max(1, math.ceil(math.log(math.log2(n), XI)))
 
 
-def theta_schedule(n: int) -> List[float]:
+def theta_schedule(n: int, radius: float = 1.0) -> List[float]:
     """The sensing radii for Part I's ``R = part_one_round_count(n)``
-    rounds: a doubling schedule anchored to end at exactly 1/2,
-    ``theta_i = 0.5 * 2^{i-R}``.
+    rounds on a graph of communication radius ``radius`` (the paper's 1
+    by default): a doubling schedule anchored to end at exactly half the
+    radius, ``theta_i = (radius / 2) * 2^{i-R}``.
 
     The paper's analysis uses ``theta_i = 2^{i-1} / (log2 n)^{1/log2 xi}``
     with a *real-valued* round count ``log_xi log n``, which ends at
     exactly 1/2.  With the integer ceiling the raw formula can end
     anywhere in [1/2, 1), which breaks the coverage argument of Lemma 5.1
     (a passive node is covered within ``2 * theta_R``, which must not
-    exceed the communication radius 1).  Anchoring the doubling at
-    ``theta_R = 1/2`` preserves both the doubling structure the induction
-    needs and the final radius the coverage proof needs; ``theta_1``
-    matches the paper's value up to the rounding of R.
+    exceed the communication radius).  Anchoring the doubling at
+    ``theta_R = radius / 2`` preserves both the doubling structure the
+    induction needs and the final radius the coverage proof needs;
+    ``theta_1`` matches the paper's value up to the rounding of R.
+    At ``radius=1`` the scaling is an exact no-op.
     """
     rounds = part_one_round_count(n)
-    return [0.5 * 2.0 ** (i - rounds) for i in range(1, rounds + 1)]
+    return [radius * 0.5 * 2.0 ** (i - rounds)
+            for i in range(1, rounds + 1)]
 
 
 def _id_space(n: int) -> int:
@@ -137,14 +141,14 @@ def _as_udg(graph) -> UnitDiskGraph:
 #
 # Kept verbatim-faithful to the paper's per-node formulation: it is the
 # bit-exactness oracle the vectorized kernel path below is pinned
-# against (``execute(..., reference_direct=True)`` and the
-# kernel-vs-reference suite in tests/test_mode_equivalence.py).
+# against (``execute(..., reference=True)`` and the kernel-vs-reference
+# suite in tests/test_mode_equivalence.py).
 # ======================================================================
 
 def _part_one_direct(udg: UnitDiskGraph, rngs, details: dict) -> Set[int]:
     n = udg.n
     active: Set[int] = set(range(n))
-    schedule = theta_schedule(n)
+    schedule = theta_schedule(n, udg.radius)
     id_hi = _id_space(n)
     details["theta_per_round"] = list(schedule)
     details["active_per_round"] = [n]
@@ -234,7 +238,7 @@ def _part_two_direct(udg: UnitDiskGraph, leaders: Set[int], k: int,
 
 def _part_one_kernel(udg: UnitDiskGraph, pool, details: dict) -> Set[int]:
     n = udg.n
-    schedule = theta_schedule(n)
+    schedule = theta_schedule(n, udg.radius)
     id_hi = min(_id_space(n), _MAX_SAMPLED_ID)
     details["theta_per_round"] = list(schedule)
     details["active_per_round"] = [n]
@@ -311,7 +315,7 @@ def _part_one_kernel_batch(udg: UnitDiskGraph, streams,
                            details_list: List[dict]) -> np.ndarray:
     n = udg.n
     R = len(details_list)
-    schedule = theta_schedule(n)
+    schedule = theta_schedule(n, udg.radius)
     id_hi = min(_id_space(n), _MAX_SAMPLED_ID)
     for details in details_list:
         details["theta_per_round"] = list(schedule)
@@ -526,25 +530,25 @@ def _part_two_kernel_batch(art, leader: np.ndarray, k, streams,
 # Direct mode — grid-batched kernel implementation
 #
 # One more axis: a lane is a (replica, graph, node) triple over a
-# stacked (block-diagonal) distance CSR, so Part I of every same-n
-# topology in the grid runs in one kernel dispatch; the k axis is then
-# fused over that single Part I (Part I never reads k), re-running only
-# the adoption phase per k value.  Per-(graph, k, replica) results are
+# stacked (block-diagonal) distance CSR, so Part I of every topology of
+# one (n, radius) in the grid runs in one kernel dispatch; the k axis is
+# then fused over that single Part I (Part I never reads k), re-running
+# only the adoption phase per k value.  Per-(graph, k, replica) results are
 # bit-identical to the per-point replica-batched path (pinned by
 # tests/test_grid_equivalence.py).
 # ======================================================================
 
 def _part_one_kernel_grid(stack: StackedGraphs, streams: GridReplicaStreams,
                           details_grid: List[List[dict]]) -> np.ndarray:
-    """Part I over a same-n group of stacked topologies.
+    """Part I over a same-(n, radius) group of stacked topologies.
 
-    ``stack`` holds G graphs of one common size ``n`` (a shared theta
-    schedule is what makes the rounds stackable); ``streams`` is the
-    matching ``G x R x n`` grid pool.  Returns the ``(R, total)`` active
-    plane.  The stacked CSR is block-diagonal and each lane's stream
-    advancement depends only on its own mask history, so every graph
-    block is bit-identical to :func:`_part_one_kernel_batch` on that
-    graph alone.
+    ``stack`` holds G graphs of one common size ``n`` and radius (a
+    shared theta schedule is what makes the rounds stackable);
+    ``streams`` is the matching ``G x R x n`` grid pool.  Returns the
+    ``(R, total)`` active plane.  The stacked CSR is block-diagonal and
+    each lane's stream advancement depends only on its own mask history,
+    so every graph block is bit-identical to
+    :func:`_part_one_kernel_batch` on that graph alone.
 
     The per-round within-radius compressions depend only on the (static)
     stacked distances and the (static) schedule, so they are cached on
@@ -554,7 +558,8 @@ def _part_one_kernel_grid(stack: StackedGraphs, streams: GridReplicaStreams,
     n = int(stack.counts[0]) if len(stack.graphs) else 0
     total = stack.total
     R = len(streams.seeds)
-    schedule = theta_schedule(n)
+    schedule = theta_schedule(
+        n, stack.graphs[0].radius if len(stack.graphs) else 1.0)
     id_hi = min(_id_space(n), _MAX_SAMPLED_ID)
     for per_graph in details_grid:
         for details in per_graph:
@@ -700,7 +705,7 @@ class UDGNode(NodeProcess):
 
     def run(self, ctx) -> Iterator[None]:
         me = self.node_id
-        schedule = theta_schedule(self.n)
+        schedule = theta_schedule(self.n, ctx.radius)
         id_hi = _id_space(self.n)
         active = True
 
@@ -887,9 +892,10 @@ class UDGProgram(RoundProgram):
         grid in stacked kernel dispatches, returning
         ``results[graph][k][seed]``.
 
-        Graphs are grouped by size (a shared theta schedule makes the
-        election rounds stackable); each group runs Part I *once* over
-        the stacked CSR and the grid RNG pool, then the k axis is fused:
+        Graphs are grouped by size and radius (a shared theta schedule
+        makes the election rounds stackable); each group runs Part I
+        *once* over the stacked CSR and the grid RNG pool, then the k
+        axis is fused:
         Part I never reads ``k``, so every k value's adoption phase
         starts from the same leaders, the same stacked coverage counts,
         and snapshot clones of the same frozen RNG lane states.
@@ -911,10 +917,10 @@ class UDGProgram(RoundProgram):
         K = len(k_list)
         results: List[List[List[DominatingSet]]] = [None] * len(udgs)
 
-        groups: Dict[int, List[int]] = {}
+        groups: Dict[tuple, List[int]] = {}
         for i, udg in enumerate(udgs):
-            groups.setdefault(udg.n, []).append(i)
-        for n, idxs in groups.items():
+            groups.setdefault((udg.n, udg.radius), []).append(i)
+        for (n, _), idxs in groups.items():
             stack = stacked_graphs([udgs[i] for i in idxs])
             streams = GridReplicaStreams([n] * len(idxs), seeds)
             details_grid: List[List[dict]] = \
@@ -974,8 +980,7 @@ class UDGProgram(RoundProgram):
 
     def direct_reference(self, instr: Instrumentation) -> DominatingSet:
         """The per-node reference implementation (bit-exactness oracle
-        for the kernel path; select with
-        ``execute(..., reference_direct=True)``)."""
+        for the kernel path; select with ``execute(..., reference=True)``)."""
         udg, k, policy = self.udg, self.k, self.policy
         details: dict = {"mode": "direct", "k": k}
         rngs = spawn_node_rngs(range(udg.n), self.seed)
@@ -1122,7 +1127,6 @@ def solve_kmds_udg_batch(graph, seeds: Sequence, k: int = 1, *,
 def solve_kmds_udg_grid(graphs, seeds: Sequence, ks: Sequence[int] = (1,),
                         *, mode: str = "direct",
                         selection_policy: str = "random",
-                        force_per_point: bool = False,
                         timing: dict | None = None
                         ) -> List[List[List[DominatingSet]]]:
     """Run Algorithm 3 over the full ``graphs x ks x seeds`` grid,
@@ -1131,12 +1135,12 @@ def solve_kmds_udg_grid(graphs, seeds: Sequence, ks: Sequence[int] = (1,),
 
     On the ``direct`` backend eligible graphs execute through
     :func:`repro.engine.execute_grid`: topologies are stacked into one
-    block-diagonal CSR dispatch per size class, the k axis is fused over
-    one shared Part I, and the RNG pool widens to one lane per
+    block-diagonal CSR dispatch per (size, radius) class, the k axis is
+    fused over one shared Part I, and the RNG pool widens to one lane per
     (replica, graph, node) — per-(graph, k, seed) results bit-identical
     to the per-point loop (pinned by ``tests/test_grid_equivalence.py``).
-    Message backends, exotic sensing subclasses, sizes below the vector
-    threshold, and ``force_per_point=True`` take the per-point loop.
+    Message backends, exotic sensing subclasses and sizes below the
+    vector threshold take the per-point loop.
     ``timing`` (optional dict) receives the dispatch breakdown — see
     :func:`repro.engine.execute_grid`.  The E-series grids (E6/E7)
     route through here.
@@ -1170,8 +1174,7 @@ def solve_kmds_udg_grid(graphs, seeds: Sequence, ks: Sequence[int] = (1,),
                              k_list[0] if k_list else 1,
                              selection_policy, first)
         sub = execute_grid(program, [udgs[i] for i in nonempty],
-                           seed_list, k_list, mode,
-                           force_per_point=force_per_point, timing=timing)
+                           seed_list, k_list, mode, timing=timing)
         for j, i in enumerate(nonempty):
             out[i] = sub[j]
             for per_seed in sub[j]:

@@ -164,7 +164,7 @@ class LocalPatchRepair(RepairPolicy):
     def __init__(self, selection_policy: str = "random", *,
                  transport: str = "analytic", loss_rate: float = 0.0,
                  patience: int = 3, max_iterations: int | None = None,
-                 reference_protocols: bool = False):
+                 reference: bool = False):
         if selection_policy not in SELECTION_POLICIES:
             raise GraphError(
                 f"unknown selection policy {selection_policy!r}; "
@@ -187,8 +187,8 @@ class LocalPatchRepair(RepairPolicy):
         self.max_iterations = max_iterations
         #: Drive the patch protocol through the per-node generator loop
         #: instead of the columnar stepping plane (the bit-identity
-        #: oracle; see ``run_protocol(..., reference_protocols=True)``).
-        self.reference_protocols = bool(reference_protocols)
+        #: oracle; see ``run_protocol(..., reference=True)``).
+        self.reference = bool(reference)
         # The sharded loop runs one repair call per damage unit; the
         # message transport spins up a simulator instance per call, so
         # only the analytic transport participates in sharding.
@@ -330,7 +330,7 @@ class LocalPatchRepair(RepairPolicy):
         stats = run_protocol(net, max_rounds=3 * max_iterations + 6,
                              injectors=injectors,
                              instrumentation=run_instr,
-                             reference_protocols=self.reference_protocols)
+                             reference=self.reference)
         instr.absorb(stats)
 
         outcome.promoted = {p.node_id for p in processes if p.promoted}

@@ -39,8 +39,8 @@ rather than assume insertion order.
 
 Staleness detection
 -------------------
-The cache is a :class:`weakref.WeakKeyDictionary` keyed by the underlying
-``networkx.Graph`` object, so artifacts die with their graph.  Staleness
+The cache keeps each entry on its ``networkx.Graph`` key (see
+:class:`_GraphCache`), so artifacts die with their graph.  Staleness
 is detected by a **monotonic version token**: every graph carries a
 mutation token (lazily assigned), bumped by :func:`touch` whenever code
 mutates a graph in place.  A cached entry built at an older token is
@@ -493,9 +493,65 @@ class StackedGraphs:
         return self._closed_adjacency
 
 
-#: first graph -> StackedGraphs; weak anchor so stacks die with graphs.
-_STACK_CACHE: "weakref.WeakKeyDictionary[nx.Graph, StackedGraphs]" \
-    = weakref.WeakKeyDictionary()
+class _Entry:
+    """A cache value parked on its graph.  Pickles and deep-copies as
+    ``None``, so serializing a graph never drags its bundles along."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+    def __reduce__(self):
+        return (type(None), ())
+
+
+class _GraphCache:
+    """graph -> value, with each entry stored on its graph object.
+
+    A value that refers back to its graph (``GraphArtifacts.graph``,
+    ``StackedGraphs.graphs``) would keep its key alive forever in a
+    :class:`weakref.WeakKeyDictionary`; parked in an attribute of the
+    graph instead, it forms an ordinary cycle that the garbage collector
+    frees once the graph is unreachable.  A lookup is one attribute
+    read.  A weak set of the graphs holding an entry backs :meth:`clear`
+    and ``len()``.  Graph types without an instance ``__dict__`` or weak
+    references raise ``TypeError`` on insertion (callers skip caching).
+    """
+
+    def __init__(self, attr: str):
+        self._attr = attr
+        self._graphs: "weakref.WeakSet[nx.Graph]" = weakref.WeakSet()
+
+    def get(self, g):
+        entry = getattr(g, self._attr, None)
+        return None if entry is None else entry.value
+
+    def __setitem__(self, g, value) -> None:
+        slots = vars(g)
+        self._graphs.add(g)
+        slots[self._attr] = _Entry(value)
+
+    def pop(self, g, default=None):
+        self._graphs.discard(g)
+        entry = getattr(g, "__dict__", {}).pop(self._attr, None)
+        return default if entry is None else entry.value
+
+    def clear(self) -> None:
+        """Drop every entry (from every graph still alive)."""
+        for g in list(self._graphs):
+            vars(g).pop(self._attr, None)
+        self._graphs.clear()
+
+    def __len__(self) -> int:
+        return len(self._graphs)
+
+    def __contains__(self, g) -> bool:
+        return self.get(g) is not None
+
+
+#: first graph -> StackedGraphs (anchored on the first graph's nx object).
+_STACK_CACHE = _GraphCache("_repro_stacked_graphs")
 
 
 def stacked_graphs(graphs) -> StackedGraphs:
@@ -530,9 +586,8 @@ def stacked_graphs(graphs) -> StackedGraphs:
     return stack
 
 
-#: graph -> (token, artifacts); weak keys so artifacts die with graphs.
-_CACHE: "weakref.WeakKeyDictionary[nx.Graph, Tuple[int, GraphArtifacts]]" \
-    = weakref.WeakKeyDictionary()
+#: graph -> (token, artifacts); entries die with their graphs.
+_CACHE = _GraphCache("_repro_artifacts")
 
 #: graph -> current mutation token (bumped by :func:`touch`).
 _MUTATION_TOKENS: "weakref.WeakKeyDictionary[nx.Graph, int]" \

@@ -73,9 +73,7 @@ def execute(program: RoundProgram, mode: str = "direct", *,
             delay: Callable[[np.random.Generator], float] | None = None,
             delay_seed: int | None = None,
             injectors: Iterable = (),
-            legacy_transport: bool = False,
-            reference_direct: bool = False,
-            reference_protocols: bool = False):
+            reference: bool = False):
     """Run ``program`` on the backend selected by ``mode``.
 
     Parameters
@@ -102,23 +100,17 @@ def execute(program: RoundProgram, mode: str = "direct", *,
         :mod:`repro.simulation.faults` for the support matrix.  The
         vectorized ``direct`` backend has no messages to inject into and
         rejects any injector.
-    legacy_transport:
-        Run the message-passing backends on the pre-columnar per-edge
-        data plane (reference implementation).  Ignored by ``direct``.
-        The columnar default is pinned bit-for-bit against it by
-        ``tests/test_transport_equivalence.py``.
-    reference_direct:
-        Run the ``direct`` backend on the program's per-node reference
-        implementation (:meth:`RoundProgram.direct_reference`) instead of
-        its vectorized kernels.  Ignored by the message-passing backends.
-        The kernel default is pinned bit-for-bit against it by the
-        kernel-vs-reference suite in ``tests/test_mode_equivalence.py``.
-    reference_protocols:
-        Run the ``message`` backend on the per-node generator loop even
-        for stock protocols, skipping the columnar protocol stepping
-        plane (:mod:`repro.simulation.columnar`).  Ignored by the other
-        backends.  The batched plane is pinned bit-for-bit against this
-        oracle by ``tests/test_transport_equivalence.py``.
+    reference:
+        Run the backend's one reference oracle instead of its fast path:
+        on ``direct`` the program's per-node reference implementation
+        (:meth:`RoundProgram.direct_reference`) instead of its
+        vectorized kernels, on ``message`` the per-node generator loop
+        instead of the columnar protocol stepping plane
+        (:mod:`repro.simulation.columnar`).  The asynchronous backends
+        have no second path and ignore it.  Each fast path is pinned
+        bit-for-bit against its oracle by
+        ``tests/test_mode_equivalence.py`` and
+        ``tests/test_protocol_steppers.py``.
     """
     backend = resolve_backend(mode)
     seed = validate_seed(seed)
@@ -136,7 +128,7 @@ def execute(program: RoundProgram, mode: str = "direct", *,
         # from the seed the program was built with.
         if seed is not None and getattr(program, "seed", seed) != seed:
             program = program.reseeded(seed)
-        if reference_direct:
+        if reference:
             return program.direct_reference(program.instrumentation())
         return program.direct(program.instrumentation())
 
@@ -152,9 +144,7 @@ def execute(program: RoundProgram, mode: str = "direct", *,
         from repro.simulation.runner import run_protocol
 
         stats = run_protocol(net, max_rounds=program.max_rounds(),
-                             injectors=injectors,
-                             legacy_transport=legacy_transport,
-                             reference_protocols=reference_protocols)
+                             injectors=injectors, reference=reference)
     else:
         if backend == "async":
             from repro.simulation.asynchrony import run_protocol_async as runner
@@ -163,8 +153,7 @@ def execute(program: RoundProgram, mode: str = "direct", *,
         astats = runner(net, delay=delay,
                         delay_seed=seed if delay_seed is None else delay_seed,
                         max_rounds=program.max_rounds(),
-                        injectors=injectors,
-                        legacy_transport=legacy_transport)
+                        injectors=injectors)
         stats = astats.as_run_stats()
     assert isinstance(stats, RunStats)
     return program.collect(processes, stats)
@@ -174,10 +163,7 @@ def execute_batch(program: RoundProgram, seeds: Sequence[int],
                   mode: str = "direct", *,
                   delay: Callable[[np.random.Generator], float] | None = None,
                   delay_seed: int | None = None,
-                  injectors: Iterable = (),
-                  legacy_transport: bool = False,
-                  reference_direct: bool = False,
-                  force_sequential: bool = False) -> list:
+                  injectors: Iterable = ()) -> list:
     """Run ``program`` once per seed; returns one result per seed.
 
     On the ``direct`` backend, a program that implements
@@ -188,30 +174,25 @@ def execute_batch(program: RoundProgram, seeds: Sequence[int],
     back bit-identical to the sequential loop ``[execute(program,
     seed=s) for s in seeds]`` (pinned by the batch-equivalence suite in
     ``tests/test_mode_equivalence.py``).  Everything else — message
-    backends, ``reference_direct``, programs without a batched kernel,
-    ``seed=None`` replicas, or ``force_sequential=True`` (the benchmark
-    baseline) — falls back to exactly that sequential loop.
+    backends, programs without a batched kernel, or ``seed=None``
+    replicas — runs exactly that sequential loop.
     """
     backend = resolve_backend(mode)
     seed_list = [validate_seed(s) for s in seeds]
     injectors = list(injectors)
-    if (backend == "direct" and not force_sequential and not reference_direct
-            and not injectors and seed_list
+    if (backend == "direct" and not injectors and seed_list
             and all(s is not None for s in seed_list)
             and program.supports_direct_batch()):
         instrs = [program.instrumentation() for _ in seed_list]
         return program.direct_batch(instrs, seed_list)
     return [execute(program, backend, seed=s, delay=delay,
-                    delay_seed=delay_seed, injectors=injectors,
-                    legacy_transport=legacy_transport,
-                    reference_direct=reference_direct)
+                    delay_seed=delay_seed, injectors=injectors)
             for s in seed_list]
 
 
 def execute_grid(program: RoundProgram, graphs: Sequence,
                  seeds: Sequence[int], ks: Sequence[int],
                  mode: str = "direct", *,
-                 force_per_point: bool = False,
                  timing: dict | None = None) -> List[List[list]]:
     """Run the full ``graphs x ks x seeds`` grid; returns
     ``results[graph][k][seed]``.
@@ -226,8 +207,7 @@ def execute_grid(program: RoundProgram, graphs: Sequence,
     seeds)`` calls (pinned by ``tests/test_grid_equivalence.py``).
     Graphs the program declares ineligible (:meth:`grid_supported` —
     e.g. exotic sensing subclasses or sizes below the vector-draw
-    threshold), message backends, ``None`` seeds, and
-    ``force_per_point=True`` (the benchmark baseline) take exactly those
+    threshold), message backends and ``None`` seeds take exactly those
     per-point calls instead; a mixed list partitions cleanly.
 
     ``timing`` (optional dict, mutated): filled with ``path`` ("grid",
@@ -243,7 +223,7 @@ def execute_grid(program: RoundProgram, graphs: Sequence,
     results: List[List[list]] = [[None] * len(k_list) for _ in graph_list]
     stats = {"path": "per-point", "grid_graphs": 0, "per_point_graphs": 0,
              "grid_seconds": 0.0, "per_point_seconds": 0.0}
-    eligible = (backend == "direct" and not force_per_point
+    eligible = (backend == "direct"
                 and bool(seed_list) and bool(k_list)
                 and all(s is not None for s in seed_list)
                 and program.supports_direct_grid())

@@ -7,32 +7,29 @@ coverage plane (``member_counts`` / ``member_counts_batch`` /
 ``deficit_vector`` / ``scatter_cover``) and the columnar protocol
 plane's round reductions (``inbox_reduce`` / ``state_scatter``) —
 resolves its implementation here instead of probing ``repro._native``
-directly.  Three providers:
+directly.  Two providers:
 
 - ``native`` — the compiled C kernels of :mod:`repro._native`
   (slab-threaded, ``REPRO_NATIVE_THREADS``); serves every entry point.
-- ``numba`` — :mod:`repro.engine.numba_backend`, auto-registered when
-  numba is importable; serves the coverage plane (the RNG kernels need
-  128-bit limb arithmetic numba does not express).
 - ``numpy`` — the reference implementations living at the call sites.
   Represented by ``impl = None``: a ``None`` from :func:`kernel` means
   "run your own numpy path", which keeps the reference code exactly
   where it documents the contract.
 
-``REPRO_KERNEL_BACKEND`` selects globally: ``auto`` (default) walks
-native → numba → numpy with per-entry minimum sizes (below which the
-compiled call costs more than the loop); ``numpy`` / ``native`` /
-``numba`` force one provider for every entry point it serves.  Forcing
-an *unavailable* provider raises :class:`~repro.errors.KernelBackendError`
+``REPRO_KERNEL_BACKEND`` selects globally: ``auto`` (default) takes
+native over numpy with per-entry minimum sizes (below which the
+compiled call costs more than the loop); ``numpy`` / ``native`` force
+one provider for every entry point; any other name raises.  Forcing an
+*unavailable* provider raises :class:`~repro.errors.KernelBackendError`
 — never a silent fallback — while call-site applicability guards
 (contiguity, dtype, degree bounds) still apply, since they are
 correctness conditions, not preferences.  Every provider is bit-exact
 with the numpy reference (pinned by ``tests/test_dispatch.py``), so
 selection only ever changes speed.
 
-This registry is the architectural half of the numba/GPU roadmap item:
-a device backend is now an additive provider module — implement the
-entry-point shims, register here, and no call site changes.
+A further provider (a device backend, say) is an additive module:
+implement the entry-point shims, register here, and no call site
+changes.
 """
 
 from __future__ import annotations
@@ -50,10 +47,9 @@ __all__ = [
     "kernel",
     "provider",
     "provider_status",
-    "reset",
 ]
 
-BACKENDS = ("auto", "native", "numba", "numpy")
+BACKENDS = ("auto", "native", "numpy")
 
 #: entry point -> auto-mode engagement threshold, in flat work items
 #: (lanes for the RNG kernels, replicas x candidates for the election,
@@ -76,10 +72,6 @@ MIN_SIZE: Dict[str, int] = {
 
 ENTRY_POINTS = tuple(MIN_SIZE)
 
-#: Entries served by the numba provider (the coverage plane).
-_NUMBA_ENTRIES = frozenset({"member_counts", "member_counts_batch",
-                            "deficit_vector", "scatter_cover"})
-
 #: Entries whose native shim slab-threads (REPRO_NATIVE_THREADS); the
 #: ball walks and the frontier scatter are serial by design (their
 #: scatter targets overlap across work items).
@@ -88,9 +80,6 @@ _THREADED_ENTRIES = frozenset({"seed_lanes", "draw_masked", "elect_batch",
                                "deficit_vector", "inbox_reduce",
                                "state_scatter"})
 
-_numba_mod = None
-_numba_checked = False
-
 
 def _native_module():
     """The native provider module, or None when unavailable.  The
@@ -98,24 +87,6 @@ def _native_module():
     reset by its test fixtures), so no second cache here."""
     from repro import _native
     return _native if _native.available() else None
-
-
-def _numba_module():
-    global _numba_mod, _numba_checked
-    if not _numba_checked:
-        _numba_checked = True
-        try:
-            from repro.engine import numba_backend
-            _numba_mod = numba_backend if numba_backend.available() else None
-        except Exception:
-            _numba_mod = None
-    return _numba_mod
-
-
-def reset() -> None:
-    """Forget the cached numba probe (test hook)."""
-    global _numba_mod, _numba_checked
-    _numba_mod, _numba_checked = None, False
 
 
 def backend() -> str:
@@ -137,12 +108,8 @@ def provider(entry: str, size: Optional[int] = None
     ``impl is None`` means "use the numpy reference at the call site".
     ``size`` is the call's flat work volume, compared against
     ``MIN_SIZE`` in ``auto`` mode only (``None`` skips the gate — used
-    by introspection and forced call sites).  Forcing ``native`` or
-    ``numba`` while unavailable raises
-    :class:`~repro.errors.KernelBackendError`; a forced backend that
-    simply does not serve ``entry`` (numba outside the coverage plane)
-    yields the numpy reference, which is the only other bit-exact
-    implementation of that entry.
+    by introspection and forced call sites).  Forcing ``native`` while
+    unavailable raises :class:`~repro.errors.KernelBackendError`.
     """
     if entry not in MIN_SIZE:
         raise KernelBackendError(
@@ -159,25 +126,12 @@ def provider(entry: str, size: Optional[int] = None
                 "unavailable on this host (no C compiler, failed build, or "
                 "REPRO_NATIVE=0); use 'auto' to fall back explicitly")
         return "native", getattr(mod, entry)
-    if which == "numba":
-        mod = _numba_module()
-        if mod is None:
-            raise KernelBackendError(
-                "REPRO_KERNEL_BACKEND=numba, but numba is not importable "
-                "in this environment; install it or use 'auto'")
-        if entry not in _NUMBA_ENTRIES:
-            return "numpy", None
-        return "numba", getattr(mod, entry)
-    # auto: thresholded native -> numba -> numpy
+    # auto: thresholded native -> numpy
     if size is not None and size < MIN_SIZE[entry]:
         return "numpy", None
     mod = _native_module()
     if mod is not None:
         return "native", getattr(mod, entry)
-    if entry in _NUMBA_ENTRIES:
-        mod = _numba_module()
-        if mod is not None:
-            return "numba", getattr(mod, entry)
     return "numpy", None
 
 
@@ -191,8 +145,8 @@ def provider_status() -> Dict[str, Any]:
 
     The dict behind ``repro kernels``, the ``kernels`` key of
     ``repro serve --json`` and ``ExperimentReport.timing``: backend
-    selection, native build digest / thread count, numba availability,
-    and the provider each entry point resolves to for a large call.  A
+    selection, native build digest / thread count, and the provider
+    each entry point resolves to for a large call.  A
     forced-but-unavailable backend is reported per entry (provider
     ``"unavailable"`` plus the error text) instead of raising, so the
     status surface works exactly where the failure needs diagnosing.
@@ -208,7 +162,6 @@ def provider_status() -> Dict[str, Any]:
             "digest": _native.build_digest(),
             "threads": _native.thread_count(),
         },
-        "numba": {"available": _numba_module() is not None},
         "entry_points": {},
     }
     for entry in ENTRY_POINTS:

@@ -68,7 +68,7 @@ class RoundProgram:
 
         Kernelized programs override this with the pre-vectorization
         loop (the bit-exactness oracle behind
-        ``execute(..., reference_direct=True)``); the default simply
+        ``execute(..., reference=True)``); the default simply
         runs :meth:`direct` for programs whose direct path has no
         separate kernel layer.
         """

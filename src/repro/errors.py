@@ -31,10 +31,10 @@ class KernelBackendError(ReproError):
     """An invalid kernel-provider selection was requested.
 
     Raised by :mod:`repro.engine.dispatch` when ``REPRO_KERNEL_BACKEND``
-    names an unknown backend, or forces a backend (``native`` /
-    ``numba``) that is unavailable on this host — forcing never falls
-    back silently, so a pinned-backend CI leg that loses its compiler
-    or numba install fails loudly instead of quietly serving numpy.
+    names an unknown backend, or forces the ``native`` backend on a host
+    where it is unavailable — forcing never falls back silently, so a
+    pinned-backend CI leg that loses its compiler fails loudly instead
+    of quietly serving numpy.
     Mirrors the :class:`UnknownModeError` message shape: the offending
     value and the accepted alternatives.
     """

@@ -22,9 +22,9 @@ from repro.simulation.runner import run_protocol
 
 
 def _run_with_loss(udg, k: int, loss: float, seed: int, *,
-                   reference_protocols: bool = False):
-    """One lossy Algorithm 3 run; ``reference_protocols=True`` drives the
-    per-node generator loop instead of the columnar stepping plane (the
+                   reference: bool = False):
+    """One lossy Algorithm 3 run; ``reference=True`` drives the per-node
+    generator loop instead of the columnar stepping plane (the
     bit-identity oracle the experiment tests compare against)."""
     n = udg.n
     procs = [UDGNode(v, k, n, "random", n + 1) for v in range(n)]
@@ -32,7 +32,7 @@ def _run_with_loss(udg, k: int, loss: float, seed: int, *,
     injector = MessageLossInjector(loss, seed=seed + 1)
     run_protocol(net, injectors=[injector],
                  max_rounds=2 * len(theta_schedule(n)) + 3 * (n + 1) + 8,
-                 reference_protocols=reference_protocols)
+                 reference=reference)
     return {p.node_id for p in procs if p.leader}
 
 

@@ -60,8 +60,8 @@ class _Event:
     dest: NodeId = field(compare=False)
     kind: str = field(compare=False)          # "payload" | "ack" | control
     round_index: int = field(compare=False)
-    #: One Message (legacy transport) or a list of Messages (a bundle:
-    #: every payload one sender ships to one neighbor in one round).
+    #: A payload bundle: every Message one sender ships to one neighbor
+    #: in one round.
     payload: object = field(compare=False, default=None)
     msg_id: int = field(compare=False, default=-1)
 
@@ -152,15 +152,6 @@ class EventDrivenTransport:
         rejected here: silently removing a node would likewise deadlock
         its neighbors' safety detection.  Use the synchronous runner
         (``mode="message"``) for crash faults.
-    legacy_transport:
-        When true, ship every payload as its own event with its own
-        delay draw, msg-id, and acknowledgment (the pre-bundling
-        behavior).  The default bundles all payloads one sender ships to
-        one neighbor in one round into a single event acknowledged once,
-        which shrinks the event queue and the ack traffic without
-        changing payload accounting, synchronizer rounds, or protocol
-        output (delay-stream consumption and hence ``virtual_time`` and
-        ``control_messages`` do change).
     """
 
     #: Subclass label used in error messages.
@@ -170,9 +161,7 @@ class EventDrivenTransport:
                  delay: Callable[[np.random.Generator], float] | None = None,
                  delay_seed: int | None = None,
                  max_rounds: int = 100_000,
-                 injectors: Iterable[FaultInjector] = (),
-                 legacy_transport: bool = False):
-        self.legacy_transport = legacy_transport
+                 injectors: Iterable[FaultInjector] = ()):
         self.network = network
         self.delay = delay if delay is not None else exponential_delays(1.0)
         self.delay_rng = np.random.default_rng(delay_seed)
@@ -222,7 +211,8 @@ class EventDrivenTransport:
     # Primitives shared by all synchronizers
     # ------------------------------------------------------------------
     def _push(self, src: NodeId, dest: NodeId, kind: str, round_index: int,
-              payload: Optional[Message] = None, msg_id: int = -1) -> None:
+              payload: Optional[List[Message]] = None,
+              msg_id: int = -1) -> None:
         """Schedule a delivery after a random link delay."""
         heapq.heappush(self._queue, _Event(
             time=self.now + self.delay(self.delay_rng), seq=next(self._seq),
@@ -262,40 +252,29 @@ class EventDrivenTransport:
             proc.finished = True
             self.finished.add(v)
         self.pending_acks[v] = set()
-        if self.legacy_transport:
-            for src, dest, msg in net.drain_outbox():
-                if src != v:  # pragma: no cover — defensive
-                    raise SimulationError("outbox contamination")
-                mid = next(self._msg_counter)
-                self.pending_acks[v].add(mid)
-                # Payload accounting happens at delivery (see run()), so
-                # a message dropped by an injector is never charged —
-                # the same only-survivors convention as the synchronous
-                # runner.
-                self._push(v, dest, "payload", self.round_of[v],
-                           payload=msg, msg_id=mid)
-        else:
-            batch = net.drain_batch()
-            # Bundle the round's payloads per neighbor: one event, one
-            # delay draw, one msg-id, one ack per (sender-round, dest)
-            # instead of per payload copy.  Broadcast records fan out
-            # here over the cached stable neighbor order.
-            bundles: Dict[NodeId, List[Message]] = {}
-            for rec in batch.records:
-                if rec[1] != v:  # pragma: no cover — defensive
-                    raise SimulationError("outbox contamination")
-                msg = rec[3]
-                for dest in batch.targets_of(rec):
-                    bundle = bundles.get(dest)
-                    if bundle is None:
-                        bundles[dest] = [msg]
-                    else:
-                        bundle.append(msg)
-            for dest, msgs in bundles.items():
-                mid = next(self._msg_counter)
-                self.pending_acks[v].add(mid)
-                self._push(v, dest, "payload", self.round_of[v],
-                           payload=msgs, msg_id=mid)
+        batch = net.drain_batch()
+        # Bundle the round's payloads per neighbor: one event, one delay
+        # draw, one msg-id, one ack per (sender-round, dest).  Broadcast
+        # records fan out here over the cached stable neighbor order.
+        # Payload accounting happens at delivery (see run()), so a
+        # message dropped by an injector is never charged — the same
+        # only-survivors convention as the synchronous runner.
+        bundles: Dict[NodeId, List[Message]] = {}
+        for rec in batch.records:
+            if rec[1] != v:  # pragma: no cover — defensive
+                raise SimulationError("outbox contamination")
+            msg = rec[3]
+            for dest in batch.targets_of(rec):
+                bundle = bundles.get(dest)
+                if bundle is None:
+                    bundles[dest] = [msg]
+                else:
+                    bundle.append(msg)
+        for dest, msgs in bundles.items():
+            mid = next(self._msg_counter)
+            self.pending_acks[v].add(mid)
+            self._push(v, dest, "payload", self.round_of[v],
+                       payload=msgs, msg_id=mid)
         if not self.pending_acks[v]:
             self._node_safe(v)
 
@@ -349,10 +328,8 @@ class EventDrivenTransport:
             self.now = ev.time
             self.instr.advance_time(ev.time)
             if ev.kind == "payload":
-                payloads = (ev.payload if isinstance(ev.payload, list)
-                            else [ev.payload])
                 buffer = None
-                for msg in payloads:
+                for msg in ev.payload:
                     # Fault injectors act on each payload at delivery
                     # time — per message even inside a bundle, so drop
                     # decisions and `dropped` counts are per payload.
@@ -409,11 +386,9 @@ class AlphaSynchronizer(EventDrivenTransport):
                  delay: Callable[[np.random.Generator], float] | None = None,
                  delay_seed: int | None = None,
                  max_rounds: int = 100_000,
-                 injectors: Iterable[FaultInjector] = (),
-                 legacy_transport: bool = False):
+                 injectors: Iterable[FaultInjector] = ()):
         super().__init__(network, delay=delay, delay_seed=delay_seed,
-                         max_rounds=max_rounds, injectors=injectors,
-                         legacy_transport=legacy_transport)
+                         max_rounds=max_rounds, injectors=injectors)
         #: neighbors' highest announced safe round
         self.safe_round: Dict[NodeId, Dict[NodeId, int]] = {}
         #: Safety round announced by a node that has finished its protocol
@@ -461,13 +436,11 @@ def run_protocol_async(network: SynchronousNetwork, *,
                        delay: Callable[[np.random.Generator], float] | None = None,
                        delay_seed: int | None = None,
                        max_rounds: int = 100_000,
-                       injectors: Iterable[FaultInjector] = (),
-                       legacy_transport: bool = False) -> AsyncStats:
+                       injectors: Iterable[FaultInjector] = ()) -> AsyncStats:
     """Convenience wrapper: run ``network``'s processes asynchronously
     under an alpha synchronizer.  Node state afterwards is identical to a
     synchronous :func:`repro.simulation.runner.run_protocol` run with the
     same network seed."""
     sync = AlphaSynchronizer(network, delay=delay, delay_seed=delay_seed,
-                             max_rounds=max_rounds, injectors=injectors,
-                             legacy_transport=legacy_transport)
+                             max_rounds=max_rounds, injectors=injectors)
     return sync.run()

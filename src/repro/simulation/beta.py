@@ -58,11 +58,9 @@ class BetaSynchronizer(EventDrivenTransport):
                  delay: Callable[[np.random.Generator], float] | None = None,
                  delay_seed: int | None = None,
                  max_rounds: int = 100_000,
-                 injectors: Iterable[FaultInjector] = (),
-                 legacy_transport: bool = False):
+                 injectors: Iterable[FaultInjector] = ()):
         super().__init__(network, delay=delay, delay_seed=delay_seed,
-                         max_rounds=max_rounds, injectors=injectors,
-                         legacy_transport=legacy_transport)
+                         max_rounds=max_rounds, injectors=injectors)
         self._build_trees()
         #: per node: rounds for which each child's subtree reported safe
         self.child_safe: Dict[NodeId, Dict[NodeId, int]] = {}
@@ -154,10 +152,8 @@ def run_protocol_beta(network: SynchronousNetwork, *,
                       delay: Callable[[np.random.Generator], float] | None = None,
                       delay_seed: int | None = None,
                       max_rounds: int = 100_000,
-                      injectors: Iterable[FaultInjector] = (),
-                      legacy_transport: bool = False) -> AsyncStats:
+                      injectors: Iterable[FaultInjector] = ()) -> AsyncStats:
     """Convenience wrapper around :class:`BetaSynchronizer`."""
     sync = BetaSynchronizer(network, delay=delay, delay_seed=delay_seed,
-                            max_rounds=max_rounds, injectors=injectors,
-                            legacy_transport=legacy_transport)
+                            max_rounds=max_rounds, injectors=injectors)
     return sync.run()

@@ -35,9 +35,8 @@ type, only built-in injector types, no trace, no strict bit budget.
 Anything else — exotic protocol subclasses, third-party
 ``filter_messages`` injectors — returns ``None`` and the runner falls
 back to the per-node loop automatically.  The per-node path also
-remains directly reachable via ``run_protocol(...,
-reference_protocols=True)`` / ``execute(..., reference_protocols=True)``
-as the reference oracle.
+remains directly reachable via ``run_protocol(..., reference=True)`` /
+``execute(..., reference=True)`` as the reference oracle.
 """
 
 from __future__ import annotations

@@ -8,8 +8,9 @@ Two fault classes relevant to the paper's motivation (Section 1):
   medium is inherently less stable than wired media").
 
 Injectors are composable: the runner applies every injector's
-``filter_messages`` to each round's traffic and asks ``crashes_at`` for the
-set of nodes to kill at each round boundary.
+``filter_batch`` (whose default expands the round to the per-edge list a
+``filter_messages`` override filters) to each round's traffic and asks
+``crashes_at`` for the set of nodes to kill at each round boundary.
 
 Backend support
 ---------------
@@ -61,9 +62,9 @@ class FaultInjector:
 
         The built-in injectors override this with fast paths that never
         expand broadcast records.  Third-party subclasses that only
-        override the legacy per-edge :meth:`filter_messages` get a
-        compatibility fallback: the batch is expanded to the per-edge
-        list (legacy order), filtered, and re-wrapped.
+        override the per-edge :meth:`filter_messages` get a fallback:
+        the batch is expanded to the per-edge list (send order), filtered,
+        and re-wrapped.
         """
         if type(self).filter_messages is FaultInjector.filter_messages:
             return batch
@@ -169,14 +170,14 @@ class MessageLossInjector(FaultInjector):
         """Vectorized loss: one Bernoulli draw per round over the
         expanded (src, dst) edge list.
 
-        The RNG-stream contract is pinned to the legacy per-edge path:
+        The RNG-stream contract is pinned to :meth:`filter_messages`:
         the expansion (broadcasts fanned out over the sender's stable
         neighbor order, blocked endpoints excluded — exactly what
-        :meth:`RoundBatch.expand` yields) has the same length and order
-        as the legacy filtered message list, the round consumes exactly
+        :meth:`RoundBatch.expand` yields) is the per-edge list
+        :meth:`filter_messages` would see, the round consumes exactly
         one ``rng.random(len(edges))`` call, and an empty round consumes
         none.  Loss patterns per (seed, round) are therefore identical
-        to the legacy path.
+        to filtering the expanded list per edge.
         """
         if self.loss_rate == 0.0 or batch.is_empty():
             return batch

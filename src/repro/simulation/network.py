@@ -12,7 +12,6 @@ The network accepts either a plain ``networkx.Graph`` (optionally with
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import networkx as nx
@@ -98,6 +97,9 @@ class SynchronousNetwork:
         has_sensing = graph is not self.graph and hasattr(graph,
                                                           "neighbors_within")
         self._sensing = graph if has_sensing else None
+        #: Communication radius: the wrapper's ``radius`` (a
+        #: :class:`~repro.graphs.udg.UnitDiskGraph`), else the paper's 1.
+        self.radius = float(getattr(graph, "radius", 1.0))
         self._positions = self._load_positions()
         # Stable neighbor orderings come from the per-graph artifact
         # cache, shared with direct-mode kernels and repeated runs.
@@ -207,12 +209,6 @@ class SynchronousNetwork:
                           nodes=self._artifacts.nodes,
                           plan=self.gather_plan())
 
-    def drain_outbox(self) -> List[Tuple[NodeId, NodeId, Message]]:
-        """Remove and return all messages queued in the current round, in
-        the legacy per-edge ``(src, dest, msg)`` form (broadcast records
-        expanded over the sender's stable neighbor order)."""
-        return self.drain_batch().expand()
-
     def make_context(self, node_id: NodeId) -> NodeContext:
         """Build the per-node context handed to ``NodeProcess.run``."""
         return NodeContext(
@@ -221,12 +217,3 @@ class SynchronousNetwork:
             network=self,
             rng=self.rngs[node_id],
         )
-
-    def group_by_dest(
-        self, messages: Iterable[Tuple[NodeId, NodeId, Message]]
-    ) -> Dict[NodeId, List[Tuple[NodeId, Message]]]:
-        """Group in-flight messages into per-destination inboxes."""
-        inboxes: Dict[NodeId, List[Tuple[NodeId, Message]]] = defaultdict(list)
-        for src, dest, msg in messages:
-            inboxes[dest].append((src, msg))
-        return inboxes

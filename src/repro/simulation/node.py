@@ -55,6 +55,12 @@ class NodeContext:
         paper assumes nodes know ``n``)."""
         return self._network.n
 
+    @property
+    def radius(self) -> float:
+        """The network's communication radius (1 unless the graph is a
+        geometric wrapper with its own ``radius``)."""
+        return self._network.radius
+
     def send(self, dest: NodeId, message: Message) -> None:
         """Queue ``message`` for delivery to neighbor ``dest`` at the end of
         the current round."""

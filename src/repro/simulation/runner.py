@@ -34,8 +34,7 @@ def run_protocol(network: SynchronousNetwork, *,
                  trace: Optional[TraceRecorder] = None,
                  keep_round_stats: bool = False,
                  instrumentation: Optional[Instrumentation] = None,
-                 legacy_transport: bool = False,
-                 reference_protocols: bool = False) -> RunStats:
+                 reference: bool = False) -> RunStats:
     """Execute all node processes on ``network`` to completion.
 
     Parameters
@@ -57,13 +56,7 @@ def run_protocol(network: SynchronousNetwork, *,
         Optional externally-owned accountant; by default a fresh
         :class:`~repro.engine.instrumentation.Instrumentation` is built
         from the network's size model.
-    legacy_transport:
-        When true, run the pre-columnar per-edge data plane: expand every
-        broadcast eagerly, apply injectors via ``filter_messages``, and
-        account each delivered copy individually.  Kept as the reference
-        implementation — ``tests/test_transport_equivalence.py`` pins the
-        columnar path to it bit-for-bit.
-    reference_protocols:
+    reference:
         When true, skip the columnar protocol stepping plane and drive
         the per-node generators even for stock protocols.  The per-node
         path is the reference oracle; the batched plane
@@ -79,7 +72,7 @@ def run_protocol(network: SynchronousNetwork, *,
     """
     injectors = list(injectors)
 
-    if not reference_protocols and not legacy_transport and trace is None:
+    if not reference and trace is None:
         from repro.simulation.columnar import try_columnar
         stats = try_columnar(network, max_rounds=max_rounds,
                              injectors=injectors,
@@ -160,53 +153,28 @@ def run_protocol(network: SynchronousNetwork, *,
             live.discard(node_id)
 
         # --- collect, filter, account, and deliver messages --------------
-        if legacy_transport:
-            sent = network.drain_outbox()
-            # Messages from nodes that crashed mid-round never made it
-            # out; filter_messages also drops traffic to/from crashed
-            # nodes.
-            for injector in injectors:
-                sent = injector.filter_messages(round_index, sent)
+        batch = network.drain_batch()
+        # Crash injectors silence records in batch form; loss draws one
+        # Bernoulli vector over the expanded edge list.
+        for injector in injectors:
+            batch = injector.filter_batch(round_index, batch)
 
-            if not live and not sent:
-                # Everyone finished this round and nothing is in flight.
-                break
+        inboxes, per_class = batch.deliver()
 
-            instr.begin_round()
-            for _, _, msg in sent:
-                instr.payload(msg)
-            if trace is not None:
-                trace.record(round_index, "round",
-                             messages=instr.round_messages,
-                             bits=instr.round_bits, live=len(live))
-            instr.end_round(round_index, len(live))
+        if not live and not per_class:
+            # Everyone finished this round and nothing is in flight
+            # (records whose fan-out was entirely filtered count as
+            # nothing in flight).
+            break
 
-            inboxes = network.group_by_dest(sent)
-        else:
-            batch = network.drain_batch()
-            # Crash injectors silence records in batch form; loss draws
-            # one Bernoulli vector over the expanded edge list.
-            for injector in injectors:
-                batch = injector.filter_batch(round_index, batch)
-
-            delivered, per_class = batch.deliver()
-
-            if not live and not per_class:
-                # Everyone finished this round and nothing is in flight
-                # (records whose fan-out was entirely filtered count as
-                # nothing in flight, matching the per-edge path).
-                break
-
-            instr.begin_round()
-            for count, sample in per_class.values():
-                instr.payload_class(sample, count)
-            if trace is not None:
-                trace.record(round_index, "round",
-                             messages=instr.round_messages,
-                             bits=instr.round_bits, live=len(live))
-            instr.end_round(round_index, len(live))
-
-            inboxes = delivered
+        instr.begin_round()
+        for count, sample in per_class.values():
+            instr.payload_class(sample, count)
+        if trace is not None:
+            trace.record(round_index, "round",
+                         messages=instr.round_messages,
+                         bits=instr.round_bits, live=len(live))
+        instr.end_round(round_index, len(live))
     else:
         raise SimulationError(
             f"protocol did not terminate within {max_rounds} rounds "

@@ -9,7 +9,7 @@ dispatches.  Registration happens at import time via
 imported lazily by :func:`~repro.simulation.columnar.resolve_stepper`.
 
 Every stepper is **bit-identical** to the per-node reference
-(``reference_protocols=True``), including RNG consumption: per-lane
+(``reference=True``), including RNG consumption: per-lane
 draws happen in lane order — the runner's advance order — through the
 same ``network.rngs`` generators, and selection helpers
 (:func:`~repro.core.rounding._choose_requests`,
@@ -446,7 +446,7 @@ class UDGStepper(ColumnarStepper):
         self.k = p0.k
         self.policy = p0.policy
         self.iters = p0.part2_sync_iterations
-        self.schedule = theta_schedule(p0.n)
+        self.schedule = theta_schedule(p0.n, network.radius)
         self.id_hi = _id_space(p0.n)
         _, self.d_src, self.d_nbr, self.d_dist = kernels.udg_distance_csr(udg)
         self.live = np.ones(n, dtype=bool)

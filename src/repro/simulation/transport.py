@@ -15,10 +15,11 @@ edge per round*.  This module replaces the per-edge outbox with compact
 One :class:`RoundBatch` carries a round's records plus a set of
 ``blocked`` nodes (crash-silenced endpoints).  Delivery expands records
 **in record order**, each broadcast fanning out over the sender's
-stable (id-sorted) neighbor tuple — exactly the sequence the legacy
-per-edge outbox produced, so per-destination inbox order, message
-counts, bit counts, and loss-injector RNG consumption are all preserved
-bit-for-bit (pinned by ``tests/test_transport_equivalence.py``).
+stable (id-sorted) neighbor tuple — the per-edge send order, so
+per-destination inbox order, message counts, bit counts, and
+loss-injector RNG consumption are the same whether an injector filters
+the batch or the expanded per-edge list (pinned by
+``tests/test_transport_equivalence.py``).
 
 Accounting is columnar too: message bits depend only on the class
 (interned ``SCHEMA``), so a delivered batch is charged per class with
@@ -30,7 +31,7 @@ copy.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.simulation.messages import Message
 from repro.types import NodeId
@@ -102,8 +103,7 @@ class RoundBatch:
         :class:`~repro.engine.artifacts.GraphArtifacts`.
     blocked:
         Nodes whose traffic is suppressed in both directions (crashed).
-        Applied during expansion, before any accounting, matching the
-        legacy runner's pre-accounting crash filter.
+        Applied during expansion, before any accounting.
     """
 
     __slots__ = ("records", "neighbors_of", "blocked", "nodes", "plan")
@@ -146,7 +146,7 @@ class RoundBatch:
     def target_sequences(self) -> List[Tuple[NodeId, ...]]:
         """Per-record destination tuples (blocked endpoints excluded),
         aligned with ``self.records`` — the expanded (src, dst) edge list
-        in legacy enqueue order."""
+        in send order."""
         return [self.targets_of(rec) for rec in self.records]
 
     # ------------------------------------------------------------------
@@ -160,8 +160,8 @@ class RoundBatch:
 
     # ------------------------------------------------------------------
     def expand(self) -> List[Tuple[NodeId, NodeId, Message]]:
-        """The legacy per-edge view ``[(src, dest, msg), ...]``, in the
-        exact order the per-edge outbox would have produced."""
+        """The per-edge view ``[(src, dest, msg), ...]`` in send order —
+        the list a third-party ``filter_messages`` override filters."""
         out: List[Tuple[NodeId, NodeId, Message]] = []
         append = out.append
         for rec in self.records:
@@ -170,20 +170,13 @@ class RoundBatch:
                 append((src, w, msg))
         return out
 
-    def iter_edges(self) -> Iterator[Tuple[NodeId, NodeId, Message]]:
-        """Iterate the expanded (src, dest, msg) edges lazily."""
-        for rec in self.records:
-            src, msg = rec[1], rec[3]
-            for w in self.targets_of(rec):
-                yield (src, w, msg)
-
     # ------------------------------------------------------------------
     def deliver(self) -> Tuple[Dict[NodeId, List[Tuple[NodeId, Message]]],
                                Dict[type, Tuple[int, Message]]]:
         """Expand the batch into per-destination inboxes + class counts.
 
         Returns ``(inboxes, per_class)`` where ``inboxes[dest]`` is the
-        destination's ``[(src, msg), ...]`` list in legacy order and
+        destination's ``[(src, msg), ...]`` list in send order and
         ``per_class[cls] = (delivered_count, sample_msg)`` drives the
         columnar bit accounting (bits depend only on the class).
 
@@ -191,7 +184,7 @@ class RoundBatch:
         same tuple object is shared across all fan-out destinations.
         Records whose surviving fan-out is empty contribute nothing —
         not even a zero-count class entry — so ``per_class`` is empty
-        exactly when the legacy per-edge list would be.
+        exactly when :meth:`expand` would be.
         """
         if self.plan is not None and not self.blocked and self.records:
             fast = self._deliver_gathered(self.plan)
@@ -244,7 +237,7 @@ class RoundBatch:
         Inboxes come out as the itemgetter result tuples themselves —
         no per-destination list copy.  Inboxes are read-only by contract
         (no protocol or backend mutates one), so handing out tuples is
-        observationally identical to the legacy lists.
+        observationally identical to lists.
         """
         index = plan.index
         degree = plan.degree
@@ -307,8 +300,7 @@ def _pair_src_repr(pair):
 def explicit_batch(edges: Sequence[Tuple[NodeId, NodeId, Message]],
                    neighbors_of,
                    nodes: Optional[Sequence[NodeId]] = None) -> RoundBatch:
-    """A batch of plain unicast records from a legacy per-edge list
-    (used to re-wrap the output of third-party ``filter_messages``
-    overrides)."""
+    """A batch of plain unicast records from a per-edge list (used to
+    re-wrap the output of third-party ``filter_messages`` overrides)."""
     return RoundBatch([(UNICAST, src, dest, msg) for src, dest, msg in edges],
                       neighbors_of, nodes=nodes)

@@ -52,8 +52,6 @@ SeedSequence spawn child ``i`` depends only on (seed entropy, i), so
 graph ``g``'s limbs are a *prefix copy* of one master ``(R, n_max)``
 pool — replica ``r`` of graph ``g`` stays definitionally bit-exact to
 ``node_stream_pool(range(n_g), seeds[r])``.
-:meth:`GridReplicaStreams.graph_view` exposes any one graph through the
-:class:`ReplicaNodeStreams` interface for per-graph code paths.
 """
 
 from __future__ import annotations
@@ -877,111 +875,16 @@ class GridReplicaStreams(_LaneEngine):
         self._ih, self._il, self._sh, self._sl = limbs
         self._materialized = {}
 
-    @property
-    def replicas(self) -> int:
-        return len(self.seeds)
-
-    def graph_slice(self, graph: int):
-        """``(offset, n)`` of graph ``graph`` in the node index space."""
-        return int(self.offsets[graph]), self.counts[graph]
-
-    def flat_lane(self, replica: int, graph: int, node: int) -> int:
-        """The flat lane of node ``node`` of ``graph`` in ``replica``."""
-        return replica * self.total + int(self.offsets[graph]) + node
-
-    def snapshot_generator(self, flat_lane: int) -> np.random.Generator:
-        """A fresh ``Generator`` positioned at the lane's *current*
-        stream state.  Unlike :meth:`generator`, no ownership is
-        recorded and repeated calls return independent clones that
-        diverge from the shared limbs — the k-axis fusion uses this to
-        run several adoption phases off one frozen post-election state.
-        The caller must not vector-draw the lane afterwards."""
-        return self._lane_generator(flat_lane)
-
     def snapshot_state(self, flat_lane: int) -> dict:
-        """:meth:`snapshot_generator`'s state dict alone — for callers
-        that keep one pooled ``PCG64`` and swap lane states per event
-        (a full state round-trip, so streams continue bit-identically
-        to a dedicated per-lane generator)."""
+        """A lane's *current* stream state dict, without recording
+        ownership: repeated calls return independent copies that diverge
+        from the shared limbs.  The k-axis fusion keeps one pooled
+        ``PCG64`` and swaps these states per event, running several
+        adoption phases off one frozen post-election state (a full state
+        round-trip, so streams continue bit-identically to a dedicated
+        per-lane generator).  The caller must not vector-draw the lane
+        afterwards."""
         return self._lane_state(flat_lane)
-
-    def graph_view(self, graph: int) -> ReplicaNodeStreams:
-        """Graph ``graph`` as an ordinary :class:`ReplicaNodeStreams`
-        (draws advance the shared grid stream states)."""
-        return _GridGraphView(self, graph)
-
-
-class _GridGraphView(ReplicaNodeStreams):
-    """One graph of a :class:`GridReplicaStreams`, adapted to the
-    replica-streams interface by remapping local flat lanes
-    ``r * n_g + i`` to grid lanes ``r * total + offset + i``.
-
-    The per-graph limb slices are *strided* views of the grid plane, so
-    draws delegate to the parent engine (whose contiguous arrays keep
-    the native kernels usable) rather than slicing limbs here — handing
-    a strided view to ctypes would silently read the wrong lanes.
-    """
-
-    def __init__(self, streams: GridReplicaStreams, graph: int):
-        self._streams = streams
-        self._offset, n = streams.graph_slice(graph)
-        self.nodes = list(range(n))
-        self.lane = {v: v for v in self.nodes}
-        self.seeds = streams.seeds
-
-    def _grid_lanes(self, flat_lanes) -> np.ndarray:
-        flat = np.asarray(flat_lanes, dtype=np.int64)
-        n = len(self.nodes)
-        r = flat // n
-        return r * self._streams.total + self._offset + (flat - r * n)
-
-    def random(self, flat_lanes: np.ndarray) -> np.ndarray:
-        return self._streams.random(self._grid_lanes(flat_lanes))
-
-    def draw_ints(self, flat_lanes: np.ndarray, high: int,
-                  need: np.ndarray | None = None) -> np.ndarray:
-        return self._streams.draw_ints(self._grid_lanes(flat_lanes), high,
-                                       need=need)
-
-    def draw_ints_masked(self, mask: np.ndarray, high: int,
-                         need: np.ndarray | None = None,
-                         out: np.ndarray | None = None) -> np.ndarray:
-        """Masked draw over this graph's ``R x n_g`` plane, expanded to
-        a full-grid mask so the parent's contiguous (native-capable)
-        masked path does the work, then gathered back."""
-        mask = np.asarray(mask, dtype=bool)
-        n = len(self.nodes)
-        R = len(self.seeds)
-        if mask.size != R * n:
-            raise ValueError("mask must cover the graph's R x n lanes")
-        if out is None:
-            out = np.zeros(mask.size, dtype=np.int64)
-        elif (out.dtype != np.int64 or out.size != mask.size
-                or not out.flags.c_contiguous):
-            raise ValueError(
-                "out must be a C-contiguous int64 buffer of mask.size")
-        total = self._streams.total
-        grid_mask = np.zeros(R * total, dtype=bool)
-        gm2 = grid_mask.reshape(R, total)
-        gm2[:, self._offset:self._offset + n] = mask.reshape(R, n)
-        grid_need = None
-        if need is None:
-            sel = mask
-        else:
-            need = np.asarray(need, dtype=bool)
-            grid_need = np.zeros(R * total, dtype=bool)
-            gn2 = grid_need.reshape(R, total)
-            gn2[:, self._offset:self._offset + n] = need.reshape(R, n)
-            sel = mask & need
-        grid_out = self._streams.draw_ints_masked(grid_mask, high,
-                                                  need=grid_need)
-        local = grid_out.reshape(R, total)[
-            :, self._offset:self._offset + n].reshape(-1)
-        out[sel] = local[sel]
-        return out
-
-    def generator(self, flat_lane: int) -> np.random.Generator:
-        return self._streams.generator(int(self._grid_lanes(flat_lane)))
 
 
 # ----------------------------------------------------------------------

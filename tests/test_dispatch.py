@@ -5,15 +5,12 @@ Three planes of coverage:
 - the degradation matrix: every REPRO_KERNEL_BACKEND value resolves (or
   fails) exactly as documented — unknown names raise, forcing an
   unavailable provider raises instead of silently falling back, auto
-  walks native -> numba -> numpy with per-entry size gates;
+  takes native over numpy with per-entry size gates;
 - provider equality: the coverage-plane kernels produce bit-identical
   results under every available provider and thread count, pinned at
   2^16 lanes (the acceptance shape's structure at test-sized n);
 - the introspection surfaces: provider_status(), ``repro kernels``, and
   the ExperimentReport.timing stamp.
-
-The numba legs skip cleanly when numba is absent (the container ships
-without it; the best-effort CI leg installs it when the index allows).
 """
 
 from __future__ import annotations
@@ -33,12 +30,9 @@ from repro.errors import KernelBackendError
 from repro.graphs.generators import gnp_graph
 
 HAS_NATIVE = _native.available()
-HAS_NUMBA = dispatch._numba_module() is not None
 
 needs_native = pytest.mark.skipif(not HAS_NATIVE,
                                   reason="compiled kernels unavailable")
-needs_numba = pytest.mark.skipif(not HAS_NUMBA,
-                                 reason="numba not installed")
 
 
 @pytest.fixture
@@ -93,27 +87,6 @@ class TestBackendSelection:
         name, impl = provider("member_counts", size=1)
         assert name == "native" and impl is not None
 
-    def test_numba_forced_absent_raises(self, monkeypatch):
-        if HAS_NUMBA:
-            pytest.skip("numba installed; absence leg not testable")
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numba")
-        with pytest.raises(KernelBackendError, match="numba"):
-            provider("member_counts")
-
-    @needs_numba
-    def test_numba_forced_serves_coverage_plane(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numba")
-        name, impl = provider("member_counts")
-        assert name == "numba" and impl is not None
-
-    @needs_numba
-    def test_numba_forced_outside_surface_is_numpy(self, monkeypatch):
-        # The RNG limb kernels have no numba implementation; under a
-        # forced numba backend they run their numpy reference (the only
-        # other bit-exact implementation), not an error.
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numba")
-        assert provider("seed_lanes") == ("numpy", None)
-
     def test_auto_size_gate(self, auto):
         for entry in ENTRY_POINTS:
             if MIN_SIZE[entry] > 1:
@@ -129,13 +102,8 @@ class TestBackendSelection:
         monkeypatch.setattr(_native, "_lib", None)
         monkeypatch.setattr(_native, "_tried", False)
         monkeypatch.setenv("REPRO_NATIVE", "0")
-        name, impl = provider("member_counts", size=1 << 20)
-        if HAS_NUMBA:
-            assert name == "numba" and impl is not None
-        else:
-            assert (name, impl) == ("numpy", None)
-        # Entries outside the numba surface drop straight to numpy.
-        assert provider("seed_lanes", size=1 << 20) == ("numpy", None)
+        for entry in ENTRY_POINTS:
+            assert provider(entry, size=1 << 20) == ("numpy", None)
 
 
 # ----------------------------------------------------------------------
@@ -158,8 +126,6 @@ def _backends():
     avail = ["numpy"]
     if HAS_NATIVE:
         avail.append("native")
-    if HAS_NUMBA:
-        avail.append("numba")
     return avail
 
 
@@ -276,6 +242,8 @@ class TestProviderEquality:
 class TestIntrospection:
     def test_status_shape(self, auto):
         status = provider_status()
+        assert set(status) == {"backend", "forced", "native",
+                               "entry_points"}
         assert status["backend"] == "auto" and status["forced"] is False
         assert set(status["entry_points"]) == set(ENTRY_POINTS)
         assert status["native"]["available"] == HAS_NATIVE
@@ -283,7 +251,7 @@ class TestIntrospection:
             assert len(status["native"]["digest"]) == 16
             assert status["native"]["threads"] >= 1
         for entry, info in status["entry_points"].items():
-            assert info["provider"] in ("native", "numba", "numpy")
+            assert info["provider"] in ("native", "numpy")
             assert info["min_size"] == MIN_SIZE[entry]
         assert json.dumps(status)  # JSON-ready, no numpy scalars
 
@@ -324,13 +292,6 @@ class TestIntrospection:
         stamp = report.timing["kernels"]
         assert set(stamp["entry_points"]) == set(ENTRY_POINTS)
         assert stamp["backend"] == "auto"
-
-    def test_numba_probe_reset(self, auto):
-        # reset() drops the cached probe so availability flips are
-        # observable (the best-effort CI leg relies on a fresh probe).
-        dispatch.reset()
-        assert dispatch._numba_checked is False
-        assert (dispatch._numba_module() is not None) == HAS_NUMBA
 
 
 # ----------------------------------------------------------------------

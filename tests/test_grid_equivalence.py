@@ -6,11 +6,11 @@ This is the contract of the grid-batched backend: stacking topology
 CSRs block-diagonally, fusing the k axis over one shared Part I, and
 running the adoption phase cross-graph are *execution* strategies —
 never visible in the results.  The suite pins cell-level members,
-``RunStats`` and details across same-size groups, mixed size classes,
-the per-point fallbacks (message mode, ``force_per_point``), the
-``timing`` dispatch breakdown, degenerate axes, and native thread
-counts (subprocess matrix, since the worker pool is configured by
-environment at import-free call time).
+``RunStats`` and details across same-size groups, mixed size and
+radius classes, the per-point fallbacks (message mode, ineligible
+graphs), the ``timing`` dispatch breakdown, degenerate axes, and native
+thread counts (subprocess matrix, since the worker pool is configured
+by environment at import-free call time).
 """
 
 from __future__ import annotations
@@ -86,17 +86,16 @@ class TestGridIdentity:
             grid, _per_point(graphs, SEEDS, KS, selection_policy="by-id"))
 
 
-class TestFallbacks:
-    def test_force_per_point_identical(self):
-        graphs = _graphs((GRID_N, GRID_N))
-        timing = {}
-        forced = solve_kmds_udg_grid(graphs, SEEDS, KS,
-                                     force_per_point=True, timing=timing)
-        assert timing["path"] == "per-point"
-        assert timing["grid_graphs"] == 0
-        assert timing["per_point_graphs"] == 2
-        _assert_cells_equal(forced, solve_kmds_udg_grid(graphs, SEEDS, KS))
+    def test_same_size_mixed_radii(self):
+        # Equal n, different radii -> different theta schedules, so two
+        # stacked dispatches; each still matches the per-point loop.
+        graphs = [random_udg(GRID_N, radius=r, density=DENSITY, seed=60 + i)
+                  for i, r in enumerate((1.0, 0.5, 1.0, 0.5))]
+        grid = solve_kmds_udg_grid(graphs, SEEDS, KS)
+        _assert_cells_equal(grid, _per_point(graphs, SEEDS, KS))
 
+
+class TestFallbacks:
     def test_message_mode_goes_per_point(self):
         graphs = _graphs((40,))
         timing = {}

@@ -94,9 +94,8 @@ def test_udg_members_identical_across_modes(mode, seed):
 # Kernel vs. per-node reference: the vectorized direct backends of
 # Algorithms 2 and 3 must be bit-identical to their pre-vectorization
 # per-node loops — same members, same RunStats, same details, same
-# per-node RNG consumption (execute(..., reference_direct=True) selects
-# the oracle).  This pins PR 5 the way test_transport_equivalence.py
-# pinned the columnar transport.
+# per-node RNG consumption (execute(..., reference=True) selects the
+# oracle).
 # ----------------------------------------------------------------------
 
 def _assert_same_result(kernel, reference):
@@ -116,7 +115,7 @@ def test_udg_kernel_matches_reference(policy, k, seed):
     kernel = solve_kmds_udg(udg, k=k, mode="direct",
                             selection_policy=policy, seed=seed)
     ref = execute(UDGProgram(udg, k, policy, seed), "direct", seed=seed,
-                  reference_direct=True)
+                  reference=True)
     ref.details["mode"] = "direct"
     _assert_same_result(kernel, ref)
 
@@ -138,7 +137,7 @@ def test_udg_kernel_matches_reference_on_geometric_variants(
     assert supports_kernel_election(udg)
     kernel = solve_kmds_udg(udg, k=2, mode="direct", seed=seed)
     ref = execute(UDGProgram(udg, 2, "random", seed), "direct", seed=seed,
-                  reference_direct=True)
+                  reference=True)
     ref.details["mode"] = "direct"
     _assert_same_result(kernel, ref)
 
@@ -176,7 +175,7 @@ def test_rounding_kernel_matches_reference(policy, k, seed):
                                  mode="direct", seed=seed)
     lp = CoveringLP(g, cov)
     ref = execute(RoundingProgram(lp, frac.x, policy, seed), "direct",
-                  seed=seed, reference_direct=True)
+                  seed=seed, reference=True)
     _assert_same_result(kernel, ref)
 
 
@@ -195,7 +194,7 @@ def test_rounding_kernel_matches_reference_on_udg(seed):
                                  seed=seed)
     ref = execute(RoundingProgram(CoveringLP(g, cov), frac.x, "random",
                                   seed), "direct",
-                  seed=seed, reference_direct=True)
+                  seed=seed, reference=True)
     _assert_same_result(kernel, ref)
 
 
@@ -212,11 +211,11 @@ BATCH_SEEDS = (0, 5, 17)
 
 
 def _assert_batch_matches_sequential(program, seeds=BATCH_SEEDS):
-    from repro.engine import execute_batch
+    from repro.engine import execute, execute_batch
 
     assert program.supports_direct_batch()
     batch = execute_batch(program, seeds, "direct")
-    seq = execute_batch(program, seeds, "direct", force_sequential=True)
+    seq = [execute(program, seed=s) for s in seeds]
     assert len(batch) == len(seq) == len(seeds)
     for one, ref in zip(batch, seq):
         _assert_same_result(one, ref)

@@ -9,7 +9,7 @@ import math
 
 import networkx as nx
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.greedy import greedy_kmds
@@ -20,10 +20,12 @@ from repro.core.fractional import (
 )
 from repro.core.lp import CoveringLP
 from repro.core.rounding import randomized_rounding
-from repro.core.udg import solve_kmds_udg, theta_schedule
+from repro.core.udg import (SELECTION_POLICIES, UDGProgram, solve_kmds_udg,
+                            theta_schedule)
 from repro.core.verify import coverage_counts, is_k_dominating_set
+from repro.engine import execute
 from repro.graphs.properties import feasible_coverage
-from repro.graphs.udg import UnitDiskGraph
+from repro.graphs.udg import UnitDiskGraph, random_udg
 
 COMMON = dict(
     deadline=None,
@@ -46,13 +48,16 @@ def graphs(draw, max_n=14):
 
 @st.composite
 def udgs(draw, max_n=12):
-    """Arbitrary small unit disk graphs."""
+    """Arbitrary small unit disk graphs of radius 0.2, 1 or 3 (points
+    scale with the radius, so every radius sees the same shapes)."""
+    radius = draw(st.sampled_from((0.2, 1.0, 3.0)))
     n = draw(st.integers(min_value=1, max_value=max_n))
     coords = draw(st.lists(
         st.tuples(st.floats(0, 4, allow_nan=False, allow_infinity=False),
                   st.floats(0, 4, allow_nan=False, allow_infinity=False)),
         min_size=n, max_size=n))
-    return UnitDiskGraph(coords)
+    return UnitDiskGraph([(x * radius, y * radius) for x, y in coords],
+                         radius=radius)
 
 
 class TestAlgorithm1Properties:
@@ -109,11 +114,20 @@ class TestRoundingProperties:
 
 
 class TestUDGProperties:
-    @given(udg=udgs(), k=st.integers(1, 3), seed=st.integers(0, 500))
+    @given(udg=udgs(), k=st.integers(1, 3), seed=st.integers(0, 500),
+           policy=st.sampled_from(SELECTION_POLICIES))
+    @example(udg=random_udg(100, radius=0.2, density=8, seed=0), k=1,
+             seed=0, policy="random")
     @settings(max_examples=40, **COMMON)
-    def test_udg_always_valid(self, udg, k, seed):
-        ds = solve_kmds_udg(udg, k=k, seed=seed)
+    def test_udg_always_valid(self, udg, k, seed, policy):
+        # The kernels, the per-node reference and the message protocol
+        # agree on one k-dominating set.
+        ds = solve_kmds_udg(udg, k=k, seed=seed, selection_policy=policy)
         assert is_k_dominating_set(udg, ds.members, k, convention="open")
+        program = UDGProgram(udg, k, policy, seed)
+        ref = execute(program, "direct", seed=seed, reference=True)
+        msg = execute(program, "message", seed=seed)
+        assert ds.members == ref.members == msg.members
 
     @given(n=st.integers(1, 10 ** 7))
     @settings(max_examples=60, **COMMON)

@@ -2,7 +2,7 @@
 
 ``run_protocol`` routes stock protocols through per-round batched
 steppers (:mod:`repro.simulation.steppers`); the per-node generator
-loop stays reachable via ``reference_protocols=True`` as the oracle.
+loop stays reachable via ``reference=True`` as the oracle.
 These tests pin the batched plane to that oracle **bit-for-bit** —
 solutions (exact float dicts, member sets), RunStats, per-lane RNG
 consumption, and loss-injector RNG state/drop counts — across all five
@@ -61,7 +61,7 @@ def _pair(program, *, seed, injector_factory=lambda: []):
     inj_b, inj_o = injector_factory(), injector_factory()
     batched = execute(program, "message", seed=seed, injectors=inj_b)
     oracle = execute(program, "message", seed=seed, injectors=inj_o,
-                     reference_protocols=True)
+                     reference=True)
     assert _stats(batched.stats) == _stats(oracle.stats)
     assert _inj_state(inj_b) == _inj_state(inj_o)
     return batched, oracle
@@ -199,7 +199,7 @@ def test_jrs_stepper_convergence_valve_parity():
     for flag in (False, True):
         program = JRSProgram(graph_artifacts(g), req, "closed", 3, 0)
         with pytest.raises(GraphError) as exc:
-            execute(program, "message", seed=3, reference_protocols=flag)
+            execute(program, "message", seed=3, reference=flag)
         errors.append(str(exc.value))
     assert errors[0] == errors[1]
 
@@ -242,7 +242,7 @@ def _patch_run(patch, members, deficient, *, policy="by-id", k=3,
     net = SynchronousNetwork(patch, procs, seed=seed)
     injectors = injector_factory()
     stats = run_protocol(net, max_rounds=3 * maxit + 6, injectors=injectors,
-                         reference_protocols=reference)
+                         reference=reference)
     snap = [(p.node_id, p.member, p.deficit, p.promoted, p.iterations,
              tuple(sorted(map(repr, p.member_neighbors)))) for p in procs]
     return snap, _stats(stats), _inj_state(injectors)
@@ -283,7 +283,7 @@ def test_patch_stepper_edge_cases_identical():
 @pytest.mark.parametrize("loss", (0.0, 0.4))
 def test_local_patch_repair_oracle_identical(loss):
     """The E23 call shape: a whole LocalPatchRepair epoch, batched vs
-    ``reference_protocols=True``."""
+    ``reference=True``."""
     g = nx.gnp_random_graph(60, 0.08, seed=8)
     members = set(sorted(g.nodes)[::4])
     deficit = {v: 2 for v in sorted(set(g.nodes) - members)[:10]}
@@ -292,7 +292,7 @@ def test_local_patch_repair_oracle_identical(loss):
     for flag in (False, True):
         policy = LocalPatchRepair("by-id", transport="message",
                                   loss_rate=loss, patience=3,
-                                  reference_protocols=flag)
+                                  reference=flag)
         out = policy.repair(state, g, dict(deficit), 2,
                             rng=np.random.default_rng(42),
                             instr=Instrumentation.for_n(60))
@@ -312,7 +312,7 @@ def test_e17_cell_identical_to_oracle():
     udg = random_udg(60, density=8.0, seed=31)
     for loss in (0.0, 0.15):
         batched = _run_with_loss(udg, 3, loss, 17)
-        oracle = _run_with_loss(udg, 3, loss, 17, reference_protocols=True)
+        oracle = _run_with_loss(udg, 3, loss, 17, reference=True)
         assert batched == oracle
 
 
@@ -327,7 +327,7 @@ def test_stepper_numpy_backend_matches_oracle(monkeypatch):
     native = execute(program, "message", seed=12)
     monkeypatch.setenv("REPRO_KERNEL_BACKEND", "numpy")
     numpy_run = execute(program, "message", seed=12)
-    oracle = execute(program, "message", seed=12, reference_protocols=True)
+    oracle = execute(program, "message", seed=12, reference=True)
     assert numpy_run.x == oracle.x == native.x
     assert numpy_run.z == oracle.z == native.z
     assert _stats(numpy_run.stats) == _stats(oracle.stats)

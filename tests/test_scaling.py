@@ -239,6 +239,46 @@ class TestStalenessRegression:
         assert graph_artifacts(g) is art  # hit despite the odd degree sum
 
 
+class TestCacheLifetime:
+    """Cached bundles refer back to their graphs, yet must die with them."""
+
+    def test_solved_then_dropped_graphs_leave_both_caches(self):
+        import gc
+        import weakref
+
+        from repro.core.udg import solve_kmds_udg, solve_kmds_udg_grid
+        from repro.engine import artifacts
+        from repro.graphs.udg import random_udg
+
+        graphs = [random_udg(300, density=8.0, seed=s) for s in range(3)]
+        solve_kmds_udg(graphs[0], k=2, seed=0)
+        solve_kmds_udg_grid(graphs, seeds=(0, 1), ks=(1, 2))
+        assert all(u.nx in artifacts._CACHE for u in graphs)
+        assert graphs[0].nx in artifacts._STACK_CACHE
+        gc.collect()  # settle garbage left by earlier tests
+        base, stacks = len(artifacts._CACHE), len(artifacts._STACK_CACHE)
+        refs = [weakref.ref(u.nx) for u in graphs]
+        del graphs
+        gc.collect()
+        assert all(r() is None for r in refs)
+        assert len(artifacts._CACHE) == base - 3
+        assert len(artifacts._STACK_CACHE) == stacks - 1
+
+    def test_bundle_lives_while_its_graph_does(self):
+        import gc
+
+        from repro.engine import artifacts
+        from repro.graphs.udg import random_udg
+
+        udg = random_udg(50, seed=1)
+        art = graph_artifacts(udg)
+        gc.collect()
+        assert graph_artifacts(udg) is art and art.graph is udg.nx
+        artifacts._CACHE.clear()
+        assert udg.nx not in artifacts._CACHE
+        assert graph_artifacts(udg) is not art
+
+
 class TestVectorizedVerify:
     @pytest.mark.parametrize("convention", ["open", "closed"])
     def test_counts_match_python_loop(self, convention):

@@ -76,6 +76,12 @@ class TestGeometry:
             for w in close:
                 assert net.distance(v, w) <= 0.4
 
+    def test_radius_comes_from_the_wrapper(self, triangle):
+        udg = random_udg(20, radius=0.3, seed=5)
+        net = SynchronousNetwork(udg, [Idle(v) for v in range(20)])
+        assert net.radius == net.make_context(0).radius == 0.3
+        assert _net(triangle).radius == 1.0
+
 
 class TestMessaging:
     def test_enqueue_to_non_neighbor_raises(self, path4):
@@ -94,21 +100,23 @@ class TestMessaging:
         net = _net(path4)
         ctx = net.make_context(1)
         ctx.broadcast(ColorMsg(gray=False))
-        sent = net.drain_outbox()
+        sent = net.drain_batch().expand()
         assert {dest for _, dest, _ in sent} == {0, 2}
 
-    def test_drain_outbox_empties(self, path4):
+    def test_drain_batch_empties(self, path4):
         net = _net(path4)
         ctx = net.make_context(1)
         ctx.broadcast(ColorMsg(gray=False))
-        net.drain_outbox()
-        assert net.drain_outbox() == []
+        net.drain_batch()
+        assert net.drain_batch().is_empty()
 
-    def test_group_by_dest(self, path4):
+    def test_deliver_groups_by_dest(self, path4):
+        from repro.simulation.transport import explicit_batch
+
         net = _net(path4)
         msgs = [(0, 1, ColorMsg(gray=True)), (2, 1, ColorMsg(gray=False))]
-        inboxes = net.group_by_dest(msgs)
-        assert len(inboxes[1]) == 2
+        inboxes, _ = explicit_batch(msgs, net.sorted_neighbors).deliver()
+        assert [src for src, _ in inboxes[1]] == [0, 2]
 
     def test_sorted_neighbors_stable(self, path4):
         net = _net(path4)

@@ -1,26 +1,27 @@
-"""Columnar transport vs the legacy per-edge data plane.
+"""Every message-passing path vs the per-node generator loop.
 
-The broadcast-native columnar transport (``repro.simulation.transport``)
-is *defined* by equivalence to the original per-edge outbox, which is
-kept behind ``execute(..., legacy_transport=True)`` as the reference
-implementation.  These tests pin that equivalence across every
-message-passing backend and every engine-ported algorithm:
+The per-node generator loop on the synchronous runner
+(``execute(..., "message", reference=True)``) is the one oracle of the
+message-passing backends.  These tests pin every other path to it
+across the engine-ported algorithms:
 
-- **solutions** are compared exactly (``==`` on the x/y/z dicts and
-  member sets — bit-identical floats, not approximately equal);
-- **RunStats** (rounds, messages, bits, max message size) are compared
-  exactly on the synchronous backend, including under crash and loss
-  injectors (whose RNG-stream consumption is pinned to the legacy
-  per-edge order);
-- the asynchronous backends compare solutions and payload accounting
-  (control-message counts legitimately differ: the columnar transport
-  bundles per-(sender, round, destination), the legacy one acks every
-  payload individually).
+- the columnar transport and protocol stepping plane (the ``message``
+  default) — **solutions** compared exactly (``==`` on the x/y/z dicts
+  and member sets: bit-identical floats, not approximately equal) and
+  **RunStats** (rounds, messages, bits, max message size) compared
+  exactly, including under crash and loss injectors;
+- the asynchronous backends (``async`` / ``async-beta``) — the same
+  solution and the same payload accounting as the synchronous run
+  (control messages exist only on the synchronizers);
+- a third-party injector that only overrides the per-edge
+  ``filter_messages`` — the same result and the same drops as the
+  built-in :class:`MessageLossInjector`, whose batch filter it defines.
 """
 
 from __future__ import annotations
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.baselines.jrs import JRSProgram
@@ -31,7 +32,8 @@ from repro.engine import execute
 from repro.engine.artifacts import graph_artifacts
 from repro.graphs.properties import feasible_coverage
 from repro.graphs.udg import random_udg
-from repro.simulation.faults import CrashFaultInjector, MessageLossInjector
+from repro.simulation.faults import (CrashFaultInjector, FaultInjector,
+                                     MessageLossInjector)
 
 SYNC_STATS = ("rounds", "messages_sent", "bits_sent", "max_message_bits")
 
@@ -41,19 +43,20 @@ def _graph(seed: int) -> nx.Graph:
 
 
 def _run_pair(program, mode, *, seed, injector_factory=None):
-    """Run ``program`` twice — columnar and legacy — with independent
-    injector instances (injectors hold RNG state)."""
+    """Run ``program`` on ``mode`` and on the generator-loop oracle, with
+    independent injector instances (injectors hold RNG state)."""
     def _injectors():
         return [injector_factory()] if injector_factory is not None else []
-    columnar = execute(program, mode, seed=seed, injectors=_injectors())
-    legacy = execute(program, mode, seed=seed, injectors=_injectors(),
-                     legacy_transport=True)
-    return columnar, legacy
+    fast = execute(program, mode, seed=seed, injectors=_injectors())
+    oracle = execute(program, "message", seed=seed, injectors=_injectors(),
+                     reference=True)
+    return fast, oracle
 
 
-def _assert_stats_equal(columnar, legacy, fields=SYNC_STATS):
+def _assert_stats_equal(fast, oracle, fields=SYNC_STATS):
     for field in fields:
-        assert getattr(columnar.stats, field) == getattr(legacy.stats, field), field
+        assert getattr(fast.stats, field) == getattr(oracle.stats, field), \
+            field
 
 
 # ----------------------------------------------------------------------
@@ -65,13 +68,13 @@ def test_fractional_message_mode_bit_identical(seed):
     g = _graph(seed)
     lp = _resolve_instance(g, None, feasible_coverage(g, 2))
     program = FractionalProgram(lp, t=2, compute_duals=True)
-    columnar, legacy = _run_pair(program, "message", seed=seed)
-    assert columnar.x == legacy.x
-    assert columnar.y == legacy.y
-    assert columnar.z == legacy.z
-    assert columnar.alpha == legacy.alpha
-    assert columnar.beta == legacy.beta
-    _assert_stats_equal(columnar, legacy)
+    fast, oracle = _run_pair(program, "message", seed=seed)
+    assert fast.x == oracle.x
+    assert fast.y == oracle.y
+    assert fast.z == oracle.z
+    assert fast.alpha == oracle.alpha
+    assert fast.beta == oracle.beta
+    _assert_stats_equal(fast, oracle)
 
 
 @pytest.mark.parametrize("mode", ("async", "async-beta"))
@@ -79,28 +82,28 @@ def test_fractional_async_modes_solution_identical(mode):
     g = _graph(3)
     lp = _resolve_instance(g, None, feasible_coverage(g, 1))
     program = FractionalProgram(lp, t=2, compute_duals=False)
-    columnar, legacy = _run_pair(program, mode, seed=3)
-    assert columnar.x == legacy.x
-    # Payload accounting matches; control overhead differs by design
-    # (per-bundle vs per-payload acks), with bundling never worse.
-    _assert_stats_equal(columnar, legacy)
-    assert columnar.stats.control_messages <= legacy.stats.control_messages
+    fast, oracle = _run_pair(program, mode, seed=3)
+    assert fast.x == oracle.x
+    # Payload accounting matches; only the synchronizer sends control
+    # traffic.
+    _assert_stats_equal(fast, oracle)
+    assert fast.stats.control_messages > 0 == oracle.stats.control_messages
 
 
 def test_fractional_under_loss_stats_and_drops_identical():
     g = _graph(5)
     lp = _resolve_instance(g, None, feasible_coverage(g, 2))
     program = FractionalProgram(lp, t=2, compute_duals=False)
-    col_inj = MessageLossInjector(0.3, seed=42)
-    leg_inj = MessageLossInjector(0.3, seed=42)
-    columnar = execute(program, "message", seed=5, injectors=[col_inj])
-    legacy = execute(program, "message", seed=5, injectors=[leg_inj],
-                     legacy_transport=True)
-    # The vectorized per-round Bernoulli draw consumes the injector RNG
-    # in the legacy per-edge order, so the *same* messages drop.
-    assert col_inj.dropped == leg_inj.dropped
-    assert columnar.x == legacy.x
-    _assert_stats_equal(columnar, legacy)
+    fast_inj = MessageLossInjector(0.3, seed=42)
+    oracle_inj = MessageLossInjector(0.3, seed=42)
+    fast = execute(program, "message", seed=5, injectors=[fast_inj])
+    oracle = execute(program, "message", seed=5, injectors=[oracle_inj],
+                     reference=True)
+    # Both planes consume the injector RNG in per-edge send order, so
+    # the *same* messages drop.
+    assert fast_inj.dropped == oracle_inj.dropped
+    assert fast.x == oracle.x
+    _assert_stats_equal(fast, oracle)
 
 
 def test_fractional_under_crashes_stats_identical():
@@ -108,23 +111,23 @@ def test_fractional_under_crashes_stats_identical():
     lp = _resolve_instance(g, None, feasible_coverage(g, 1))
     program = FractionalProgram(lp, t=2, compute_duals=False)
     victims = sorted(g.nodes)[:3]
-    columnar, legacy = _run_pair(
+    fast, oracle = _run_pair(
         program, "message", seed=6,
         injector_factory=lambda: CrashFaultInjector({2: victims[:2],
                                                      5: victims[2:]}))
-    assert columnar.x == legacy.x
-    _assert_stats_equal(columnar, legacy)
+    assert fast.x == oracle.x
+    _assert_stats_equal(fast, oracle)
 
 
 def test_fractional_under_total_loss_stats_identical():
     g = _graph(2)
     lp = _resolve_instance(g, None, feasible_coverage(g, 1))
     program = FractionalProgram(lp, t=2, compute_duals=False)
-    columnar, legacy = _run_pair(
+    fast, oracle = _run_pair(
         program, "message", seed=2,
         injector_factory=lambda: MessageLossInjector(1.0, seed=9))
-    assert columnar.x == legacy.x
-    _assert_stats_equal(columnar, legacy)
+    assert fast.x == oracle.x
+    _assert_stats_equal(fast, oracle)
 
 
 # ----------------------------------------------------------------------
@@ -138,9 +141,9 @@ def test_rounding_members_identical(mode, policy):
     lp = _resolve_instance(g, None, feasible_coverage(g, 1))
     frac = execute(FractionalProgram(lp, t=2, compute_duals=False), "direct")
     program = RoundingProgram(lp, frac.x, policy, 1)
-    columnar, legacy = _run_pair(program, mode, seed=1)
-    assert columnar.members == legacy.members
-    _assert_stats_equal(columnar, legacy)
+    fast, oracle = _run_pair(program, mode, seed=1)
+    assert fast.members == oracle.members
+    _assert_stats_equal(fast, oracle)
 
 
 # ----------------------------------------------------------------------
@@ -151,9 +154,9 @@ def test_rounding_members_identical(mode, policy):
 def test_udg_members_identical(mode):
     udg = random_udg(30, density=8.0, seed=4)
     program = UDGProgram(udg, 2, "by-id", 4)
-    columnar, legacy = _run_pair(program, mode, seed=4)
-    assert columnar.members == legacy.members
-    _assert_stats_equal(columnar, legacy)
+    fast, oracle = _run_pair(program, mode, seed=4)
+    assert fast.members == oracle.members
+    _assert_stats_equal(fast, oracle)
 
 
 # ----------------------------------------------------------------------
@@ -165,50 +168,50 @@ def test_jrs_members_identical(convention):
     g = _graph(8)
     req = {v: 1 for v in g.nodes}
     program = JRSProgram(graph_artifacts(g), req, convention, 8, 10_000)
-    columnar, legacy = _run_pair(program, "message", seed=8)
-    assert columnar.members == legacy.members
-    assert columnar.details["phases"] == legacy.details["phases"]
-    _assert_stats_equal(columnar, legacy)
+    fast, oracle = _run_pair(program, "message", seed=8)
+    assert fast.members == oracle.members
+    assert fast.details["phases"] == oracle.details["phases"]
+    _assert_stats_equal(fast, oracle)
 
 
 # ----------------------------------------------------------------------
 # Transport-level invariants
 # ----------------------------------------------------------------------
 
-def test_legacy_flag_rejected_nowhere_and_ignored_by_direct():
-    g = _graph(0)
-    lp = _resolve_instance(g, None, feasible_coverage(g, 1))
-    program = FractionalProgram(lp, t=1, compute_duals=False)
-    ref = execute(program, "direct")
-    alt = execute(program, "direct", legacy_transport=True)
-    assert ref.x == alt.x
+@pytest.mark.parametrize("mode", ("async", "async-beta"))
+def test_reference_flag_ignored_by_async_backends(mode):
+    udg = random_udg(30, density=8.0, seed=2)
+    program = UDGProgram(udg, 2, "random", 2)
+    plain = execute(program, mode, seed=2)
+    flagged = execute(program, mode, seed=2, reference=True)
+    assert plain.members == flagged.members
+    assert plain.stats == flagged.stats
 
 
 def test_third_party_injector_fallback_matches_columnar():
-    """An injector that only overrides the legacy ``filter_messages``
-    must behave identically on the columnar path (expand -> filter ->
-    re-wrap fallback)."""
-    from repro.simulation.faults import FaultInjector
+    """An injector that only overrides the per-edge ``filter_messages``
+    runs through the batch fallback (expand -> filter -> re-wrap) on
+    the generator loop; implementing loss that way must give the same
+    result and the same drops as the built-in injector on the columnar
+    plane."""
+    class PerEdgeLoss(FaultInjector):
+        def __init__(self, loss_rate, seed):
+            self.loss_rate = loss_rate
+            self.rng = np.random.default_rng(seed)
+            self.dropped = 0
 
-    class DropEveryThird(FaultInjector):
-        def __init__(self):
-            self.seen = 0
-
-        def filter_messages(self, round_index, messages):
-            kept = []
-            for m in messages:
-                self.seen += 1
-                if self.seen % 3:
-                    kept.append(m)
-            return kept
+        filter_messages = MessageLossInjector.filter_messages
 
     g = _graph(9)
     lp = _resolve_instance(g, None, feasible_coverage(g, 1))
     program = FractionalProgram(lp, t=2, compute_duals=False)
-    columnar, legacy = _run_pair(program, "message", seed=9,
-                                 injector_factory=DropEveryThird)
-    assert columnar.x == legacy.x
-    _assert_stats_equal(columnar, legacy)
+    builtin = MessageLossInjector(0.3, seed=11)
+    third_party = PerEdgeLoss(0.3, seed=11)
+    fast = execute(program, "message", seed=9, injectors=[builtin])
+    fallback = execute(program, "message", seed=9, injectors=[third_party])
+    assert builtin.dropped == third_party.dropped > 0
+    assert fast.x == fallback.x
+    _assert_stats_equal(fast, fallback)
 
 
 # ----------------------------------------------------------------------
@@ -312,12 +315,12 @@ def test_jrs_stepper_declines_any_injector():
                            [MessageLossInjector(0.1, seed=2)]) is None
 
 
-def test_reference_protocols_flag_matches_default():
+def test_reference_flag_matches_default():
     g = _graph(4)
     lp = _resolve_instance(g, None, feasible_coverage(g, 1))
     program = FractionalProgram(lp, t=2, compute_duals=True)
     batched = execute(program, "message", seed=4)
-    oracle = execute(program, "message", seed=4, reference_protocols=True)
+    oracle = execute(program, "message", seed=4, reference=True)
     assert batched.x == oracle.x
     assert batched.z == oracle.z
     _assert_stats_equal(batched, oracle)
