@@ -35,7 +35,6 @@ kernel-vs-reference suite in ``tests/test_mode_equivalence.py``.
 
 from __future__ import annotations
 
-import weakref
 from typing import Iterable, Tuple
 
 import numpy as np
@@ -363,16 +362,12 @@ def demotion_candidates(art: GraphArtifacts, member_mask: np.ndarray,
 # UDG distance kernels (Algorithm 3 Part I)
 # ======================================================================
 
-#: udg -> (indptr, src, nbr, dist) flattened distance-sorted adjacency.
-_DIST_CSR_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
 def supports_kernel_election(udg) -> bool:
     """Whether Part I's election can run on the vectorized distance CSR.
 
     True for the stock geometric classes (including QUDG, whose pruning
-    rewrites the same distance-sorted lists, and noisy sensing, whose
-    per-edge factors are fixed).  A subclass that overrides
+    rebuilds the same distance CSR, and noisy sensing, whose per-edge
+    factors are fixed).  A subclass that overrides
     ``neighbors_within`` with unknown semantics falls back to the
     per-node reference path — correctness over speed.
     """
@@ -387,44 +382,22 @@ def supports_kernel_election(udg) -> bool:
 
 def udg_distance_csr(udg) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
                                    np.ndarray]:
-    """Flattened ``(indptr, src, nbr, dist)`` of the UDG's per-node
-    distance-sorted neighbor lists (the ``neighbors_within`` order).
+    """The UDG's distance-sorted adjacency ``(indptr, src, nbr, dist)``
+    (:attr:`~repro.graphs.udg.UnitDiskGraph.dist_csr`, whose rows are in
+    ``neighbors_within`` order).
 
     ``dist`` holds the distances ``neighbors_within`` filters on — the
     stored (true) distances for plain/quasi UDGs, the *sensed* values
     for :class:`~repro.graphs.udg.NoisySensingUDG` — so a flat
     ``dist <= theta`` mask reproduces every ``N_v(theta)`` exactly.
-    Cached per graph object (weakref).
+    The arrays belong to the graph and are read-only.
     """
     from repro.graphs.udg import NoisySensingUDG
 
-    cached = _DIST_CSR_CACHE.get(udg)
-    if cached is not None:
-        return cached
-    n = udg.n
-    lists = udg._sorted_by_dist
-    degs = np.fromiter((len(lists[v][1]) for v in range(n)),
-                       dtype=np.int64, count=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degs, out=indptr[1:])
-    total = int(indptr[-1])
-    nbr = np.fromiter((w for v in range(n) for w in lists[v][1]),
-                      dtype=np.int64, count=total)
+    indptr, src, nbr, dist = udg.dist_csr
     if isinstance(udg, NoisySensingUDG):
-        dist = np.fromiter(
-            (udg.sensed_distance(v, w)
-             for v in range(n) for w in lists[v][1]),
-            dtype=np.float64, count=total)
-    else:
-        dist = np.fromiter((d for v in range(n) for d in lists[v][0]),
-                           dtype=np.float64, count=total)
-    src = np.repeat(np.arange(n, dtype=np.int64), degs)
-    out = (indptr, src, nbr, dist)
-    try:
-        _DIST_CSR_CACHE[udg] = out
-    except TypeError:  # pragma: no cover — unweakrefable graph type
-        pass
-    return out
+        dist = udg.sensed_dist
+    return indptr, src, nbr, dist
 
 
 def elect_round(src: np.ndarray, nbr: np.ndarray, within: np.ndarray,

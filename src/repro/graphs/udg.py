@@ -2,18 +2,30 @@
 
 A unit disk graph (UDG) has nodes at points in the Euclidean plane and an
 edge between every pair at distance at most ``radius`` (the paper fixes the
-radius to 1).  :class:`UnitDiskGraph` builds the graph with a uniform-grid
-spatial hash (O(n) expected construction at constant density) and supports
-the distance-restricted neighborhood queries :math:`N_v(\\tau)` that
-Algorithm 3 needs ("nodes can sense the distance between themselves and
-their neighbors", Section 3).
+radius to 1).  :class:`UnitDiskGraph` builds the graph in numpy: points
+are hashed to square cells of side ``radius`` through a sparse cell index
+(sorted cell keys, so the cost does not depend on how far apart the
+points lie), candidate pairs come from each point's 3x3 cell block one
+offset at a time, and the kept edges are written to networkx once.
+
+The build is deterministic.  Edges are added cell by cell, cells in the
+order of their first point, then by node, 3x3 offset (x outer) and
+neighbor, so node order, each node's adjacency order, ``list(g.nx.edges)``
+and every ``dist`` float depend only on the points and the radius.  A
+per-cell reference loop in ``tests/test_graphs_udg.py`` pins all of them.
+
+The graph also owns its distance-sorted CSR (:attr:`UnitDiskGraph.dist_csr`),
+which answers the distance-restricted neighborhood queries
+:math:`N_v(\\tau)` that Algorithm 3 needs ("nodes can sense the distance
+between themselves and their neighbors", Section 3) and is the operand
+of the election kernels.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
@@ -21,6 +33,128 @@ import numpy as np
 from repro.errors import GraphError
 
 Point = Tuple[float, float]
+
+#: The 3x3 cell block in the order edges are added (x offset outer).
+_OFFSETS = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
+
+
+def _find(table: np.ndarray, values: np.ndarray
+          ) -> Tuple[np.ndarray, np.ndarray]:
+    """Position of each of ``values`` in the sorted ``table`` (clamped to
+    a valid index) and whether it is there."""
+    idx = np.minimum(np.searchsorted(table, values), len(table) - 1)
+    return idx, table[idx] == values
+
+
+# A coordinate too large for ``coordinate / radius`` to stay finite
+# lands in an infinite cell, and one too large to square gives an
+# infinite distance.  Both are exact: float spacing there dwarfs the
+# radius, so points within range of each other share a cell.
+@np.errstate(over="ignore", invalid="ignore")
+def _udg_edges(points: np.ndarray, radius: float
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair at distance <= ``radius`` as ``(i, j, dist)`` with
+    ``i < j``, ordered by the cell of ``i`` (cells by first point), then
+    ``i``, then the 3x3 offset of ``j``'s cell, then ``j``.
+
+    ``dist`` is ``sqrt(dx*dx + dy*dy)``, the same float the pairwise
+    test compares against ``radius * radius``.
+    """
+    if len(points) == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, np.zeros(0, dtype=np.float64)
+    xs = np.ascontiguousarray(points[:, 0])
+    ys = np.ascontiguousarray(points[:, 1])
+    # Cell coordinates as floats (exact integers); +0.0 folds -0.0 into 0.
+    cx = np.floor(xs / radius) + 0.0
+    cy = np.floor(ys / radius) + 0.0
+    # Sparse cell index: rank each axis, then pack the two ranks.
+    ux, rx = np.unique(cx, return_inverse=True)
+    uy, ry = np.unique(cy, return_inverse=True)
+    keys, first, cell_of = np.unique(rx * len(uy) + ry, return_index=True,
+                                     return_inverse=True)
+    members = np.argsort(cell_of, kind="stable")
+    count = np.bincount(cell_of)
+    start = np.cumsum(count) - count
+    # Points in visit order: cells by first appearance, nodes ascending.
+    appearance = np.empty(len(keys), dtype=np.int64)
+    appearance[np.argsort(first)] = np.arange(len(keys))
+    visit = np.argsort(appearance[cell_of], kind="stable")
+    visit_cell = cell_of[visit]
+    kx, ky = np.divmod(keys, len(uy))
+    cell_x, cell_y = ux[kx], uy[ky]
+
+    r2 = radius * radius
+    pos_parts, i_parts, j_parts, d2_parts = [], [], [], []
+    for ox, oy in _OFFSETS:
+        # The neighbor cell of every occupied cell, or -1 when empty.
+        # ``tx - cell_x == ox`` rejects an offset that rounds away (cell
+        # coordinates past 2**53), whose exact target no point can hit.
+        tx, ty = cell_x + ox, cell_y + oy
+        ix, hit_x = _find(ux, tx)
+        iy, hit_y = _find(uy, ty)
+        tc, hit = _find(keys, ix * len(uy) + iy)
+        hit &= hit_x & hit_y
+        if ox:
+            hit &= tx - cell_x == ox
+        if oy:
+            hit &= ty - cell_y == oy
+        target = np.where(hit, tc, -1)[visit_cell]
+        # Expand every visited point against its neighbor cell's members.
+        pos = np.flatnonzero(target >= 0)
+        tcell = target[pos]
+        cnt = count[tcell]
+        skip = np.cumsum(cnt) - cnt
+        jj = members[np.repeat(start[tcell] - skip, cnt)
+                     + np.arange(int(cnt.sum()))]
+        pos = np.repeat(pos, cnt)
+        ii = visit[pos]
+        up = jj > ii
+        pos, ii, jj = pos[up], ii[up], jj[up]
+        dx = xs[ii] - xs[jj]
+        dy = ys[ii] - ys[jj]
+        d2 = dx * dx + dy * dy
+        near = d2 <= r2
+        pos_parts.append(pos[near])
+        i_parts.append(ii[near])
+        j_parts.append(jj[near])
+        d2_parts.append(d2[near])
+    # Offsets were generated in order, so a stable sort on the visit
+    # position yields (cell, i, offset, j).
+    order = np.argsort(np.concatenate(pos_parts), kind="stable")
+    return (np.concatenate(i_parts)[order], np.concatenate(j_parts)[order],
+            np.sqrt(np.concatenate(d2_parts)[order]))
+
+
+def _networkx_graph(points: np.ndarray, i: np.ndarray, j: np.ndarray,
+                    dist: np.ndarray) -> nx.Graph:
+    """The networkx graph of the edge list ``(i, j, dist)``, filled
+    exactly as ``add_edge`` called edge by edge in list order fills it:
+    each node's adjacency lists its edges in list order, and the two
+    directions of an edge share one data dict."""
+    g = nx.Graph()
+    g.add_nodes_from(range(len(points)))
+    # Written straight into the new graph's dicts: add_edges_from does
+    # the same per edge, plus node and tuple-shape checks.
+    for attrs, p in zip(g._node.values(), map(tuple, points.tolist())):
+        attrs["pos"] = p
+    adj = g._adj
+    for u, v, d in zip(i.tolist(), j.tolist(), dist.tolist()):
+        adj[u][v] = adj[v][u] = {"dist": d}
+    return g
+
+
+def _distance_csr(n: int, src: np.ndarray, nbr: np.ndarray,
+                  dist: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Read-only ``(indptr, src, nbr, dist)`` with each row sorted by
+    ``(dist, nbr)``."""
+    order = np.lexsort((nbr, dist, src))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    csr = (indptr, src[order], nbr[order], dist[order])
+    for arr in csr:
+        arr.flags.writeable = False
+    return csr
 
 
 class UnitDiskGraph:
@@ -30,7 +164,7 @@ class UnitDiskGraph:
     ----------
     points:
         Sequence of ``(x, y)`` coordinates; node ``i`` sits at
-        ``points[i]``.
+        ``points[i]``.  Every coordinate must be finite.
     radius:
         Communication radius (edge iff distance <= radius).  Default 1.0,
         matching the paper.
@@ -39,11 +173,19 @@ class UnitDiskGraph:
     ----------
     nx:
         The underlying ``networkx.Graph`` with integer nodes ``0..n-1``,
-        ``pos`` node attributes, and ``dist`` edge attributes.
+        ``pos`` node attributes, and ``dist`` edge attributes.  Its node
+        order, adjacency order and edge order are fixed by the points
+        and the radius (see the module docstring).
+    dist_csr:
+        ``(indptr, src, nbr, dist)``, read-only numpy arrays: row ``v``
+        (``indptr[v]:indptr[v + 1]``) lists ``v``'s neighbors by
+        ascending ``(dist, nbr)``, with ``src`` repeating ``v`` and
+        ``dist`` the stored edge distance.  :meth:`neighbors_within`
+        bisects a row.
     """
 
     def __init__(self, points: Sequence[Point], radius: float = 1.0):
-        if radius <= 0:
+        if not radius > 0:
             raise GraphError(f"UDG radius must be positive, got {radius}")
         self.points = np.asarray(points, dtype=float)
         if len(self.points) == 0:
@@ -52,66 +194,54 @@ class UnitDiskGraph:
             raise GraphError(
                 f"points must be an (n, 2) array, got shape {self.points.shape}"
             )
+        finite = np.isfinite(self.points).all(axis=1)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise GraphError(f"point {bad} is not finite: "
+                             f"{self.points[bad].tolist()}")
         self.radius = float(radius)
         self.n = len(self.points)
-        self.nx = self._build_graph()
-        # Per-node neighbor lists sorted by distance, enabling O(log deg)
-        # N_v(tau) prefix queries.
-        self._sorted_by_dist: Dict[int, Tuple[List[float], List[int]]] = {}
-        for v in range(self.n):
-            pairs = sorted(
-                (self.nx.edges[v, w]["dist"], w) for w in self.nx.neighbors(v)
-            )
-            self._sorted_by_dist[v] = ([d for d, _ in pairs], [w for _, w in pairs])
+        i, j, dist = _udg_edges(self.points, self.radius)
+        self.nx = _networkx_graph(self.points, i, j, dist)
+        self.dist_csr = _distance_csr(self.n, np.concatenate([i, j]),
+                                      np.concatenate([j, i]),
+                                      np.concatenate([dist, dist]))
 
     # ------------------------------------------------------------------
-    def _build_graph(self) -> nx.Graph:
-        g = nx.Graph()
-        for i, (x, y) in enumerate(self.points):
-            g.add_node(i, pos=(float(x), float(y)))
-        if self.n == 0:
-            return g
+    def _edge_index(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(keys, eid)``: ``keys`` encodes ``sorted(self.nx.edges)`` as
+        ``u * n + v`` (``u < v``), and ``eid`` maps every CSR entry to
+        its edge's position in that list."""
+        _, src, nbr, _ = self.dist_csr
+        return np.unique(np.minimum(src, nbr) * self.n + np.maximum(src, nbr),
+                         return_inverse=True)
 
-        # Uniform grid spatial hash with cell size = radius: all neighbors
-        # of a point lie in its 3x3 cell block.
-        cell = self.radius
-        buckets: Dict[Tuple[int, int], List[int]] = {}
-        for i, (x, y) in enumerate(self.points):
-            key = (int(math.floor(x / cell)), int(math.floor(y / cell)))
-            buckets.setdefault(key, []).append(i)
-
-        r2 = self.radius * self.radius
-        for (cx, cy), members in buckets.items():
-            neighbor_cells = [
-                buckets.get((cx + dx, cy + dy), [])
-                for dx in (-1, 0, 1) for dy in (-1, 0, 1)
-            ]
-            for i in members:
-                xi, yi = self.points[i]
-                for other_members in neighbor_cells:
-                    for j in other_members:
-                        if j <= i:
-                            continue
-                        dx = xi - self.points[j][0]
-                        dy = yi - self.points[j][1]
-                        d2 = dx * dx + dy * dy
-                        if d2 <= r2:
-                            g.add_edge(i, j, dist=math.sqrt(d2))
-        return g
+    def _row_cut(self, v: int, tau: float) -> Tuple[int, int]:
+        """Row ``v``'s CSR span ``[start, cut)`` of neighbors at stored
+        distance at most ``tau``."""
+        indptr, _, _, dist = self.dist_csr
+        start, end = indptr[v:v + 2].tolist()
+        return start, start + bisect.bisect_right(dist[start:end].tolist(), tau)
 
     # ------------------------------------------------------------------
     def distance(self, u: int, v: int) -> float:
-        """Euclidean distance between two nodes (not just neighbors)."""
+        """Euclidean distance between two nodes (not just neighbors).
+
+        Computed with ``math.hypot``, whereas the stored edge ``dist``
+        (and so :meth:`neighbors_within`) uses ``sqrt(dx*dx + dy*dy)``.
+        The two differ in the last bit on about 17% of pairs; both are
+        part of the reproducible output and neither may change.
+        """
         du = self.points[u] - self.points[v]
         return float(math.hypot(du[0], du[1]))
 
     def neighbors_within(self, v: int, tau: float) -> List[int]:
         """The paper's :math:`N_v(\\tau)` minus ``v`` itself: graph
         neighbors at distance at most ``tau`` (``tau`` is capped by the
-        communication radius since farther nodes are not neighbors)."""
-        dists, nbrs = self._sorted_by_dist[v]
-        cut = bisect.bisect_right(dists, tau)
-        return nbrs[:cut]
+        communication radius since farther nodes are not neighbors),
+        nearest first."""
+        start, cut = self._row_cut(v, tau)
+        return self.dist_csr[2][start:cut].tolist()
 
     def closed_neighbors_within(self, v: int, tau: float) -> List[int]:
         """:math:`N_v(\\tau)` including ``v`` itself."""
@@ -167,27 +297,25 @@ class QuasiUnitDiskGraph(UnitDiskGraph):
         super().__init__(points, radius=radius)
         self.alpha = float(alpha)
         self.p_gray = float(p_gray)
+        keys, eid = self._edge_index()
+        _, src, nbr, dist = self.dist_csr
+        edge_dist = np.empty(len(keys))
+        edge_dist[eid] = dist
+        # Remove each gray-zone edge independently with prob 1 - p_gray:
+        # one uniform per gray edge, in sorted edge order.
+        gray = np.flatnonzero(edge_dist > self.alpha)
+        doomed = np.zeros(len(keys), dtype=bool)
         rng = np.random.default_rng(seed)
-        # Remove each gray-zone edge independently with prob 1 - p_gray.
-        doomed = []
-        for u, v in sorted(self.nx.edges):
-            if self.nx.edges[u, v]["dist"] > self.alpha \
-                    and rng.random() >= self.p_gray:
-                doomed.append((u, v))
-        self.nx.remove_edges_from(doomed)
+        doomed[gray] = rng.random(len(gray)) >= self.p_gray
+        u, v = np.divmod(keys[doomed], self.n)
+        self.nx.remove_edges_from(zip(u.tolist(), v.tolist()))
         # In-place mutation after construction: bump the mutation token so
         # any artifact bundle cached against the pristine graph is dropped.
         from repro.engine.artifacts import touch  # deferred: avoids cycle
         touch(self.nx)
-        # Rebuild the distance-sorted neighbor lists over the new edges.
-        self._sorted_by_dist = {}
-        for v in range(self.n):
-            pairs = sorted(
-                (self.nx.edges[v, w]["dist"], w)
-                for w in self.nx.neighbors(v)
-            )
-            self._sorted_by_dist[v] = ([d for d, _ in pairs],
-                                       [w for _, w in pairs])
+        keep = ~doomed[eid]
+        self.dist_csr = _distance_csr(self.n, src[keep], nbr[keep],
+                                      dist[keep])
 
 
 class NoisySensingUDG(UnitDiskGraph):
@@ -204,6 +332,11 @@ class NoisySensingUDG(UnitDiskGraph):
     Distance-restricted queries (:meth:`neighbors_within`, hence
     Algorithm 3's ``N_v(theta)``) use the noisy values; experiment E20
     measures the effect on Part I's guarantees.
+
+    Attributes
+    ----------
+    sensed_dist:
+        Read-only sensed distance of every :attr:`dist_csr` entry.
     """
 
     def __init__(self, points: Sequence[Point], *, sigma: float,
@@ -213,26 +346,38 @@ class NoisySensingUDG(UnitDiskGraph):
                 f"sensing noise sigma must be in [0, 1), got {sigma}")
         super().__init__(points, radius=radius)
         self.sigma = float(sigma)
+        keys, eid = self._edge_index()
+        # One symmetric factor per edge, drawn in sorted edge order.
         rng = np.random.default_rng(noise_seed)
-        # One symmetric factor per edge, in a deterministic edge order.
-        self._noise: Dict[Tuple[int, int], float] = {}
-        for u, v in sorted(self.nx.edges):
-            key = (u, v) if u <= v else (v, u)
-            self._noise[key] = 1.0 + float(rng.uniform(-sigma, sigma))
+        factor = 1.0 + rng.uniform(-sigma, sigma, size=len(keys))
+        # math.hypot, as distance() computes it; hypot(-a, -b) equals
+        # hypot(a, b), so one value per edge serves both directions.
+        u, v = np.divmod(keys, self.n)
+        du = self.points[u] - self.points[v]
+        true = np.fromiter(map(math.hypot, du[:, 0].tolist(),
+                               du[:, 1].tolist()),
+                           dtype=np.float64, count=len(keys))
+        self.sensed_dist = (true * factor)[eid]
+        self.sensed_dist.flags.writeable = False
 
     def sensed_distance(self, u: int, v: int) -> float:
-        """The (noisy) distance the radios report for a linked pair."""
-        key = (u, v) if u <= v else (v, u)
-        factor = self._noise.get(key, 1.0)
-        return self.distance(u, v) * factor
+        """The (noisy) distance the radios report for a linked pair; the
+        true distance for any other pair."""
+        indptr, _, nbr, _ = self.dist_csr
+        start = indptr[u]
+        hit = np.flatnonzero(nbr[start:indptr[u + 1]] == v)
+        if hit.size:
+            return float(self.sensed_dist[start + hit[0]])
+        return self.distance(u, v)
 
     def neighbors_within(self, v: int, tau: float) -> List[int]:
         """Graph neighbors whose *sensed* distance is at most ``tau``."""
         # Superset by true distance (noise can only inflate by 1+sigma),
         # then filter by the sensed value.
-        superset = super().neighbors_within(
+        start, cut = self._row_cut(
             v, min(self.radius, tau / max(1e-12, 1.0 - self.sigma)))
-        return [w for w in superset if self.sensed_distance(v, w) <= tau]
+        keep = self.sensed_dist[start:cut] <= tau
+        return self.dist_csr[2][start:cut][keep].tolist()
 
 
 def udg_from_points(points: Sequence[Point], radius: float = 1.0) -> UnitDiskGraph:

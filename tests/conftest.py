@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import os
+
 import networkx as nx
 import pytest
+from hypothesis import settings
 
 from repro.graphs.generators import gnp_graph, grid_graph, star_graph
 from repro.graphs.udg import random_udg
+
+# CI runs every property suite on a fixed example set
+# (HYPOTHESIS_PROFILE=ci); local runs stay randomized.
+settings.register_profile("ci", derandomize=True, deadline=None,
+                          print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture
