@@ -468,11 +468,9 @@ def _cmd_kernels(args) -> int:
         rows.append((entry, info["provider"],
                      "yes" if info["compiled"] else "no",
                      "yes" if info["threaded"] else "no",
-                     info["min_size"],
                      info.get("error", "")))
     print(format_table(
-        ["entry point", "provider", "compiled", "threaded", "min size",
-         "error"], rows))
+        ["entry point", "provider", "compiled", "threaded", "error"], rows))
     if args.json_path:
         import json
         import pathlib

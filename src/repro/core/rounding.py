@@ -41,20 +41,10 @@ from repro.graphs.properties import as_nx
 from repro.simulation.messages import Message
 from repro.simulation.node import NodeProcess
 from repro.simulation.rng import spawn_node_rngs
-from repro.simulation.vecrng import node_stream_pool, replica_node_streams
+from repro.simulation.vecrng import replica_node_streams
 from repro.types import CoverageMap, DominatingSet, NodeId, RunStats
 
 REQUEST_POLICIES = ("random", "highest-x", "self-first")
-
-
-def _stable_sorted(nodes) -> List[NodeId]:
-    """Sort node ids, falling back to repr for mixed types (matches the
-    simulator's neighbor ordering)."""
-    nodes = list(nodes)
-    try:
-        return sorted(nodes)
-    except TypeError:
-        return sorted(nodes, key=repr)
 
 
 def rounding_probability(x_i: float, delta: int) -> float:
@@ -167,65 +157,15 @@ class RoundingProgram(RoundProgram):
         return 8
 
     def direct(self, instr: Instrumentation) -> DominatingSet:
-        lp, x, policy = self.lp, self.x, self.policy
-        art = self.artifacts
-        pool = node_stream_pool(lp.nodes, self.seed)
-        delta = lp.delta
-
-        # Line 1-2: independent randomized rounding.  One batched draw —
-        # one u64 per node stream — then compare against each node's
-        # probability; streams are independent, so batching in lane
-        # order consumes them exactly as the reference loop does.
-        uniforms = pool.random(np.arange(lp.n))
-        probs = np.fromiter(
-            (rounding_probability(x[v], delta) for v in lp.nodes),
-            dtype=np.float64, count=lp.n)
-        perm = np.fromiter((pool.lane[v] for v in lp.nodes),
-                           dtype=np.int64, count=lp.n)
-        member_vec = uniforms[perm] < probs
-        sampled = int(member_vec.sum())
-        is_member = dict(zip(lp.nodes, member_vec.tolist()))
-
-        # Lines 4-7: per-node closed-neighborhood member counts collapse
-        # to one CSR matvec; only the (few) deficient nodes then run the
-        # per-node selection logic, consuming their RNG streams exactly
-        # as the reference loop does.
-        counts = kernels.member_counts(art, indicator=member_vec,
-                                       convention="closed")
-        required = np.fromiter((lp.coverage[v] for v in lp.nodes),
-                               dtype=np.int64, count=lp.n)
-        nbrs_of = art.sorted_neighbors
-        requested: set = set()
-        req_messages = 0  # actual REQ sends (self-picks are local, not sent)
-        for i in np.nonzero(required > counts)[0].tolist():
-            v = art.nodes[i]
-            need = int(required[i] - counts[i])
-            candidates = ([] if is_member[v] else [v]) \
-                + [w for w in nbrs_of[v] if not is_member[w]]
-            for w in _choose_requests(pool.generator(pool.lane[v]), v,
-                                      candidates, x, need, policy):
-                requested.add(w)
-                if w != v:
-                    req_messages += 1
-        members = {v for v, m in is_member.items() if m} | requested
-
-        # Accounting implied by the two-exchange schedule.
-        instr.charge_messages(2 * self.artifacts.m,
-                              MembershipMsg(member=False), rounds=1)
-        instr.charge_messages(req_messages, ReqMsg(), rounds=1)
-        return DominatingSet(
-            members=members,
-            stats=instr.stats,
-            details={"sampled": sampled, "requested": len(requested),
-                     "policy": policy},
-        )
+        return self.direct_batch([instr], [self.seed])[0]
 
     def direct_batch(self, instrs, seeds) -> List[DominatingSet]:
-        """Replica-batched :meth:`direct`: one rounding draw and one
-        coverage mat-mat for the whole seed sweep (lane = (replica,
+        """The vectorized kernel over a seed sweep: one rounding draw
+        and one coverage mat-mat for every replica (lane = (replica,
         node)); only each replica's (few) deficient nodes run the
-        per-node REQ selection, exactly as in the single-replica kernel.
-        Bit-identical to the sequential per-seed loop."""
+        per-node REQ selection.  Bit-identical per replica to the
+        per-node reference loop, and a single run is the one-seed
+        case."""
         lp, x, policy = self.lp, self.x, self.policy
         art = self.artifacts
         n = lp.n
@@ -233,8 +173,9 @@ class RoundingProgram(RoundProgram):
         delta = lp.delta
 
         # Lines 1-2 for every replica at once: one u64 per (replica,
-        # node) stream, consumed exactly as each replica's own batched
-        # draw would be (streams are independent across lanes).
+        # node) stream, then compare against each node's probability;
+        # streams are independent, so batching in lane order consumes
+        # them exactly as the reference loop does.
         uniforms = streams.random(
             np.arange(streams.replicas * n)).reshape(-1, n)
         probs = np.fromiter(
@@ -243,6 +184,10 @@ class RoundingProgram(RoundProgram):
         perm = np.fromiter((streams.lane[v] for v in lp.nodes),
                            dtype=np.int64, count=n)
         member_mat = uniforms[:, perm] < probs[None, :]
+        # Lines 4-7: per-node closed-neighborhood member counts collapse
+        # to one CSR mat-mat; only the (few) deficient nodes then run
+        # the per-node selection logic, consuming their RNG streams
+        # exactly as the reference loop does.
         counts = kernels.member_counts_batch(art, indicators=member_mat,
                                              convention="closed")
         required = np.fromiter((lp.coverage[v] for v in lp.nodes),
@@ -254,20 +199,21 @@ class RoundingProgram(RoundProgram):
             member_vec = member_mat[r]
             sampled = int(member_vec.sum())
             is_member = dict(zip(lp.nodes, member_vec.tolist()))
-            pool = streams.replica_pool(r)
             requested: set = set()
-            req_messages = 0
+            req_messages = 0  # REQ sends (self-picks are local, not sent)
             for i in np.nonzero(required > counts[r])[0].tolist():
                 v = art.nodes[i]
                 need = int(required[i] - counts[r, i])
                 candidates = ([] if is_member[v] else [v]) \
                     + [w for w in nbrs_of[v] if not is_member[w]]
-                for w in _choose_requests(pool.generator(pool.lane[v]), v,
-                                          candidates, x, need, policy):
+                rng = streams.generator(streams.flat_lane(r, streams.lane[v]))
+                for w in _choose_requests(rng, v, candidates, x, need,
+                                          policy):
                     requested.add(w)
                     if w != v:
                         req_messages += 1
             members = {v for v, m in is_member.items() if m} | requested
+            # Accounting implied by the two-exchange schedule.
             instr.charge_messages(2 * self.artifacts.m,
                                   MembershipMsg(member=False), rounds=1)
             instr.charge_messages(req_messages, ReqMsg(), rounds=1)

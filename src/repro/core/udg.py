@@ -47,11 +47,10 @@ from repro.simulation.messages import Message
 from repro.simulation.node import NodeProcess
 from repro.simulation.rng import spawn_node_rngs
 from repro.engine import dispatch
-from repro.simulation.vecrng import (GridReplicaStreams,
+from repro.simulation.vecrng import (grid_streams,
                                      materialize_bit_generator,
                                      node_stream_pool,
-                                     replica_node_streams,
-                                     vector_streams_available)
+                                     replica_node_streams)
 from repro.types import DominatingSet, NodeId, RunStats
 
 #: The paper's base xi = 3/2 for the doubling schedule.
@@ -124,6 +123,21 @@ def _pick(rng: np.random.Generator, candidates: List[NodeId], need: int,
 def _members_set(row: np.ndarray) -> set:
     """Materialize one indicator row as the result's member set."""
     return set(np.nonzero(row)[0].tolist())
+
+
+def _id_ranges(n: int) -> tuple:
+    """The ``bounded_ranges`` of Part I's identifier draws on n nodes."""
+    return (min(_id_space(n), _MAX_SAMPLED_ID) - 1,)
+
+
+def _result(details: dict, row: np.ndarray,
+            instr: Instrumentation) -> DominatingSet:
+    """One run's result: its leader row, with the round charge its
+    details imply."""
+    instr.charge_rounds(2 * len(details["theta_per_round"])
+                        + 2 + 3 * details["part2_iterations"])
+    return DominatingSet(members=_members_set(row), stats=instr.stats,
+                         details=details)
 
 
 def _as_udg(graph) -> UnitDiskGraph:
@@ -227,134 +241,113 @@ def _part_two_direct(udg: UnitDiskGraph, leaders: Set[int], k: int,
 
 
 # ======================================================================
-# Direct mode — vectorized kernel implementation
+# Direct mode — the kernels
 #
-# Same algorithm on the CSR kernel layer (repro.engine.kernels): the
-# election is two scatter-max passes over the flattened distance CSR,
-# adoption coverage is one matvec plus scatter-add frontier updates.
-# Per-node RNG draws happen in exactly the reference order, so members,
-# details, and RunStats are bit-identical to the functions above.
+# Algorithm 3 on the CSR kernel layer (repro.engine.kernels), with one
+# kernel per part.  A lane is a (replica, graph, node) triple over a
+# stacked (block-diagonal) distance CSR, so Part I of every topology of
+# one (n, radius) in a grid runs in one dispatch; the k axis is then
+# fused over that single Part I (Part I never reads k), re-running only
+# the adoption phase per k value.  Single and replica-batched runs are
+# the one-graph shapes of the same kernels.  Per-node RNG draws happen
+# in exactly the reference order, so every (graph, k, replica) cell is
+# bit-identical to the per-node reference above (pinned by
+# tests/test_mode_equivalence.py and tests/test_grid_equivalence.py).
 # ======================================================================
 
-def _part_one_kernel(udg: UnitDiskGraph, pool, details: dict) -> Set[int]:
-    n = udg.n
-    schedule = theta_schedule(n, udg.radius)
-    id_hi = min(_id_space(n), _MAX_SAMPLED_ID)
-    details["theta_per_round"] = list(schedule)
-    details["active_per_round"] = [n]
+def _part_one_kernel(udg: UnitDiskGraph, pool, details: dict) -> np.ndarray:
+    """Single-run Part I: the one-seed case of
+    :func:`_part_one_kernel_batch`.  Returns the (n,) leader row."""
+    return _part_one_kernel_batch(udg, pool, [details])[0]
 
-    _, src, nbr, dist = kernels.udg_distance_csr(udg)
-    active = np.ones(n, dtype=bool)
-    ids = np.zeros(n, dtype=np.int64)
-    for theta in schedule:
-        # One identifier per active node from the node's own stream
-        # (lane == node id here); the batched draw consumes each stream
-        # exactly as the reference's ascending per-node loop does.
-        lanes = np.nonzero(active)[0]
-        ids[lanes] = pool.draw_ints(lanes, id_hi)
-        active = kernels.elect_round(src, nbr, dist <= theta, active, ids)
-        details["active_per_round"].append(int(active.sum()))
-    return set(np.nonzero(active)[0].tolist())
-
-
-def _part_two_kernel(art, leaders: Set[int], k: int, pool, policy: str,
-                     details: dict) -> Set[int]:
-    n = art.n
-    leader = np.zeros(n, dtype=bool)
-    if leaders:
-        leader[sorted(leaders)] = True
-    coverage = kernels.member_counts(art, indicator=leader,
-                                     convention="closed")
-    deficient = (~leader) & (coverage < k)
-    closed = art.closed_nbrs
-
-    iterations = 0
-    adopted_total = 0
-    while deficient.any():
-        iterations += 1
-        frontier = np.nonzero(deficient)[0]
-        # Leaders adjacent to the frontier (closed balls are symmetric:
-        # a leader sees a deficient candidate iff it sits in one of the
-        # frontier's closed balls) — everyone else has no candidates.
-        ball = np.unique(np.concatenate([closed[u] for u in frontier]))
-        actors = ball[leader[ball]]
-        picks = np.zeros(n, dtype=bool)
-        for v in actors.tolist():
-            cand = closed[v][deficient[closed[v]]]
-            if cand.size <= k:
-                picks[cand] = True
-            else:
-                picks[_pick(pool.generator(v), cand.tolist(), k,
-                            policy)] = True
-        if not picks.any():
-            # Degenerate-input livelock guard (see reference).
-            picks = deficient.copy()
-        newly = np.nonzero(picks & ~leader)[0]
-        leader[newly] = True
-        adopted_total += int(newly.size)
-        touched = kernels.scatter_cover(coverage, art, newly)
-        deficient[touched] = (~leader[touched]) & (coverage[touched] < k)
-
-    details["part2_iterations"] = iterations
-    details["part2_adopted"] = adopted_total
-    return set(np.nonzero(leader)[0].tolist())
-
-
-# ======================================================================
-# Direct mode — replica-batched kernel implementation
-#
-# The same two kernel phases generalized so a lane is a (replica, node)
-# pair: one identifier draw and one election reduction advance the
-# whole Monte Carlo sweep, and adoption coverage is one (R, n) mat-mat.
-# Each replica's RNG streams and update order are exactly the
-# single-replica kernel's, so per-replica results are bit-identical to
-# the sequential per-seed loop (pinned by test_mode_equivalence.py).
-# ======================================================================
 
 def _part_one_kernel_batch(udg: UnitDiskGraph, streams,
                            details_list: List[dict]) -> np.ndarray:
-    n = udg.n
-    R = len(details_list)
-    schedule = theta_schedule(n, udg.radius)
-    id_hi = min(_id_space(n), _MAX_SAMPLED_ID)
-    for details in details_list:
-        details["theta_per_round"] = list(schedule)
-        details["active_per_round"] = [n]
+    """Replica-batched Part I: the one-graph case of
+    :func:`_part_one_kernel_grid`.  Returns the (R, n) leader plane."""
+    return _part_one_kernel_grid(stacked_graphs([udg]), streams,
+                                 [details_list])
 
-    indptr, src, nbr, dist = kernels.udg_distance_csr(udg)
-    active = np.ones((R, n), dtype=bool)
-    ids = np.zeros((R, n), dtype=np.int64)
+
+def _part_two_kernel(art, leader: np.ndarray, k: int, pool, policy: str,
+                     details: dict) -> None:
+    """Single-run Part II: the one-seed case of
+    :func:`_part_two_kernel_batch`, adopting into the (n,) ``leader``
+    row in place."""
+    _part_two_kernel_batch(art, leader[None, :], k, pool, policy,
+                           [details])
+
+
+def _part_one_kernel_grid(stack: StackedGraphs, streams,
+                          details_grid: List[List[dict]]) -> np.ndarray:
+    """Part I over a same-(n, radius) group of stacked topologies.
+
+    ``stack`` holds G graphs of one common size ``n`` and radius (a
+    shared theta schedule is what makes the rounds stackable);
+    ``streams`` is the matching ``R x G x n`` lane space and
+    ``details_grid[g][r]`` the details dict of graph ``g``, replica
+    ``r``.  Returns the ``(R, total)`` active plane.  The stacked CSR is
+    block-diagonal and each lane's stream advancement depends only on
+    its own mask history, so every graph block is bit-identical to the
+    same kernel on that graph alone.
+
+    The per-round within-radius compressions depend only on the (static)
+    stacked distances and the (static) schedule, so they are cached on
+    the stack's ``kernel_cache`` — repeated dispatches over the same
+    stack skip the O(m) scans entirely.
+    """
+    n = int(stack.counts[0]) if len(stack.graphs) else 0
+    total = stack.total
+    R = len(streams.seeds)
+    schedule = theta_schedule(
+        n, stack.graphs[0].radius if len(stack.graphs) else 1.0)
+    id_hi = min(_id_space(n), _MAX_SAMPLED_ID)
+    for per_graph in details_grid:
+        for details in per_graph:
+            details["theta_per_round"] = list(schedule)
+            details["active_per_round"] = [n]
+
+    indptr, src, nbr, dist = kernels.stacked_distance_csr(stack)
+    active = np.ones((R, total), dtype=bool)
+    ids = np.zeros((R, total), dtype=np.int64)
     flat_ids = ids.reshape(-1)
-    for theta in schedule:
-        within = dist <= theta
-        # A node's identifier this round can only be *read* if it has a
-        # within-neighbor to compare against (own election) or is some
-        # other node's within-candidate.  Every other draw must still
-        # happen — stream positions are part of the bit-exactness
-        # contract — but its value is provably unread, so the draw
-        # skips materializing it (vecrng's ``need`` mask).  In the
-        # early doubling rounds that is almost every lane.
-        within_csr = kernels.compress_within(indptr, nbr, within)
-        need_node = within_csr[0] > 0
-        need_node |= np.bincount(within_csr[2], minlength=n).astype(bool)
-        # One identifier per active (replica, node) stream; ascending
-        # flat-lane order consumes each stream exactly as the replica's
-        # own single-run batched draw would.  Drawing straight into the
-        # persistent ids plane (``out=``) skips an extract/scatter pair
-        # per round; lanes outside mask & need end up stale or
-        # unspecified — provably unread this round, and refreshed
-        # before any round that does read them.
+    G = len(stack.graphs)
+    cache = stack.kernel_cache
+    for ri, theta in enumerate(schedule):
+        ent = cache.get(("part1", ri, R))
+        if ent is None:
+            within_csr = kernels.compress_within(indptr, nbr, dist <= theta)
+            # A node's identifier this round can only be *read* if it
+            # has a within-neighbor to compare against (own election)
+            # or is some other node's within-candidate.  Every other
+            # draw must still happen — stream positions are part of the
+            # bit-exactness contract — but its value is provably unread,
+            # so the draw skips materializing it (vecrng's ``need``
+            # mask).  In the early doubling rounds that is almost every
+            # lane.
+            need_node = within_csr[0] > 0
+            need_node |= np.bincount(within_csr[2],
+                                     minlength=total).astype(bool)
+            ent = (kernels.elect_prep(within_csr), np.tile(need_node, R))
+            cache[("part1", ri, R)] = ent
+        prep, need = ent
+        # One identifier per active lane, drawn straight into the
+        # persistent ids plane (``out=``); lanes outside mask & need end
+        # up stale or unspecified — provably unread this round, and
+        # refreshed before any round that does read them.  The masked
+        # draw leaves 0 on every needed-but-inactive lane, so the plane
+        # doubles as the inactive-masked candidate plane.
         streams.draw_ints_masked(active.reshape(-1), id_hi,
-                                 need=np.tile(need_node, R), out=flat_ids)
-        # The masked draw left 0 on every needed-but-inactive lane, so
-        # the ids plane doubles as the inactive-masked candidate plane.
-        active = kernels.elect_round_batch(indptr, src, nbr, within,
-                                           active, ids,
-                                           within_csr=within_csr,
+                                 need=need, out=flat_ids)
+        active = kernels.elect_round_batch(indptr, src, nbr, None,
+                                           active, ids, prep=prep,
                                            ids_masked=True)
-        counts = active.sum(axis=1)
-        for r, details in enumerate(details_list):
-            details["active_per_round"].append(int(counts[r]))
+        # One (R, G) reduction per round: blocks are contiguous slices
+        # of one common width, so the plane reshapes directly.
+        counts = active.reshape(R, G, n).sum(axis=2)
+        for g, per_graph in enumerate(details_grid):
+            for r, details in enumerate(per_graph):
+                details["active_per_round"].append(int(counts[r, g]))
     return active
 
 
@@ -365,7 +358,11 @@ def _part_two_kernel_batch(art, leader: np.ndarray, k, streams,
     """Adopt into ``leader`` (an (R, n) boolean plane, mutated in
     place) until no row has a deficient node.
 
-    ``k`` is a scalar (every row shares it — the replica-batched path)
+    ``streams`` serves each adoption event the generator of its lane,
+    ``streams.generator(streams.flat_lane(row, column))``: the run's own
+    lane streams when rows are replicas, a snapshot shim
+    (:class:`_GridAdoptionStreams`) under k-axis fusion.
+    ``k`` is a scalar (every row shares it — single and replica runs)
     or a per-row int64 vector (the grid path's k-axis fusion: rows are
     (k value, replica) pairs over one shared Part I).  All comparisons
     against ``k`` are elementwise per row, so the per-row form is
@@ -526,79 +523,6 @@ def _part_two_kernel_batch(art, leader: np.ndarray, k, streams,
             details["part2_adopted"] = int(adopted[r, g])
 
 
-# ======================================================================
-# Direct mode — grid-batched kernel implementation
-#
-# One more axis: a lane is a (replica, graph, node) triple over a
-# stacked (block-diagonal) distance CSR, so Part I of every topology of
-# one (n, radius) in the grid runs in one kernel dispatch; the k axis is
-# then fused over that single Part I (Part I never reads k), re-running
-# only the adoption phase per k value.  Per-(graph, k, replica) results are
-# bit-identical to the per-point replica-batched path (pinned by
-# tests/test_grid_equivalence.py).
-# ======================================================================
-
-def _part_one_kernel_grid(stack: StackedGraphs, streams: GridReplicaStreams,
-                          details_grid: List[List[dict]]) -> np.ndarray:
-    """Part I over a same-(n, radius) group of stacked topologies.
-
-    ``stack`` holds G graphs of one common size ``n`` and radius (a
-    shared theta schedule is what makes the rounds stackable);
-    ``streams`` is the matching ``G x R x n`` grid pool.  Returns the
-    ``(R, total)`` active plane.  The stacked CSR is block-diagonal and
-    each lane's stream advancement depends only on its own mask history,
-    so every graph block is bit-identical to
-    :func:`_part_one_kernel_batch` on that graph alone.
-
-    The per-round within-radius compressions depend only on the (static)
-    stacked distances and the (static) schedule, so they are cached on
-    the stack's ``kernel_cache`` — repeated grid dispatches over the
-    same stack skip the O(m) scans entirely.
-    """
-    n = int(stack.counts[0]) if len(stack.graphs) else 0
-    total = stack.total
-    R = len(streams.seeds)
-    schedule = theta_schedule(
-        n, stack.graphs[0].radius if len(stack.graphs) else 1.0)
-    id_hi = min(_id_space(n), _MAX_SAMPLED_ID)
-    for per_graph in details_grid:
-        for details in per_graph:
-            details["theta_per_round"] = list(schedule)
-            details["active_per_round"] = [n]
-
-    indptr, src, nbr, dist = kernels.stacked_distance_csr(stack)
-    active = np.ones((R, total), dtype=bool)
-    ids = np.zeros((R, total), dtype=np.int64)
-    flat_ids = ids.reshape(-1)
-    G = len(stack.graphs)
-    cache = stack.kernel_cache
-    for ri, theta in enumerate(schedule):
-        ent = cache.get(("part1", ri, R))
-        if ent is None:
-            within = dist <= theta
-            within_csr = kernels.compress_within(indptr, nbr, within)
-            prep = kernels.elect_prep(within_csr)
-            need_node = within_csr[0] > 0
-            need_node |= np.bincount(within_csr[2],
-                                     minlength=total).astype(bool)
-            ent = (within, within_csr, prep, np.tile(need_node, R))
-            cache[("part1", ri, R)] = ent
-        within, within_csr, prep, need = ent
-        streams.draw_ints_masked(active.reshape(-1), id_hi,
-                                 need=need, out=flat_ids)
-        active = kernels.elect_round_batch(indptr, src, nbr, within,
-                                           active, ids,
-                                           within_csr=within_csr,
-                                           prep=prep, ids_masked=True)
-        # One (R, G) reduction per round: blocks are contiguous slices
-        # of one common width, so the plane reshapes directly.
-        counts = active.reshape(R, G, n).sum(axis=2)
-        for g, per_graph in enumerate(details_grid):
-            for r, details in enumerate(per_graph):
-                details["active_per_round"].append(int(counts[r, g]))
-    return active
-
-
 class _GridAdoptionStreams:
     """Per-row generator streams for the k-fused adoption phase.
 
@@ -620,19 +544,12 @@ class _GridAdoptionStreams:
     valid until the next :meth:`generator` call.
     """
 
-    def __init__(self, streams: GridReplicaStreams, graph: int,
-                 replicas: int, *, width: int | None = None):
+    def __init__(self, streams, replicas: int):
         self._streams = streams
         self._replicas = replicas
-        # ``width``: row width served by this shim.  Defaults to one
-        # graph's n; the cross-graph fused adoption plane passes the
-        # whole stacked width instead, with ``graph=0`` — a stacked
-        # column is already ``offsets[g] + v``, exactly its pool-lane
-        # offset within the replica.
-        self._n = streams.counts[graph] if width is None else int(width)
-        # Grid-lane arithmetic hoisted out of the per-event path.
-        self._offset = int(streams.offsets[graph])
-        self._total = streams.total
+        # Rows span the whole stacked width: a stacked column is
+        # already ``offsets[g] + v``, exactly its lane within a replica.
+        self._n = streams.total
         self._states: Dict[int, dict] = {}
         self._bg = materialize_bit_generator()
         self._gen = np.random.Generator(self._bg)
@@ -648,7 +565,7 @@ class _GridAdoptionStreams:
         if state is None:
             row, v = divmod(flat, self._n)
             state = self._streams.snapshot_state(
-                (row % self._replicas) * self._total + self._offset + v)
+                (row % self._replicas) * self._n + v)
         self._bg.state = state
         self._cur = flat
         return self._gen
@@ -817,25 +734,19 @@ class UDGProgram(RoundProgram):
         return 2 * len(theta_schedule(n)) + 3 * (n + 1) + 8
 
     def direct(self, instr: Instrumentation) -> DominatingSet:
-        udg, k, policy = self.udg, self.k, self.policy
+        udg = self.udg
         if not kernels.supports_kernel_election(udg):
             # A UDG subclass with bespoke sensing semantics: stay on the
             # per-node reference path (correctness over speed).
             return self.direct_reference(instr)
-        details: dict = {"mode": "direct", "k": k}
-        pool = node_stream_pool(
-            range(udg.n), self.seed,
-            bounded_ranges=(min(_id_space(udg.n), _MAX_SAMPLED_ID) - 1,))
-
-        leaders = _part_one_kernel(udg, pool, details)
-        details["part1_leaders"] = len(leaders)
-        members = _part_two_kernel(self.artifacts, leaders, k, pool,
-                                   policy, details)
-
-        instr.charge_rounds(2 * len(details["theta_per_round"])
-                            + 2 + 3 * details["part2_iterations"])
-        return DominatingSet(members=members, stats=instr.stats,
-                             details=details)
+        details: dict = {"mode": "direct", "k": self.k}
+        pool = node_stream_pool(range(udg.n), self.seed,
+                                bounded_ranges=_id_ranges(udg.n))
+        leader = _part_one_kernel(udg, pool, details)
+        details["part1_leaders"] = int(leader.sum())
+        _part_two_kernel(self.artifacts, leader, self.k, pool, self.policy,
+                         details)
+        return _result(details, leader, instr)
 
     def supports_direct_batch(self) -> bool:
         # The batched path runs on the distance CSR; exotic sensing
@@ -846,43 +757,28 @@ class UDGProgram(RoundProgram):
         """Replica-batched :meth:`direct`: the whole seed sweep in one
         kernel pass per phase (lane = (replica, node)).  Bit-identical
         per replica to the sequential per-seed loop."""
-        udg, k, policy = self.udg, self.k, self.policy
-        n = udg.n
-        details_list: List[dict] = [{"mode": "direct", "k": k}
+        udg = self.udg
+        details_list: List[dict] = [{"mode": "direct", "k": self.k}
                                     for _ in seeds]
-        streams = replica_node_streams(
-            range(n), seeds,
-            bounded_ranges=(min(_id_space(n), _MAX_SAMPLED_ID) - 1,))
-
-        active = _part_one_kernel_batch(udg, streams, details_list)
-        leader = active.copy()
-        for r, details in enumerate(details_list):
-            details["part1_leaders"] = int(active[r].sum())
-        _part_two_kernel_batch(self.artifacts, leader, k, streams, policy,
-                               details_list)
-
-        results = []
-        for r, (instr, details) in enumerate(zip(instrs, details_list)):
-            instr.charge_rounds(2 * len(details["theta_per_round"])
-                                + 2 + 3 * details["part2_iterations"])
-            results.append(DominatingSet(
-                members=_members_set(leader[r]),
-                stats=instr.stats, details=details))
-        return results
+        streams = replica_node_streams(range(udg.n), seeds,
+                                       bounded_ranges=_id_ranges(udg.n))
+        leader = _part_one_kernel_batch(udg, streams, details_list)
+        for details, row in zip(details_list, leader):
+            details["part1_leaders"] = int(row.sum())
+        _part_two_kernel_batch(self.artifacts, leader, self.k, streams,
+                               self.policy, details_list)
+        return [_result(details, row, instr)
+                for details, row, instr in zip(details_list, leader, instrs)]
 
     def grid_supported(self, graph) -> bool:
         """Per-graph :meth:`direct_grid` eligibility: a nonempty stock
-        UnitDiskGraph (or sensing subclass the distance CSR models)
-        whose identifier draws take vecrng's vector path.  Everything
-        else runs per-point through :meth:`grid_point`."""
+        UnitDiskGraph (or sensing subclass the distance CSR models).
+        Everything else runs per-point through :meth:`grid_point`."""
         try:
             udg = _as_udg(graph)
         except GeometryError:
             return False
-        if udg.n == 0 or not kernels.supports_kernel_election(udg):
-            return False
-        return vector_streams_available(
-            (min(_id_space(udg.n), _MAX_SAMPLED_ID) - 1,))
+        return udg.n > 0 and kernels.supports_kernel_election(udg)
 
     def grid_point(self, graph, k) -> "UDGProgram":
         return UDGProgram(_as_udg(graph), int(k), self.policy, self.seed)
@@ -922,7 +818,8 @@ class UDGProgram(RoundProgram):
             groups.setdefault((udg.n, udg.radius), []).append(i)
         for (n, _), idxs in groups.items():
             stack = stacked_graphs([udgs[i] for i in idxs])
-            streams = GridReplicaStreams([n] * len(idxs), seeds)
+            streams = grid_streams([n] * len(idxs), seeds,
+                                   bounded_ranges=_id_ranges(n))
             details_grid: List[List[dict]] = \
                 [[{} for _ in range(R)] for _ in idxs]
             active = _part_one_kernel_grid(stack, streams, details_grid)
@@ -955,27 +852,18 @@ class UDGProgram(RoundProgram):
                             "part1_leaders": int(p1_leaders[r, j]),
                         })
                     details_rows.append(per_block)
-            shim = _GridAdoptionStreams(streams, 0, R, width=stack.total)
-            _part_two_kernel_batch(stack, leader, ks_row, shim, policy,
+            _part_two_kernel_batch(stack, leader, ks_row,
+                                   _GridAdoptionStreams(streams, R), policy,
                                    details_rows, coverage=coverage,
                                    blocks=G)
             for j, i in enumerate(idxs):
                 off, _ = stack.graph_slice(j)
-                cells: List[List[DominatingSet]] = []
-                for ki in range(K):
-                    per_seed: List[DominatingSet] = []
-                    for r in range(R):
-                        row = ki * R + r
-                        details = details_rows[row][j]
-                        instr = Instrumentation.for_n(n)
-                        instr.charge_rounds(
-                            2 * len(details["theta_per_round"]) + 2
-                            + 3 * details["part2_iterations"])
-                        per_seed.append(DominatingSet(
-                            members=_members_set(leader[row, off:off + n]),
-                            stats=instr.stats, details=details))
-                    cells.append(per_seed)
-                results[i] = cells
+                results[i] = [
+                    [_result(details_rows[ki * R + r][j],
+                             leader[ki * R + r, off:off + n],
+                             Instrumentation.for_n(n))
+                     for r in range(R)]
+                    for ki in range(K)]
         return results
 
     def direct_reference(self, instr: Instrumentation) -> DominatingSet:
@@ -1025,10 +913,9 @@ def part_one_leaders(graph, *, seed: int | None = None) -> DominatingSet:
     if udg.n == 0:
         return DominatingSet(members=set(), details=details)
     if kernels.supports_kernel_election(udg):
-        pool = node_stream_pool(
-            range(udg.n), seed,
-            bounded_ranges=(min(_id_space(udg.n), _MAX_SAMPLED_ID) - 1,))
-        leaders = _part_one_kernel(udg, pool, details)
+        pool = node_stream_pool(range(udg.n), seed,
+                                bounded_ranges=_id_ranges(udg.n))
+        leaders = _members_set(_part_one_kernel(udg, pool, details))
     else:
         rngs = spawn_node_rngs(range(udg.n), seed)
         leaders = _part_one_direct(udg, rngs, details)
@@ -1138,9 +1025,9 @@ def solve_kmds_udg_grid(graphs, seeds: Sequence, ks: Sequence[int] = (1,),
     block-diagonal CSR dispatch per (size, radius) class, the k axis is
     fused over one shared Part I, and the RNG pool widens to one lane per
     (replica, graph, node) — per-(graph, k, seed) results bit-identical
-    to the per-point loop (pinned by ``tests/test_grid_equivalence.py``).
-    Message backends, exotic sensing subclasses and sizes below the
-    vector threshold take the per-point loop.
+    to the per-point loop and to the per-node reference (pinned by
+    ``tests/test_grid_equivalence.py``).  Message backends and exotic
+    sensing subclasses take the per-point loop.
     ``timing`` (optional dict) receives the dispatch breakdown — see
     :func:`repro.engine.execute_grid`.  The E-series grids (E6/E7)
     route through here.

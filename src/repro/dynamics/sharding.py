@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Tuple
 
 from repro.errors import ShardingError
-from repro.types import NodeId
+from repro.types import NodeId, stable_sorted
 
 ShardKey = Tuple[int, int]
 
@@ -45,14 +45,6 @@ class DamageUnit:
     deficits: Dict[NodeId, int]
     #: Position in the epoch's anchor-sorted unit list (RNG derivation).
     rank: int
-
-
-def _stable_sorted(items) -> list:
-    items = list(items)
-    try:
-        return sorted(items)
-    except TypeError:
-        return sorted(items, key=repr)
 
 
 def damage_units(shortfalls: Dict[NodeId, int],
@@ -82,7 +74,7 @@ def damage_units(shortfalls: Dict[NodeId, int],
             parent[rv] = ru
 
     witness: Dict[NodeId, NodeId] = {}
-    for u in _stable_sorted(shortfalls):
+    for u in stable_sorted(shortfalls):
         for w in [u, *neighbors_of(u)]:
             owner = witness.get(w)
             if owner is None:
@@ -95,7 +87,7 @@ def damage_units(shortfalls: Dict[NodeId, int],
         groups.setdefault(find(u), []).append(u)
     units = []
     for members in groups.values():
-        ordered = _stable_sorted(members)
+        ordered = stable_sorted(members)
         units.append((ordered[0], ordered))
     try:
         units.sort(key=lambda t: t[0])

@@ -48,7 +48,7 @@ from repro.dynamics.events import (
 from repro.engine.artifacts import ArtifactDelta, GraphArtifacts, touch
 from repro.errors import GraphError
 from repro.graphs.udg import UnitDiskGraph
-from repro.types import NodeId
+from repro.types import NodeId, stable_sorted
 
 #: Moves touching more than this fraction of the positioned nodes are
 #: served by a full rebuild — patching every node's ball one by one
@@ -362,10 +362,7 @@ class NetworkState:
     # Graph views
     # ------------------------------------------------------------------
     def _ordered_ids(self) -> List[NodeId]:
-        try:
-            return sorted(self.positions)
-        except TypeError:
-            return sorted(self.positions, key=repr)
+        return stable_sorted(self.positions)
 
     def _rebuild_base(self) -> None:
         ids = self._ordered_ids()

@@ -63,19 +63,10 @@ import scipy.sparse as sp
 
 from repro.errors import GraphError
 from repro.graphs.properties import as_nx
-from repro.types import NodeId
+from repro.types import NodeId, stable_sorted
 
 #: Monotonic token source shared by build versions and mutation marks.
 _VERSIONS = itertools.count(1)
-
-
-def _stable_sorted(items) -> list:
-    """Sort by natural order, falling back to repr for mixed types."""
-    items = list(items)
-    try:
-        return sorted(items)
-    except TypeError:
-        return sorted(items, key=repr)
 
 
 class GraphArtifacts:
@@ -95,7 +86,7 @@ class GraphArtifacts:
         self.m = graph.number_of_edges()
         #: Per-node sorted neighbor tuples (the simulator's stable order).
         self.sorted_neighbors: Dict[NodeId, Tuple[NodeId, ...]] = {
-            v: tuple(_stable_sorted(graph.neighbors(v))) for v in self.nodes
+            v: tuple(stable_sorted(graph.neighbors(v))) for v in self.nodes
         }
         #: Index-aligned degree vector.
         self.degrees: np.ndarray = np.asarray(
@@ -120,6 +111,10 @@ class GraphArtifacts:
         self._closed_arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._closed_idx32: Optional[np.ndarray] = None
         self._nodes_array: Optional[np.ndarray] = None
+        #: Scratch for :mod:`repro.engine.kernels` over this graph alone
+        #: (the ``kernel_cache`` of its one-graph :class:`StackedGraphs`);
+        #: dropped by every :class:`ArtifactDelta` patch.
+        self.kernel_cache: Dict = {}
         _STATS["full_rebuilds"] += 1
 
     # ``delta`` predates the incremental API and names the paper's max
@@ -296,6 +291,7 @@ class ArtifactDelta:
         art._closed_arrays = None
         art._closed_idx32 = None
         art._nodes_array = None
+        art.kernel_cache = {}
         self.patches += 1
         _STATS["delta_patches"] += 1
 
@@ -309,7 +305,7 @@ class ArtifactDelta:
         art = self.art
         if node in art.index:
             raise GraphError(f"cannot add node {node!r}: already present")
-        nbrs = tuple(_stable_sorted(neighbors))
+        nbrs = tuple(stable_sorted(neighbors))
         unknown = [w for w in nbrs if w not in art.index]
         if unknown:
             raise GraphError(
@@ -324,7 +320,7 @@ class ArtifactDelta:
         for w in nbrs:
             j = art.index[w]
             art.sorted_neighbors[w] = tuple(
-                _stable_sorted(art.sorted_neighbors[w] + (node,)))
+                stable_sorted(art.sorted_neighbors[w] + (node,)))
             art.degrees[j] += 1
             art.closed_nbrs[j] = np.append(art.closed_nbrs[j], np.int64(i))
         art.n += 1
@@ -377,7 +373,7 @@ class ArtifactDelta:
         if node not in art.index:
             raise GraphError(f"cannot rewire node {node!r}: not present")
         i = art.index[node]
-        new = tuple(_stable_sorted(neighbors))
+        new = tuple(stable_sorted(neighbors))
         unknown = [w for w in new if w not in art.index]
         if unknown:
             raise GraphError(
@@ -397,7 +393,7 @@ class ArtifactDelta:
         for w in new_set - old_set:
             j = art.index[w]
             art.sorted_neighbors[w] = tuple(
-                _stable_sorted(art.sorted_neighbors[w] + (node,)))
+                stable_sorted(art.sorted_neighbors[w] + (node,)))
             art.degrees[j] += 1
             art.closed_nbrs[j] = np.sort(
                 np.append(art.closed_nbrs[j], np.int64(i)))
@@ -427,6 +423,12 @@ class StackedGraphs:
     of the bundle, so repeated grid dispatches over the same stack reuse
     them.  Obtain instances via :func:`stacked_graphs` so the cache is
     shared.
+
+    A one-graph stack (how single and replica runs execute) copies
+    nothing: its CSR accessors return the graph's own artifact arrays,
+    and its ``kernel_cache`` is the artifacts' own, so it is cheap to
+    build per call and its caches live exactly as long as the graph's
+    artifacts.
     """
 
     def __init__(self, graphs):
@@ -440,7 +442,8 @@ class StackedGraphs:
         self.total = int(self.offsets[-1])
         self._closed_arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._closed_adjacency: Optional[sp.csr_matrix] = None
-        self.kernel_cache: Dict = {}
+        self.kernel_cache: Dict = (self.artifacts[0].kernel_cache
+                                   if len(self.artifacts) == 1 else {})
 
     def __len__(self) -> int:
         return len(self.graphs)
@@ -453,6 +456,8 @@ class StackedGraphs:
         """Stacked closed-neighborhood CSR ``(indptr, indices)``: the
         per-graph :meth:`GraphArtifacts.closed_csr_arrays` concatenated,
         rows and column indices shifted by each graph's offset."""
+        if len(self.artifacts) == 1:
+            return self.artifacts[0].closed_csr_arrays()
         if self._closed_arrays is None:
             parts = [a.closed_csr_arrays() for a in self.artifacts]
             indptr = np.zeros(self.total + 1, dtype=np.int64)
@@ -473,6 +478,8 @@ class StackedGraphs:
         compiled coverage matvec), or ``None`` past int32 indexing.
         Cached in ``kernel_cache`` — stacks are immutable for their
         lifetime, so no invalidation hook is needed."""
+        if len(self.artifacts) == 1:
+            return self.artifacts[0].closed_csr_indices32()
         idx32 = self.kernel_cache.get("closed_idx32", False)
         if idx32 is False:
             _, indices = self.closed_csr_arrays()
@@ -485,6 +492,8 @@ class StackedGraphs:
 
     def closed_adjacency(self) -> sp.csr_matrix:
         """The stacked (block-diagonal) closed-adjacency CSR matrix."""
+        if len(self.artifacts) == 1:
+            return self.artifacts[0].closed_adjacency()
         if self._closed_adjacency is None:
             indptr, indices = self.closed_csr_arrays()
             data = np.ones(len(indices), dtype=float)
@@ -562,10 +571,14 @@ def stacked_graphs(graphs) -> StackedGraphs:
     :func:`graph_artifacts` bundle — a mutated (touched) graph gets a
     fresh artifacts object, which transparently invalidates any stack
     containing it.
+
+    One-graph stacks (single and replica runs) are not cached: they
+    alias their graph's artifacts, caches included, so building one is
+    cheap, and the grid stack a graph anchors is never evicted.
     """
     graphs = list(graphs)
-    if not graphs:
-        return StackedGraphs([])
+    if len(graphs) < 2:
+        return StackedGraphs(graphs)
     try:
         anchor = as_nx(graphs[0])
     except GraphError:

@@ -206,9 +206,9 @@ def execute_grid(program: RoundProgram, graphs: Sequence,
     bit-identical to per-point ``execute_batch(program.grid_point(g, k),
     seeds)`` calls (pinned by ``tests/test_grid_equivalence.py``).
     Graphs the program declares ineligible (:meth:`grid_supported` —
-    e.g. exotic sensing subclasses or sizes below the vector-draw
-    threshold), message backends and ``None`` seeds take exactly those
-    per-point calls instead; a mixed list partitions cleanly.
+    e.g. exotic sensing subclasses), message backends and ``None``
+    seeds take exactly those per-point calls instead; a mixed list
+    partitions cleanly.
 
     ``timing`` (optional dict, mutated): filled with ``path`` ("grid",
     "per-point", or "mixed"), ``grid_graphs`` / ``per_point_graphs``

@@ -9,17 +9,16 @@ are built on.  Everything here operates in **artifact index space**
   counts as one sparse matvec over the closed-adjacency CSR (the only
   place in the library that counts coverage; :mod:`repro.core.verify`,
   the dynamics loop, and both direct kernels all route through it);
-- :func:`deficit_vector` / :func:`surplus_vector` — signed slack against
-  a requirement vector, the signals the maintenance loop repairs
-  (deficit) and the Lemma-5.5-style decay pass reclaims (surplus);
+- :func:`deficit_vector` — the shortfall against a requirement vector,
+  the signal the maintenance loop repairs;
 - :func:`scatter_cover` — incremental coverage update for a batch of
   promotions (scatter-add over the promoted nodes' closed balls), the
   frontier primitive that replaces O(n)-per-iteration rescans;
 - :func:`demotion_candidates` — the vectorized safety prefilter for
   demoting over-covering dominators (scatter-min of client coverage);
 - :func:`udg_distance_csr` / :func:`supports_kernel_election` /
-  :func:`elect_round` — the flattened distance-sorted adjacency of a
-  :class:`~repro.graphs.udg.UnitDiskGraph` and the lexicographic-argmax
+  :func:`elect_round_batch` — the flattened distance-sorted adjacency of
+  a :class:`~repro.graphs.udg.UnitDiskGraph` and the lexicographic-argmax
   election kernel of Algorithm 3 Part I.
 
 RNG discipline
@@ -49,17 +48,12 @@ __all__ = [
     "member_counts_batch",
     "member_counts_stacked",
     "deficit_vector",
-    "deficit_vector_batch",
-    "surplus_vector",
-    "surplus_vector_batch",
     "scatter_cover",
     "scatter_cover_batch",
     "demotion_candidates",
     "udg_distance_csr",
     "stacked_distance_csr",
     "supports_kernel_election",
-    "supports_stacked_election",
-    "elect_round",
     "elect_round_batch",
 ]
 
@@ -87,12 +81,12 @@ def member_indicator(art: GraphArtifacts, members: Iterable) -> np.ndarray:
 def _counts_native(impl, indptr, idx32, mask: np.ndarray, n: int, R: int,
                    convention: str) -> np.ndarray:
     """Run a dispatched coverage-matvec provider over a boolean mask
-    plane.  ``mask`` is (n,) when R == 1, else (R, n); the batch shape
-    is handed to the kernel lane-interleaved ((n, R) uint8 — one
+    plane.  ``mask`` is (n,) for one vector, else (R, n); the batch
+    shape is handed to the kernel lane-interleaved ((n, R) uint8 — one
     gathered row index serves all R lanes), which is where the batch
-    speedup comes from."""
+    speedup comes from.  The result has the mask's shape."""
     open_conv = 1 if convention == "open" else 0
-    if R == 1:
+    if mask.ndim == 1:
         xT = np.ascontiguousarray(mask).view(np.uint8)
         out = np.empty(n, dtype=np.int64)
     else:
@@ -124,7 +118,7 @@ def member_counts(art: GraphArtifacts, members=None, *,
         ind = np.asarray(indicator)
         mask = ind if ind.dtype == np.bool_ else None
     if mask is not None and mask.ndim == 1 and mask.size == art.n and art.n:
-        impl = dispatch.kernel("member_counts", art.n)
+        impl = dispatch.kernel("member_counts")
         if impl is not None:
             idx32 = art.closed_csr_indices32()
             if idx32 is not None:
@@ -172,7 +166,7 @@ def member_counts_batch(art: GraphArtifacts, members=None, *,
                 f"indicators must be (replicas, n), got {mask.shape}")
         R = mask.shape[0]
         if R and art.n and art.delta_max + 1 < (1 << 16):
-            impl = dispatch.kernel("member_counts_batch", R * art.n)
+            impl = dispatch.kernel("member_counts_batch")
             if impl is not None:
                 idx32 = art.closed_csr_indices32()
                 if idx32 is not None:
@@ -215,7 +209,7 @@ def deficit_vector(art: GraphArtifacts, counts: np.ndarray,
             native_ok = False
     if native_ok and (req.ndim == 0
                       or (req.ndim == 1 and req.size == art.n)):
-        impl = dispatch.kernel("deficit_vector", art.n)
+        impl = dispatch.kernel("deficit_vector")
         if impl is not None:
             out = np.empty(art.n, dtype=np.int64)
             req_vec = None if req.ndim == 0 else np.ascontiguousarray(req)
@@ -228,36 +222,6 @@ def deficit_vector(art: GraphArtifacts, counts: np.ndarray,
     if member_idx is not None:
         deficit[member_idx] = 0
     return deficit
-
-
-def deficit_vector_batch(art: GraphArtifacts, counts: np.ndarray,
-                         required: np.ndarray | int, *,
-                         member_mask: np.ndarray | None = None
-                         ) -> np.ndarray:
-    """Replica-batched :func:`deficit_vector` over ``(R, n)`` counts.
-
-    ``required`` broadcasts ((n,) vector or scalar, shared topology =
-    shared requirements); ``member_mask`` is an ``(R, n)`` boolean of
-    per-replica members to exempt.
-    """
-    deficit = np.maximum(np.asarray(required, dtype=np.int64) - counts, 0)
-    if member_mask is not None:
-        deficit[member_mask] = 0
-    return deficit
-
-
-def surplus_vector(art: GraphArtifacts, counts: np.ndarray,
-                   required: np.ndarray | int) -> np.ndarray:
-    """Signed per-node slack ``counts - required`` (the decay signal:
-    a client at surplus >= 1 tolerates losing one dominator)."""
-    return counts - np.asarray(required, dtype=np.int64)
-
-
-def surplus_vector_batch(art: GraphArtifacts, counts: np.ndarray,
-                         required: np.ndarray | int) -> np.ndarray:
-    """Replica-batched :func:`surplus_vector` (``required`` broadcasts
-    over the replica axis of ``(R, n)`` counts)."""
-    return counts - np.asarray(required, dtype=np.int64)
 
 
 def scatter_cover(coverage: np.ndarray, art: GraphArtifacts,
@@ -276,7 +240,7 @@ def scatter_cover(coverage: np.ndarray, art: GraphArtifacts,
         return np.zeros(0, dtype=np.int64)
     if (coverage.ndim == 1 and coverage.dtype == np.int64
             and coverage.flags.c_contiguous):
-        impl = dispatch.kernel("scatter_cover", len(promoted_idx))
+        impl = dispatch.kernel("scatter_cover")
         if impl is not None:
             indptr, indices = art.closed_csr_arrays()
             pi = np.ascontiguousarray(promoted_idx, dtype=np.int64)
@@ -400,38 +364,6 @@ def udg_distance_csr(udg) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
     return indptr, src, nbr, dist
 
 
-def elect_round(src: np.ndarray, nbr: np.ndarray, within: np.ndarray,
-                active: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """One Part I election round, vectorized.
-
-    Every active node elects the lexicographically largest ``(id, node)``
-    among itself and its active neighbors at ``within`` distance; a node
-    stays active iff somebody elected it.  Two scatter-max passes give
-    the exact lexicographic argmax without key packing (ids reach
-    ``2^62``, so ``id * n + node`` would overflow int64):
-
-    1. scatter-max of the candidate *ids* per elector;
-    2. scatter-max of the candidate *indices* among id-ties.
-
-    Returns the new active mask.
-    """
-    n = active.shape[0]
-    sel = within & active[src] & active[nbr]
-    s, d = src[sel], nbr[sel]
-    # Pass 1: the winning identifier per elector (self is a candidate).
-    best_id = np.where(active, ids, 0)
-    np.maximum.at(best_id, s, ids[d])
-    # Pass 2: the largest node index achieving it.
-    best_node = np.where(active & (ids == best_id),
-                         np.arange(n, dtype=np.int64), -1)
-    tie = ids[d] == best_id[s]
-    np.maximum.at(best_node, s[tie], d[tie])
-    elected = np.zeros(n, dtype=bool)
-    chosen = best_node[active]
-    elected[chosen[chosen >= 0]] = True
-    return active & elected
-
-
 def compress_within(indptr: np.ndarray, nbr: np.ndarray,
                     within: np.ndarray):
     """Compress one round's within-radius edge set of the distance CSR.
@@ -451,28 +383,35 @@ def compress_within(indptr: np.ndarray, nbr: np.ndarray,
 
 
 def elect_prep(within_csr):
-    """Precompute the candidate-node view of a compressed within-CSR.
+    """Precompute the candidate view of a compressed within-CSR.
 
-    Returns ``(sub, starts, deg_sub)`` — the within-degree > 0 nodes,
-    their compressed segment starts, and their degrees — ready to hand
-    to :func:`elect_round_batch` via ``prep=``.  Pure function of the
-    (static per round) compression, so round-driving callers cache it
-    alongside ``within_csr`` and skip three O(n) passes per dispatch.
+    Returns ``(has_cand, sub, starts, deg_sub, nbr_w)`` — the
+    within-degree > 0 mask and nodes, their compressed segment starts
+    and degrees, and the admitted neighbor array: everything
+    :func:`elect_round_batch` reads, ready to hand it via ``prep=``.
+    Pure function of the (static per round) compression, so
+    round-driving callers cache it instead of the compression, whose
+    two full per-node int64 vectors it drops.
     """
-    deg_w, indptr_w, _ = within_csr
-    sub = np.nonzero(deg_w > 0)[0]
-    return sub, indptr_w[sub], deg_w[sub]
+    deg_w, indptr_w, nbr_w = within_csr
+    has_cand = deg_w > 0
+    sub = np.nonzero(has_cand)[0]
+    return has_cand, sub, indptr_w[sub], deg_w[sub], nbr_w
 
 
 def elect_round_batch(indptr: np.ndarray, src: np.ndarray, nbr: np.ndarray,
-                      within: np.ndarray, active: np.ndarray,
+                      within: np.ndarray | None, active: np.ndarray,
                       ids: np.ndarray, *, within_csr=None,
                       prep=None, ids_masked: bool = False) -> np.ndarray:
-    """Replica-batched :func:`elect_round` over ``(R, n)`` lane planes.
+    """One Part I election round over ``(R, n)`` lane planes.
 
-    Same election, same two-pass lexicographic argmax, same results per
-    replica, but organized around the sweep's sparsity instead of
-    scatter-max passes:
+    Every active lane elects the lexicographically largest ``(id,
+    node)`` among itself and its active neighbors at ``within``
+    distance; a lane stays active iff somebody elected it.  Two passes
+    give the exact lexicographic argmax without key packing (ids reach
+    ``2^62``, so ``id * n + node`` would overflow int64): the winning
+    identifier per elector, then the largest node index achieving it.
+    The work is organized around the sweep's sparsity:
 
     1. the ``within`` edge set is compressed *once* and shared by every
        replica (each round's sensing radius admits the same edges in
@@ -494,8 +433,9 @@ def elect_round_batch(indptr: np.ndarray, src: np.ndarray, nbr: np.ndarray,
     which a positive identifier always beats — no per-candidate
     active-mask pass.  Every compressed segment is non-empty by
     construction (its node has within-degree > 0), so the reduceat
-    needs no empty-segment fixups.  Bit-identical to running
-    :func:`elect_round` once per replica row.
+    needs no empty-segment fixups.  Each replica row is bit-identical
+    to the per-row scatter-max election (``np.maximum.at`` passes over
+    the flat CSR) the tests keep as its oracle.
 
     ``ids_masked=True`` asserts the caller's ``ids`` plane *already*
     holds 0 on every inactive candidate lane — exactly what a masked
@@ -503,24 +443,23 @@ def elect_round_batch(indptr: np.ndarray, src: np.ndarray, nbr: np.ndarray,
     ``draw_ints_masked``).  The native scan then skips its
     per-candidate active gather, halving its random accesses; the
     NumPy path re-zeroes unconditionally, so the flag never changes
-    results.
+    results.  ``within`` is read only to compress it, so callers that
+    pass ``within_csr`` or ``prep`` may pass ``None`` for it.
     """
     R, n = active.shape
     # --- shared edge compression (precomputed or done here) ----------
-    if within_csr is None:
-        within_csr = compress_within(indptr, nbr, within)
-    deg_w, indptr_w, nbr_w = within_csr
     if prep is None:
+        if within_csr is None:
+            within_csr = compress_within(indptr, nbr, within)
         prep = elect_prep(within_csr)
-    sub, starts, deg_sub = prep
-    has_cand = deg_w > 0
+    has_cand, sub, starts, deg_sub, nbr_w = prep
 
     # --- lanes with no candidates: unopposed self-election -----------
     elected = active & ~has_cand[None, :]
 
     # --- lanes with candidates: 2-D segment-reduced argmax -----------
     if sub.size and R:
-        impl = dispatch.kernel("elect_batch", R * sub.size)
+        impl = dispatch.kernel("elect_batch")
         if impl is not None:
             # One C scan per (replica, candidate node): reads active
             # lanes' ids directly, so inactive candidates are skipped
@@ -543,7 +482,7 @@ def elect_round_batch(indptr: np.ndarray, src: np.ndarray, nbr: np.ndarray,
         # for every lane — active or not — of a within-degree > 0 node
         # (pure row-parallel arithmetic beats masking); inactive
         # electors' results are discarded below.
-        rep = np.repeat(np.arange(sub.size), deg_w[sub])
+        rep = np.repeat(np.arange(sub.size), deg_sub)
         tie = np.where(ids_w == best[:, rep], nbr_w[None, :], -1)
         best_node = np.maximum(np.where(own == best, sub[None, :], -1),
                                np.maximum.reduceat(tie, starts, axis=1))
@@ -557,12 +496,6 @@ def elect_round_batch(indptr: np.ndarray, src: np.ndarray, nbr: np.ndarray,
 # Stacked (grid-batched) variants: one dispatch over G topologies
 # ======================================================================
 
-def supports_stacked_election(graphs) -> bool:
-    """Whether every graph's Part I election can run on the stacked
-    distance CSR (see :func:`supports_kernel_election`)."""
-    return all(supports_kernel_election(g) for g in graphs)
-
-
 def stacked_distance_csr(stack: StackedGraphs):
     """The per-graph :func:`udg_distance_csr` planes of a
     :class:`StackedGraphs` concatenated into one flattened
@@ -572,9 +505,12 @@ def stacked_distance_csr(stack: StackedGraphs):
     columns in ``[offsets[g], offsets[g+1])``), so every row-local
     kernel — :func:`compress_within`, :func:`elect_round_batch` — run
     over the stacked plane reproduces, per graph block, exactly what it
-    computes on the graph alone.  Cached on the stack's per-instance
-    ``kernel_cache``.
+    computes on the graph alone.  A one-graph stack returns the graph's
+    own (read-only) arrays; larger stacks cache the concatenation on
+    the stack's per-instance ``kernel_cache``.
     """
+    if len(stack.graphs) == 1:
+        return udg_distance_csr(stack.graphs[0])
     cached = stack.kernel_cache.get("dist_csr")
     if cached is not None:
         return cached
@@ -627,7 +563,7 @@ def member_counts_stacked(stack: StackedGraphs, *,
     if (arr.dtype == np.bool_ and R and stack.total
             and max((a.delta_max for a in stack.artifacts), default=0) + 1
             < (1 << 16)):
-        impl = dispatch.kernel("member_counts_batch", R * stack.total)
+        impl = dispatch.kernel("member_counts_batch")
         if impl is not None:
             idx32 = stack.closed_csr_indices32()
             if idx32 is not None:

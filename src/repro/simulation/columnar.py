@@ -16,7 +16,7 @@ The contract is **bit-identity** with the per-node path (pinned by
 The invariants that make that possible:
 
 - **lane order** — lanes are the id-sorted node order
-  (:func:`_stable_sorted`), the runner's advance order, so enqueue
+  (:func:`stable_sorted`), the runner's advance order, so enqueue
   order and per-inbox sender order match the per-node path exactly;
 - **edge-array traffic** — a round's sends are ``(esrc, edst)`` lane
   arrays in enqueue order.  Record boundaries never matter to the
@@ -46,11 +46,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
 import numpy as np
 
 from repro.engine import dispatch
-from repro.engine.artifacts import _stable_sorted
 from repro.engine.instrumentation import Instrumentation
 from repro.errors import SimulationError
 from repro.simulation.faults import (CrashFaultInjector, FaultInjector,
                                      MessageLossInjector)
+from repro.types import stable_sorted
 
 __all__ = [
     "ColumnarStepper",
@@ -84,7 +84,7 @@ def inbox_reduce(indptr: np.ndarray, values: np.ndarray, mask: np.ndarray,
     ``-0.0``; each stepper documents that argument where it applies.)
     """
     out = np.empty(indptr.size - 1, dtype=np.float64)
-    impl = dispatch.kernel("inbox_reduce", int(values.size))
+    impl = dispatch.kernel("inbox_reduce")
     if impl is not None:
         impl(indptr, values, np.ascontiguousarray(mask, dtype=np.uint8),
              np.ascontiguousarray(init, dtype=np.float64), out)
@@ -109,7 +109,7 @@ def take(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
     dispatch entry (float64 payload columns and uint8 masks go native;
     anything else uses ``np.take``, which is the same pure gather)."""
     out = np.empty(idx.size, dtype=values.dtype)
-    impl = dispatch.kernel("state_scatter", int(idx.size))
+    impl = dispatch.kernel("state_scatter")
     if impl is not None and values.dtype.itemsize in (1, 8) and \
             values.dtype.kind in "fu" and values.flags.c_contiguous:
         impl(idx, values, out)
@@ -136,7 +136,7 @@ class MessagePlan:
     """
 
     def __init__(self, network):
-        self.nodes: List = _stable_sorted(network.processes)
+        self.nodes: List = stable_sorted(network.processes)
         self.lane_of: Dict = {v: i for i, v in enumerate(self.nodes)}
         n = self.n = len(self.nodes)
         deg = np.empty(n, dtype=np.int64)

@@ -17,7 +17,7 @@ from typing import Dict, Iterable, Sequence
 
 import numpy as np
 
-from repro.types import NodeId
+from repro.types import NodeId, stable_sorted
 
 
 def spawn_node_rngs(nodes: Iterable[NodeId], seed: int | None) -> Dict[NodeId, np.random.Generator]:
@@ -26,7 +26,7 @@ def spawn_node_rngs(nodes: Iterable[NodeId], seed: int | None) -> Dict[NodeId, n
     Nodes are sorted (by repr when not mutually orderable) so the mapping is
     stable regardless of input order.
     """
-    node_list = _stable_order(nodes)
+    node_list = stable_sorted(nodes)
     root = np.random.SeedSequence(seed)
     children = root.spawn(len(node_list))
     return {v: np.random.default_rng(s) for v, s in zip(node_list, children)}
@@ -48,7 +48,7 @@ class LazyNodeRngs(Mapping):
     __slots__ = ("_seed", "_nodes", "_children", "_rngs")
 
     def __init__(self, nodes: Iterable[NodeId], seed: int | None):
-        self._nodes = _stable_order(nodes)
+        self._nodes = stable_sorted(nodes)
         self._seed = seed
         self._children: Dict[NodeId, np.random.SeedSequence] | None = None
         self._rngs: Dict[NodeId, np.random.Generator] = {}
@@ -81,10 +81,3 @@ def spawn_named_rngs(names: Sequence[str], seed: int | None) -> Dict[str, np.ran
     children = root.spawn(len(names) + 1)  # +1 reserves a child for node streams
     return {name: np.random.default_rng(s) for name, s in zip(names, children[1:])}
 
-
-def _stable_order(nodes: Iterable[NodeId]) -> list:
-    node_list = list(nodes)
-    try:
-        return sorted(node_list)
-    except TypeError:
-        return sorted(node_list, key=repr)

@@ -19,13 +19,12 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.engine.artifacts import _stable_sorted
 from repro.engine.instrumentation import Instrumentation
 from repro.errors import SimulationError
 from repro.simulation.faults import FaultInjector
 from repro.simulation.network import SynchronousNetwork
 from repro.simulation.trace import TraceRecorder
-from repro.types import NodeId, RunStats
+from repro.types import NodeId, RunStats, stable_sorted
 
 
 def run_protocol(network: SynchronousNetwork, *,
@@ -110,7 +109,7 @@ def run_protocol(network: SynchronousNetwork, *,
     # delivery-order contract shared by all backends (the synchronizers
     # sort at consume time), which the columnar gather path and
     # order-sensitive float accumulations in protocols rely on.
-    node_order = _stable_sorted(generators)
+    node_order = stable_sorted(generators)
     # Advance rows resolved once: (node_id, proc, ctx, gen, gen.send).
     advance_rows = [
         (node_id, network.processes[node_id],

@@ -426,10 +426,10 @@ class UDGStepper(ColumnarStepper):
     identifiers in lane order, the within-theta fan-out comes from the
     distance CSR (:func:`~repro.engine.kernels.udg_distance_csr`, whose
     per-row order is the ``neighbors_within`` enqueue order), and the
-    election is the two-pass scatter-max of
-    :func:`~repro.engine.kernels.elect_round` restricted to *delivered*
-    edges (an empty inbox leaves the incumbent ``(my_id, me)`` —
-    self-election, exactly the reference).  Advance ``2R`` processes the
+    election is a two-pass lexicographic scatter-max (the argmax of
+    :func:`~repro.engine.kernels.elect_round_batch`) restricted to
+    *delivered* edges (an empty inbox leaves the incumbent ``(my_id,
+    me)`` — self-election, exactly the reference).  Advance ``2R`` processes the
     last token round, fixes ``leader``, and starts Part II.
 
     Part II repeats 3-advance iterations; a lane whose done-predicate

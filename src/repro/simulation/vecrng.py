@@ -19,39 +19,38 @@ statistically equivalent: the kernel-vs-reference equivalence suite
 (tests/test_mode_equivalence.py) and this module's own import-time
 self-test both compare against real ``Generator`` objects.
 
-Safety valve: :func:`node_stream_pool` runs a one-shot self-test of the
-whole vector pipeline against numpy's own generators the first time it
-is called.  If numpy's internals ever change (different SeedSequence
-mixing, a new bounded sampler), the self-test fails and every caller
-transparently gets a :class:`_FallbackPool` that wraps real per-node
-generators — slower, but still correct and still bit-identical to the
-reference.  Bounded draws additionally require Lemire's 64-bit path
-(range width > 2^32); smaller ranges use numpy's buffered 32-bit
-sampler, which keeps half-word state we do not model, so those callers
-are routed to the fallback as well via ``bounded_ranges``.
+One lane space serves every shape.  :class:`GridReplicaStreams` holds
+the streams of G graphs times R seeds: graph ``g``'s node ``i`` in
+replica ``r`` is flat lane ``r * total + offsets[g] + i``, and its
+limbs are a prefix slice of one master ``(R, n_max)`` pool, because
+SeedSequence spawn child ``i`` depends only on (seed entropy, ``i``).
+Each lane is therefore *definitionally* the stream
+``spawn_node_rngs(range(n_g), seeds[r])`` gives node ``i``, and one
+vector draw advances a whole (graphs x replicas) grid.  A replica sweep
+is the one-graph case (:func:`replica_node_streams`) and a single run
+the one-graph, one-seed case (:func:`node_stream_pool`); both label
+their lanes with the node list's stable order.
 
 Nodes that outgrow vector draws — e.g. a leader running the adoption
-rule's ``choice``-based selection — call :meth:`NodeStreamPool.generator`
+rule's ``choice``-based selection — call :meth:`GridReplicaStreams.generator`
 to materialize a real ``Generator`` *positioned at the lane's current
 stream state* (PCG64 accepts a raw ``(state, inc)`` assignment).  The
 lane is then owned by that generator; vector draws for it are a
-programming error and raise.
+programming error and raise.  :meth:`GridReplicaStreams.snapshot_state`
+hands out the state without claiming the lane.
 
-Replica batching: :func:`replica_node_streams` generalizes the lane
-space from ``n`` nodes to ``R x n`` (replica, node) pairs — replica
-``r`` occupies flat lanes ``[r*n, (r+1)*n)``, and its streams are
-bit-exact equal to a single-run pool seeded with ``seeds[r]`` (the limb
-states are literally the concatenation of the per-seed pools').  One
-vector draw can therefore advance an entire Monte Carlo sweep at once;
-:meth:`ReplicaNodeStreams.replica_pool` exposes any one replica through
-the ordinary :class:`NodeStreamPool` interface for per-node code paths.
-
-Grid batching: :class:`GridReplicaStreams` widens the pool once more,
-from ``R x n`` to ``sum_g(R x n_g)`` over G stacked topologies.
-SeedSequence spawn child ``i`` depends only on (seed entropy, i), so
-graph ``g``'s limbs are a *prefix copy* of one master ``(R, n_max)``
-pool — replica ``r`` of graph ``g`` stays definitionally bit-exact to
-``node_stream_pool(range(n_g), seeds[r])``.
+Safety valve: the factories (:func:`grid_streams` and the two one-graph
+forms) run a one-shot self-test of the whole vector pipeline against
+numpy's own generators the first time they are called.  If numpy's
+internals ever change (different SeedSequence mixing, a new bounded
+sampler), the self-test fails and every caller transparently gets the
+per-node fallback over the same lanes, which wraps real generators —
+slower, but still bit-identical to the reference.  Bounded draws
+additionally require Lemire's 64-bit path (range width > 2^32 - 1);
+smaller ranges use numpy's buffered 32-bit sampler, which keeps
+half-word state the limbs do not model, so those callers get the
+fallback as well via ``bounded_ranges``.  Algorithm 3 draws
+identifiers from ``[1, n^4]``, so UDGs with n <= 256 take it.
 """
 
 from __future__ import annotations
@@ -60,12 +59,11 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.simulation.rng import _stable_order, spawn_node_rngs
-from repro.types import NodeId
+from repro.simulation.rng import spawn_node_rngs
+from repro.types import NodeId, stable_sorted
 
-__all__ = ["GridReplicaStreams", "NodeStreamPool", "ReplicaNodeStreams",
-           "node_stream_pool", "replica_node_streams",
-           "vector_streams_available"]
+__all__ = ["GridReplicaStreams", "grid_streams", "node_stream_pool",
+           "replica_node_streams", "vector_streams_available"]
 
 # SeedSequence pool-mixing constants (O'Neill's seed_seq_fe as adopted
 # by numpy; 32-bit arithmetic).
@@ -108,9 +106,11 @@ _MATERIALIZE_SS = np.random.SeedSequence(0)
 def materialize_bit_generator() -> np.random.PCG64:
     """A throwaway-seeded ``PCG64`` meant to have a lane state assigned
     (see :meth:`GridReplicaStreams.snapshot_state`).  Avoids the no-arg
-    form's OS-entropy pull for state that is immediately overwritten.
+    form's OS-entropy pull (~80us; even ``PCG64(0)`` rebuilds a
+    SeedSequence, ~4us) for state that is immediately overwritten.
     """
     return np.random.PCG64(_MATERIALIZE_SS)
+
 
 def _dispatch():
     """The kernel provider registry (:mod:`repro.engine.dispatch`).
@@ -224,25 +224,10 @@ def _generate_state_words(pools: np.ndarray) -> List[np.ndarray]:
 # 128-bit limb arithmetic (uint64 hi/lo pairs, wrapping)
 # ----------------------------------------------------------------------
 
-def _mul64_full(a: np.ndarray, b: np.ndarray):
-    """Full 64x64 -> 128 product via 32-bit schoolbook limbs."""
-    a0 = a & _U32_MASK
-    a1 = a >> _SHIFT32
-    b0 = b & _U32_MASK
-    b1 = b >> _SHIFT32
-    p00 = a0 * b0
-    p01 = a0 * b1
-    p10 = a1 * b0
-    mid = (p00 >> _SHIFT32) + (p01 & _U32_MASK) + (p10 & _U32_MASK)
-    lo = (p00 & _U32_MASK) | ((mid & _U32_MASK) << _SHIFT32)
-    hi = a1 * b1 + (p01 >> _SHIFT32) + (p10 >> _SHIFT32) + (mid >> _SHIFT32)
-    return hi, lo
-
-
 def _umulhi(a: np.ndarray, b) -> np.ndarray:
-    """Upper 64 bits of a 64x64 product with a *scalar* ``b`` (the
-    constant-multiplier half of :func:`_mul64_full`: the low half of
-    the product, when needed, is just the wrapping ``a * b``)."""
+    """Upper 64 bits of a 64x64 product with a *scalar* ``b`` via
+    32-bit schoolbook limbs (the low half of the product, when needed,
+    is just the wrapping ``a * b``)."""
     b = np.uint64(b)
     b0 = b & _U32_MASK
     b1 = b >> _SHIFT32
@@ -303,7 +288,7 @@ def _seed_limbs_multi(seeds: Sequence, n: int):
     if not len(seeds):
         z = np.zeros(0, dtype=np.uint64)
         return z, z.copy(), z.copy(), z.copy()
-    seed_lanes = _dispatch().kernel("seed_lanes", len(seeds) * n)
+    seed_lanes = _dispatch().kernel("seed_lanes")
     if seed_lanes is not None:
         R = len(seeds)
         pool4 = np.empty((R, 4), dtype=np.uint32)
@@ -347,65 +332,96 @@ def _seed_limbs_multi(seeds: Sequence, n: int):
     return ih, il, sh, sl
 
 
-def _seed_limbs(seed, n: int):
-    """Single-seed :func:`_seed_limbs_multi` (one pool of ``n`` lanes)."""
-    return _seed_limbs_multi([seed], n)
-
-
 # ----------------------------------------------------------------------
-# The pools
+# The streams: lane = (replica, graph, node)
 # ----------------------------------------------------------------------
 
-class NodeStreamPool:
-    """Per-node RNG streams addressable by *lane* (stable-order index).
+class _LaneLayout:
+    """The flat lane space both stream classes share.
 
-    ``lane`` maps node id -> lane; for the common ``range(n)`` node set
-    the mapping is the identity and callers may index by node directly.
-    Obtain instances via :func:`node_stream_pool`, which picks the
-    vectorized implementation when it can guarantee bit-exactness and
-    the generator-wrapping fallback otherwise.
+    G graphs of ``node_counts`` nodes are concatenated into one node
+    index space of ``total`` columns, and replica ``r`` (seeded with
+    ``seeds[r]``) occupies flat lanes ``[r*total, (r+1)*total)``: graph
+    ``g``'s node ``i`` in replica ``r`` is flat lane ``r * total +
+    offsets[g] + i``.  SeedSequence spawn child ``i`` depends only on
+    (seed entropy, ``i``), so that lane is *definitionally* the stream
+    ``spawn_node_rngs(range(n_g), seeds[r])`` gives node ``i``.  A
+    single run is the one-graph, one-seed case.
+
+    One-graph streams built from a node list by :func:`node_stream_pool`
+    or :func:`replica_node_streams` also carry ``nodes`` (the stable
+    order) and ``lane`` (node id -> lane).
     """
 
-    lane: Dict[NodeId, int]
     nodes: List[NodeId]
+    lane: Dict[NodeId, int]
 
-    def random(self, lanes: np.ndarray) -> np.ndarray:
-        """One ``Generator.random()`` draw per lane, in lane order."""
-        raise NotImplementedError
+    def __init__(self, node_counts: Sequence[int], seeds: Sequence):
+        self.counts = [int(c) for c in node_counts]
+        if any(c < 0 for c in self.counts):
+            raise ValueError("node counts must be non-negative")
+        self.seeds = list(seeds)
+        self.offsets = np.zeros(len(self.counts) + 1, dtype=np.int64)
+        np.cumsum(self.counts, out=self.offsets[1:])
+        self.total = int(self.offsets[-1])
 
-    def draw_ints(self, lanes: np.ndarray, high: int,
-                  need: np.ndarray | None = None) -> np.ndarray:
-        """One ``Generator.integers(1, high + 1)`` draw per lane.
+    @property
+    def n(self) -> int:
+        """Lanes per replica (``total``; a graph's node count when G = 1)."""
+        return self.total
 
-        ``need`` (optional boolean mask over ``lanes``): the streams
-        advance identically either way, but values at ``~need`` are
-        unspecified — implementations may skip materializing them.
-        """
-        raise NotImplementedError
+    @property
+    def replicas(self) -> int:
+        return len(self.seeds)
 
-    def generator(self, lane: int) -> np.random.Generator:
-        """A real ``Generator`` owning this lane's stream from here on."""
-        raise NotImplementedError
+    def flat_lane(self, replica: int, lane: int) -> int:
+        """The flat lane of column ``lane`` in ``replica``."""
+        return replica * self.total + lane
 
 
-class _LaneEngine:
-    """Shared vector machinery over uint64 limb arrays, one entry per
-    lane.  Subclasses decide what a lane *means* (a node, or a
-    (replica, node) pair) and how the limb arrays are assembled."""
+class GridReplicaStreams(_LaneLayout):
+    """The vector engine: ``R x total`` PCG64 streams as uint64 limbs.
 
-    _ih: np.ndarray
-    _il: np.ndarray
-    _sh: np.ndarray
-    _sl: np.ndarray
-    _materialized: Dict[int, np.random.Generator]
+    The limbs of every graph are prefix slices of one master
+    ``(R, n_max)`` pool, and one vector draw over the flat plane
+    advances an entire (replicas x graphs) grid at once; a draw for a
+    set of lanes steps exactly those lanes.
+
+    Construct through :func:`grid_streams` (or the one-graph factories),
+    which checks :func:`vector_streams_available` for every bounded range
+    the caller will draw and otherwise returns the per-node fallback.
+    """
+
+    def __init__(self, node_counts: Sequence[int], seeds: Sequence):
+        super().__init__(node_counts, seeds)
+        R = len(self.seeds)
+        n_max = max(self.counts, default=0)
+        master = _seed_limbs_multi(self.seeds, n_max)
+        if len(self.counts) == 1:
+            limbs = list(master)
+        else:
+            limbs = []
+            for src in master:
+                src2 = src.reshape(R, n_max)
+                dst = np.empty(R * self.total, dtype=np.uint64)
+                dst2 = dst.reshape(R, self.total)
+                for g, n_g in enumerate(self.counts):
+                    off = int(self.offsets[g])
+                    dst2[:, off:off + n_g] = src2[:, :n_g]
+                limbs.append(dst)
+        self._ih, self._il, self._sh, self._sl = limbs
+        self._materialized: Dict[int, np.random.Generator] = {}
+
+    def _check_unowned(self, lanes) -> None:
+        owned = [i for i in lanes if i in self._materialized]
+        if owned:
+            raise RuntimeError(
+                f"lanes {owned[:5]} are owned by materialized "
+                "generators; vector draws would desynchronize them")
 
     def _next64(self, lanes: np.ndarray) -> np.ndarray:
         if self._materialized:
-            owned = [i for i in lanes.tolist() if i in self._materialized]
-            if owned:
-                raise RuntimeError(
-                    f"lanes {owned[:5]} are owned by materialized "
-                    "generators; vector draws would desynchronize them")
+            self._check_unowned(lanes.tolist())
         with np.errstate(over="ignore"):
             sh, sl = _step(self._sh[lanes], self._sl[lanes],
                            self._ih[lanes], self._il[lanes])
@@ -414,9 +430,8 @@ class _LaneEngine:
             return _output(sh, sl)
 
     def random(self, lanes: np.ndarray) -> np.ndarray:
+        """One ``Generator.random()`` draw per lane, in lane order."""
         lanes = np.asarray(lanes)
-        if lanes.size <= _CHUNK:
-            return (self._next64(lanes) >> np.uint64(11)) * (2.0 ** -53)
         out = np.empty(lanes.size, dtype=np.float64)
         for a in range(0, lanes.size, _CHUNK):
             b = min(a + _CHUNK, lanes.size)
@@ -426,20 +441,22 @@ class _LaneEngine:
 
     def draw_ints(self, lanes: np.ndarray, high: int,
                   need: np.ndarray | None = None) -> np.ndarray:
+        """One ``Generator.integers(1, high + 1)`` draw per lane.
+
+        ``need`` (optional boolean mask over ``lanes``): every lane's
+        stream advances exactly as without it -- the accept test only
+        needs the *wrapping* low product half -- but the upper-half
+        product that materializes the sampled value is computed for
+        needed lanes only; entries at ``~need`` are unspecified.
+        Callers use this when a draw must happen for stream-position
+        fidelity but its value is provably never read (e.g. an election
+        identifier nobody is in range to compare).
+        """
         # Generator.integers(1, high + 1): off = 1, inclusive range
-        # width rng = high - 1.  node_stream_pool guarantees Lemire's
+        # width rng = high - 1.  The factories guarantee Lemire's
         # 64-bit path (rng > 2^32 - 1), whose acceptance threshold is
         # ((2^64 - rng_excl) % rng_excl) on the low product half;
         # each rejected lane consumes exactly one more raw u64.
-        #
-        # ``need`` (optional boolean mask over ``lanes``): every lane's
-        # stream advances exactly as without it — the accept test only
-        # needs the *wrapping* low product half — but the expensive
-        # upper-half product that materializes the sampled value is
-        # computed for needed lanes only; entries at ``~need`` are
-        # unspecified.  Callers use this when a draw must happen for
-        # stream-position fidelity but its value is provably never read
-        # (e.g. an election identifier nobody is in range to compare).
         rng_excl = np.uint64(high)
         threshold = np.uint64(((1 << 64) - high) % high)
         lanes = np.asarray(lanes)
@@ -457,15 +474,15 @@ class _LaneEngine:
 
         Equivalent to ``draw_ints(np.nonzero(mask)[0], high)`` scattered
         into a ``mask.size`` output, but dense chunks advance their
-        states with pure *slice* arithmetic over the lane axis — no
-        index gather/scatter — and the handful of idle lanes get their
+        states with pure *slice* arithmetic over the lane axis -- no
+        index gather/scatter -- and the handful of idle lanes get their
         pre-step states restored.  Lanes outside ``mask`` end up
         untouched either way; output entries are defined only where
         ``mask`` (and ``need``, when given) hold.
 
         ``out`` (optional, C-contiguous int64 of ``mask.size``): write
         the drawn values into this buffer in place and return it.
-        Entries at ``need & ~mask`` are set to 0 — an impossible draw
+        Entries at ``need & ~mask`` are set to 0 -- an impossible draw
         (values start at 1), so the persistent plane doubles as an
         *inactive-masked* value plane consumers can read without
         re-gathering the mask (``engine.kernels.elect_round_batch``'s
@@ -477,21 +494,11 @@ class _LaneEngine:
         extract/scatter pair per round.
         """
         mask = np.ascontiguousarray(mask, dtype=bool)
-        if out is None:
-            out = np.empty(mask.size, dtype=np.int64)
-        elif (out.dtype != np.int64 or out.size != mask.size
-                or not out.flags.c_contiguous):
-            raise ValueError(
-                "out must be a C-contiguous int64 buffer of mask.size")
-        draw_masked = _dispatch().kernel("draw_masked", mask.size)
+        out = _check_out(mask, out)
+        draw_masked = _dispatch().kernel("draw_masked")
         if draw_masked is not None:
             if self._materialized:
-                owned = [i for i in self._materialized if mask[i]]
-                if owned:
-                    raise RuntimeError(
-                        f"lanes {owned[:5]} are owned by materialized "
-                        "generators; vector draws would desynchronize "
-                        "them")
+                self._check_unowned(i for i in self._materialized if mask[i])
             draw_masked(
                 self._sh, self._sl, self._ih, self._il,
                 mask.view(np.uint8),
@@ -515,13 +522,8 @@ class _LaneEngine:
                 if cnt == 0:
                     continue
                 if self._materialized:
-                    owned = [i for i in self._materialized
-                             if a <= i < b and m[i - a]]
-                    if owned:
-                        raise RuntimeError(
-                            f"lanes {owned[:5]} are owned by materialized "
-                            "generators; vector draws would desynchronize "
-                            "them")
+                    self._check_unowned(i for i in self._materialized
+                                        if a <= i < b and m[i - a])
                 full = cnt == b - a
                 if not full and cnt * 5 < 2 * (b - a):
                     # Sparse chunk: the gathered path touches less data.
@@ -604,287 +606,110 @@ class _LaneEngine:
                 out[acc_pos] = vals
 
     def generator(self, lane: int) -> np.random.Generator:
+        """A real ``Generator`` owning this lane's stream from here on
+        (positioned at its current state; vector draws on the lane
+        raise afterwards)."""
         gen = self._materialized.get(lane)
         if gen is None:
-            gen = self._lane_generator(lane)
-            self._materialized[lane] = gen
+            bg = materialize_bit_generator()
+            bg.state = self.snapshot_state(lane)
+            gen = self._materialized[lane] = np.random.Generator(bg)
         return gen
 
-    def _lane_state(self, lane: int) -> dict:
-        """The lane's current stream state as a PCG64 state dict —
-        assignable to any ``PCG64.state`` (the cheap half of generator
-        materialization, for callers that pool one bit generator and
-        swap states per event instead of constructing per lane)."""
+    def snapshot_state(self, flat_lane: int) -> dict:
+        """A lane's *current* stream state as a PCG64 state dict, without
+        recording ownership: repeated calls return independent copies
+        that diverge from the shared limbs.  The k-axis fusion keeps one
+        pooled ``PCG64`` and swaps these states per event, running
+        several adoption phases off one frozen post-election state (a
+        full state round-trip, so streams continue bit-identically to a
+        dedicated per-lane generator).  The caller must not vector-draw
+        the lane afterwards."""
         return {
             "bit_generator": "PCG64",
             "state": {
-                "state": (int(self._sh[lane]) << 64) | int(self._sl[lane]),
-                "inc": (int(self._ih[lane]) << 64) | int(self._il[lane]),
+                "state": (int(self._sh[flat_lane]) << 64)
+                | int(self._sl[flat_lane]),
+                "inc": (int(self._ih[flat_lane]) << 64)
+                | int(self._il[flat_lane]),
             },
             "has_uint32": 0,
             "uinteger": 0,
         }
 
-    def _lane_generator(self, lane: int) -> np.random.Generator:
-        """A fresh ``Generator`` at this lane's current stream state
-        (no ownership recorded — callers manage divergence)."""
-        # PCG64(<cached SeedSequence>), not PCG64(): the no-arg form
-        # pulls OS entropy (~80us) and even PCG64(0) rebuilds a
-        # SeedSequence (~4us) — all discarded by the state overwrite.
-        bg = np.random.PCG64(_MATERIALIZE_SS)
-        bg.state = self._lane_state(lane)
-        return np.random.Generator(bg)
 
+class _FallbackStreams(_LaneLayout):
+    """The same lanes over real per-node generators (the safety net).
 
-class _VectorPool(_LaneEngine, NodeStreamPool):
-    def __init__(self, node_list: Sequence[NodeId], seed):
-        self.nodes = list(node_list)
-        self.lane = {v: i for i, v in enumerate(node_list)}
-        self._ih, self._il, self._sh, self._sl = \
-            _seed_limbs(seed, len(node_list))
-        self._materialized = {}
+    Serves draws the vector engine does not model -- bounded widths at
+    or below 2^32 - 1, i.e. numpy's buffered 32-bit sampler, whose
+    half-word state the limbs do not carry -- and every draw after a
+    failed self-test.  Each lane's ``Generator`` is built on first use
+    from spawn child ``i`` of its replica's root ``SeedSequence``, so it
+    is the very generator ``spawn_node_rngs`` would give that node.
+    """
 
+    def __init__(self, node_counts: Sequence[int], seeds: Sequence):
+        super().__init__(node_counts, seeds)
+        # One root per replica: a ``None`` seed pulls OS entropy once.
+        self._roots = [np.random.SeedSequence(s) for s in self.seeds]
+        self._rngs: Dict[int, np.random.Generator] = {}
 
-class _FallbackPool(NodeStreamPool):
-    """Same interface over real per-node generators (the safety net)."""
+    def generator(self, lane: int) -> np.random.Generator:
+        """The lane's own ``Generator`` (the same object on every call)."""
+        rng = self._rngs.get(lane)
+        if rng is None:
+            r, col = divmod(int(lane), self.total)
+            g = int(np.searchsorted(self.offsets, col, side="right")) - 1
+            root = self._roots[r]
+            child = np.random.SeedSequence(
+                root.entropy, spawn_key=(col - int(self.offsets[g]),),
+                pool_size=root.pool_size)
+            rng = self._rngs[lane] = np.random.default_rng(child)
+        return rng
 
-    def __init__(self, node_list: Sequence[NodeId], seed):
-        self.nodes = list(node_list)
-        self.lane = {v: i for i, v in enumerate(node_list)}
-        self._rngs = spawn_node_rngs(node_list, seed)
+    def snapshot_state(self, flat_lane: int) -> dict:
+        return self.generator(flat_lane).bit_generator.state
 
     def random(self, lanes: np.ndarray) -> np.ndarray:
-        return np.fromiter(
-            (self._rngs[self.nodes[i]].random() for i in lanes.tolist()),
-            dtype=np.float64, count=len(lanes))
+        lanes = np.asarray(lanes, dtype=np.int64)
+        return np.fromiter((self.generator(i).random()
+                            for i in lanes.tolist()),
+                           dtype=np.float64, count=lanes.size)
 
     def draw_ints(self, lanes: np.ndarray, high: int,
                   need: np.ndarray | None = None) -> np.ndarray:
         # `need` is advisory; drawing every value is within contract.
-        return np.fromiter(
-            (int(self._rngs[self.nodes[i]].integers(1, high + 1))
-             for i in lanes.tolist()),
-            dtype=np.int64, count=len(lanes))
-
-    def generator(self, lane: int) -> np.random.Generator:
-        return self._rngs[self.nodes[lane]]
-
-
-# ----------------------------------------------------------------------
-# Replica-batched streams: lane = (replica, node)
-# ----------------------------------------------------------------------
-
-class ReplicaNodeStreams:
-    """R x n per-(replica, node) RNG streams addressable by *flat lane*.
-
-    Replica ``r`` (seeded with ``seeds[r]``) occupies flat lanes
-    ``[r*n, (r+1)*n)`` in node stable order; its streams are bit-exact
-    equal to ``node_stream_pool(nodes, seeds[r])``.  One vector draw over
-    flat lanes from several replicas advances every addressed stream by
-    exactly one value — streams are mutually independent, so batch
-    composition cannot perturb any single stream's sequence.
-
-    Obtain instances via :func:`replica_node_streams`.
-    """
-
-    lane: Dict[NodeId, int]
-    nodes: List[NodeId]
-    seeds: List
-
-    @property
-    def n(self) -> int:
-        """Nodes per replica (the flat lane space has ``replicas * n``)."""
-        return len(self.nodes)
-
-    @property
-    def replicas(self) -> int:
-        return len(self.seeds)
-
-    def flat_lane(self, replica: int, lane: int) -> int:
-        """The flat lane of node-lane ``lane`` in ``replica``."""
-        return replica * len(self.nodes) + lane
-
-    def random(self, flat_lanes: np.ndarray) -> np.ndarray:
-        """One ``Generator.random()`` draw per flat lane, in order."""
-        raise NotImplementedError
-
-    def draw_ints(self, flat_lanes: np.ndarray, high: int,
-                  need: np.ndarray | None = None) -> np.ndarray:
-        """One ``Generator.integers(1, high + 1)`` draw per flat lane
-        (``need``: as in :meth:`NodeStreamPool.draw_ints`)."""
-        raise NotImplementedError
+        lanes = np.asarray(lanes, dtype=np.int64)
+        return np.fromiter((int(self.generator(i).integers(1, high + 1))
+                            for i in lanes.tolist()),
+                           dtype=np.int64, count=lanes.size)
 
     def draw_ints_masked(self, mask: np.ndarray, high: int,
                          need: np.ndarray | None = None,
                          out: np.ndarray | None = None) -> np.ndarray:
-        """One bounded draw per flat lane where ``mask`` holds, returned
-        as a ``mask.size`` array (entries defined where ``mask`` and
-        ``need`` hold).  ``out``: optional int64 buffer written in place
-        — entries at ``need & ~mask`` are set to 0 (an impossible draw,
-        so the buffer doubles as an inactive-masked value plane),
-        entries outside both keep their previous contents, entries at
-        ``mask & ~need`` are unspecified.  The vector engine overrides
-        this with a slice-arithmetic implementation; the generic form
-        routes through :meth:`draw_ints`."""
+        """:meth:`GridReplicaStreams.draw_ints_masked`'s contract over
+        per-lane draws (a fresh ``out`` is zero-filled)."""
         mask = np.asarray(mask, dtype=bool)
-        flat = np.nonzero(mask)[0]
-        if out is None:
-            out = np.zeros(mask.size, dtype=np.int64)
-        elif (out.dtype != np.int64 or out.size != mask.size
-                or not out.flags.c_contiguous):
-            raise ValueError(
-                "out must be a C-contiguous int64 buffer of mask.size")
+        out = _check_out(mask, out, fill=0)
         if need is not None:
             out[np.asarray(need, dtype=bool) & ~mask] = 0
-        out[flat] = self.draw_ints(
-            flat, high, need=None if need is None else need[flat])
+        lanes = np.nonzero(mask)[0]
+        out[lanes] = self.draw_ints(lanes, high)
         return out
 
-    def generator(self, flat_lane: int) -> np.random.Generator:
-        """A real ``Generator`` owning this flat lane's stream."""
-        raise NotImplementedError
 
-    def replica_pool(self, replica: int) -> NodeStreamPool:
-        """Replica ``replica`` as an ordinary :class:`NodeStreamPool`
-        (lane-offset view; draws advance the shared stream states)."""
-        return _ReplicaView(self, replica)
-
-
-class _ReplicaView(NodeStreamPool):
-    """One replica of a :class:`ReplicaNodeStreams`, adapted to the
-    single-run pool interface by offsetting lanes."""
-
-    def __init__(self, streams: ReplicaNodeStreams, replica: int):
-        self._streams = streams
-        self._offset = replica * len(streams.nodes)
-        self.nodes = streams.nodes
-        self.lane = streams.lane
-
-    def random(self, lanes: np.ndarray) -> np.ndarray:
-        return self._streams.random(
-            np.asarray(lanes, dtype=np.int64) + self._offset)
-
-    def draw_ints(self, lanes: np.ndarray, high: int,
-                  need: np.ndarray | None = None) -> np.ndarray:
-        return self._streams.draw_ints(
-            np.asarray(lanes, dtype=np.int64) + self._offset, high,
-            need=need)
-
-    def generator(self, lane: int) -> np.random.Generator:
-        return self._streams.generator(self._offset + lane)
-
-
-class _VectorReplicaStreams(_LaneEngine, ReplicaNodeStreams):
-    """Vectorized replica streams: the limb arrays are the per-seed
-    single-pool limbs concatenated along the lane axis, so replica
-    ``r``'s slice is *definitionally* bit-exact to ``_VectorPool(nodes,
-    seeds[r])``."""
-
-    def __init__(self, node_list: Sequence[NodeId], seeds: Sequence):
-        n = len(node_list)
-        self.nodes = list(node_list)
-        self.lane = {v: i for i, v in enumerate(node_list)}
-        self.seeds = list(seeds)
-        self._ih, self._il, self._sh, self._sl = \
-            _seed_limbs_multi(self.seeds, n)
-        self._materialized = {}
-
-
-class _FallbackReplicaStreams(ReplicaNodeStreams):
-    """Replica streams over per-replica fallback pools (the safety net;
-    also the home of draws needing numpy's buffered 32-bit sampler)."""
-
-    def __init__(self, node_list: Sequence[NodeId], seeds: Sequence):
-        self.nodes = list(node_list)
-        self.lane = {v: i for i, v in enumerate(node_list)}
-        self.seeds = list(seeds)
-        self._pools = [_FallbackPool(node_list, s) for s in self.seeds]
-
-    def _split(self, flat_lane: int):
-        n = len(self.nodes)
-        return flat_lane // n, flat_lane % n
-
-    def random(self, flat_lanes: np.ndarray) -> np.ndarray:
-        flat = np.asarray(flat_lanes, dtype=np.int64)
-        out = np.empty(flat.size, dtype=np.float64)
-        for j, i in enumerate(flat.tolist()):
-            r, lane = self._split(i)
-            out[j] = self._pools[r].random(np.asarray([lane]))[0]
-        return out
-
-    def draw_ints(self, flat_lanes: np.ndarray, high: int,
-                  need: np.ndarray | None = None) -> np.ndarray:
-        # `need` is advisory; drawing every value is within contract.
-        flat = np.asarray(flat_lanes, dtype=np.int64)
-        out = np.empty(flat.size, dtype=np.int64)
-        for j, i in enumerate(flat.tolist()):
-            r, lane = self._split(i)
-            out[j] = self._pools[r].draw_ints(np.asarray([lane]), high)[0]
-        return out
-
-    def generator(self, flat_lane: int) -> np.random.Generator:
-        r, lane = self._split(flat_lane)
-        return self._pools[r].generator(lane)
-
-    def replica_pool(self, replica: int) -> NodeStreamPool:
-        return self._pools[replica]
-
-
-# ----------------------------------------------------------------------
-# Grid-batched streams: lane = (replica, graph, node)
-# ----------------------------------------------------------------------
-
-class GridReplicaStreams(_LaneEngine):
-    """``sum_g(R x n_g)`` per-(replica, graph, node) RNG streams.
-
-    The lane space is replica-major over the *concatenated* node index
-    space of G stacked graphs: graph ``g``'s node ``i`` in replica ``r``
-    occupies flat lane ``r * total + offsets[g] + i``, where ``total =
-    sum_g n_g``.  SeedSequence spawn child ``i`` depends only on (seed
-    entropy, ``i``), so the limbs of every graph are prefix slices of
-    one master ``(R, n_max)`` pool — replica ``r`` of graph ``g`` is
-    therefore *definitionally* bit-exact to
-    ``node_stream_pool(range(n_g), seeds[r])``, and one vector draw over
-    the flat plane advances an entire (graphs x replicas) grid at once.
-
-    Construct directly only after checking
-    :func:`vector_streams_available` for every bounded range the caller
-    will draw; grid callers fall back to per-graph pools otherwise.
-    """
-
-    def __init__(self, node_counts: Sequence[int], seeds: Sequence):
-        self.counts = [int(c) for c in node_counts]
-        if any(c < 0 for c in self.counts):
-            raise ValueError("node counts must be non-negative")
-        self.seeds = list(seeds)
-        self.offsets = np.zeros(len(self.counts) + 1, dtype=np.int64)
-        np.cumsum(self.counts, out=self.offsets[1:])
-        self.total = int(self.offsets[-1])
-        R = len(self.seeds)
-        n_max = max(self.counts, default=0)
-        master = _seed_limbs_multi(self.seeds, n_max)
-        limbs = []
-        for src in master:
-            src2 = src.reshape(R, n_max) if R else src.reshape(0, 0)
-            dst = np.empty(R * self.total, dtype=np.uint64)
-            dst2 = dst.reshape(R, self.total) if R else dst.reshape(0, 0)
-            for g, n_g in enumerate(self.counts):
-                off = int(self.offsets[g])
-                dst2[:, off:off + n_g] = src2[:, :n_g]
-            limbs.append(dst)
-        self._ih, self._il, self._sh, self._sl = limbs
-        self._materialized = {}
-
-    def snapshot_state(self, flat_lane: int) -> dict:
-        """A lane's *current* stream state dict, without recording
-        ownership: repeated calls return independent copies that diverge
-        from the shared limbs.  The k-axis fusion keeps one pooled
-        ``PCG64`` and swaps these states per event, running several
-        adoption phases off one frozen post-election state (a full state
-        round-trip, so streams continue bit-identically to a dedicated
-        per-lane generator).  The caller must not vector-draw the lane
-        afterwards."""
-        return self._lane_state(flat_lane)
+def _check_out(mask: np.ndarray, out: np.ndarray | None,
+               fill: int | None = None) -> np.ndarray:
+    """Validate (or allocate) a masked draw's ``out`` buffer."""
+    if out is None:
+        return np.empty(mask.size, dtype=np.int64) if fill is None \
+            else np.full(mask.size, fill, dtype=np.int64)
+    if (out.dtype != np.int64 or out.size != mask.size
+            or not out.flags.c_contiguous):
+        raise ValueError(
+            "out must be a C-contiguous int64 buffer of mask.size")
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -898,7 +723,7 @@ def _self_test() -> bool:
     """Compare the whole vector pipeline against numpy's generators."""
     try:
         for seed in (12345, 0):
-            pool = _VectorPool(list(range(6)), seed)
+            pool = GridReplicaStreams([6], [seed])
             ref = spawn_node_rngs(range(6), seed)
             lanes = np.arange(6)
             if [float(x) for x in pool.random(lanes)] != \
@@ -923,15 +748,12 @@ def _self_test() -> bool:
 
 
 def vector_streams_available(bounded_ranges: Sequence[int] = ()) -> bool:
-    """Whether the vector limb engine would serve these draws.
+    """Whether the vector engine would serve these draws.
 
-    The same eligibility rule and one-shot pipeline self-test the pool
-    factories apply: every intended bounded-draw width must select
-    Lemire's 64-bit path (width strictly between 2^32 - 1 and 2^64 - 1),
-    and the vector pipeline must have passed its self-test against
-    numpy's own generators.  Grid callers check this up front —
-    :class:`GridReplicaStreams` has no fallback twin, so ineligible
-    graphs take the per-point path instead.
+    Every intended bounded-draw width must select Lemire's 64-bit path
+    (width strictly between 2^32 - 1 and 2^64 - 1), and the vector
+    pipeline must have passed its one-shot self-test against numpy's
+    own generators.
     """
     global _vector_verified
     if not all(_M32 < r < _M64 for r in bounded_ranges):
@@ -941,34 +763,40 @@ def vector_streams_available(bounded_ranges: Sequence[int] = ()) -> bool:
     return _vector_verified
 
 
-def node_stream_pool(nodes: Iterable[NodeId], seed,
-                     *, bounded_ranges: Sequence[int] = ()) -> NodeStreamPool:
-    """A :class:`NodeStreamPool` over ``nodes``, vectorized when exact.
+def grid_streams(node_counts: Sequence[int], seeds: Sequence,
+                 *, bounded_ranges: Sequence[int] = ()):
+    """Streams over the ``(replica, graph, node)`` lanes of G graphs of
+    ``node_counts`` nodes, one replica per seed: the vector engine when
+    it is exact for these draws, the per-node fallback otherwise.
 
     ``bounded_ranges`` lists the inclusive range widths of every
     ``integers``-style draw the caller intends to make; any width at or
     below 2^32 - 1 selects numpy's buffered 32-bit sampler, which the
-    vector engine does not model, so such callers get the fallback.
+    vector engine does not model.
     """
-    node_list = _stable_order(nodes)
     if vector_streams_available(bounded_ranges):
-        return _VectorPool(node_list, seed)
-    return _FallbackPool(node_list, seed)
+        return GridReplicaStreams(node_counts, seeds)
+    return _FallbackStreams(node_counts, seeds)
 
 
 def replica_node_streams(nodes: Iterable[NodeId], seeds: Sequence,
-                         *, bounded_ranges: Sequence[int] = ()
-                         ) -> ReplicaNodeStreams:
-    """R x n :class:`ReplicaNodeStreams`, one replica per seed,
-    vectorized when exact (same eligibility rules and one-shot pipeline
-    self-test as :func:`node_stream_pool`).
-
-    Replica ``r``'s streams are bit-exact equal to
-    ``node_stream_pool(nodes, seeds[r])``'s — batched multi-replica
-    execution therefore consumes each (replica, node) stream identically
-    to a sequential per-seed loop.
+                         *, bounded_ranges: Sequence[int] = ()):
+    """One-graph :func:`grid_streams` over ``nodes``, one replica per
+    seed.  Lane ``i`` is the ``i``-th node in stable order (``lane``
+    maps node ids to lanes), so replica ``r`` consumes exactly the
+    streams of ``spawn_node_rngs(nodes, seeds[r])`` and a batched run
+    draws as a sequential per-seed loop would.
     """
-    node_list = _stable_order(nodes)
-    if vector_streams_available(bounded_ranges):
-        return _VectorReplicaStreams(node_list, seeds)
-    return _FallbackReplicaStreams(node_list, seeds)
+    node_list = stable_sorted(nodes)
+    streams = grid_streams([len(node_list)], seeds,
+                           bounded_ranges=bounded_ranges)
+    streams.nodes = node_list
+    streams.lane = {v: i for i, v in enumerate(node_list)}
+    return streams
+
+
+def node_stream_pool(nodes: Iterable[NodeId], seed,
+                     *, bounded_ranges: Sequence[int] = ()):
+    """The single-run streams: :func:`replica_node_streams` with one seed."""
+    return replica_node_streams(nodes, [seed],
+                                bounded_ranges=bounded_ranges)

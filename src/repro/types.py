@@ -8,13 +8,29 @@ convention), and most algorithm entry points accept either a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Mapping, Sequence
+from typing import Dict, Hashable, Iterable, List, Mapping, Sequence
 
 #: Node identifier. Any hashable (networkx convention); generators produce ints.
 NodeId = Hashable
 
 #: A per-node coverage requirement map (the paper's ``k_i`` parameters).
 CoverageMap = Mapping[NodeId, int]
+
+
+def stable_sorted(items: Iterable) -> List:
+    """Sort node ids by natural order, falling back to ``repr`` for mixed
+    types.
+
+    The library's one node order: per-node RNG streams (and vecrng
+    lanes) are spawned in it, the round runner advances nodes in it,
+    and artifact neighbor tuples list neighbors in it, so every backend
+    consumes node randomness identically.
+    """
+    items = list(items)
+    try:
+        return sorted(items)
+    except TypeError:
+        return sorted(items, key=repr)
 
 
 @dataclass(frozen=True)

@@ -14,15 +14,11 @@ from typing import List, Mapping
 import numpy as np
 
 from repro.core.lp import CoveringLP
-from repro.core.rounding import (
-    randomized_rounding,
-    rounding_probability,
-    _stable_sorted,
-)
+from repro.core.rounding import randomized_rounding, rounding_probability
 from repro.errors import GraphError, InfeasibleInstanceError
 from repro.graphs.properties import as_nx
 from repro.simulation.rng import spawn_node_rngs
-from repro.types import CoverageMap, DominatingSet, NodeId
+from repro.types import CoverageMap, DominatingSet, NodeId, stable_sorted
 
 
 def weighted_randomized_rounding(graph, x: Mapping[NodeId, float],
@@ -79,7 +75,7 @@ def weighted_randomized_rounding(graph, x: Mapping[NodeId, float],
 
     requested: set = set()
     for v in lp.nodes:
-        closed = [v] + _stable_sorted(g.neighbors(v))
+        closed = [v] + stable_sorted(g.neighbors(v))
         have = sum(1 for w in closed if w in members)
         need = lp.coverage[v] - have
         if need <= 0:

@@ -5,7 +5,7 @@ Three planes of coverage:
 - the degradation matrix: every REPRO_KERNEL_BACKEND value resolves (or
   fails) exactly as documented — unknown names raise, forcing an
   unavailable provider raises instead of silently falling back, auto
-  takes native over numpy with per-entry size gates;
+  takes native when built and numpy otherwise, whatever the call size;
 - provider equality: the coverage-plane kernels produce bit-identical
   results under every available provider and thread count, pinned at
   2^16 lanes (the acceptance shape's structure at test-sized n);
@@ -24,8 +24,8 @@ from repro import _native
 from repro.cli import main
 from repro.engine import dispatch, kernels
 from repro.engine.artifacts import graph_artifacts, stacked_graphs
-from repro.engine.dispatch import (BACKENDS, ENTRY_POINTS, MIN_SIZE,
-                                   provider, provider_status)
+from repro.engine.dispatch import (BACKENDS, ENTRY_POINTS, provider,
+                                   provider_status)
 from repro.errors import KernelBackendError
 from repro.graphs.generators import gnp_graph
 
@@ -88,10 +88,12 @@ class TestBackendSelection:
         assert name == "native" and impl is not None
 
     def test_auto_size_gate(self, auto):
+        # auto has no size gate: every call size takes native when built
+        # and numpy otherwise.
+        want = "native" if HAS_NATIVE else "numpy"
         for entry in ENTRY_POINTS:
-            if MIN_SIZE[entry] > 1:
-                assert provider(entry, size=MIN_SIZE[entry] - 1) \
-                    == ("numpy", None)
+            for size in (None, 1, 1 << 20):
+                assert provider(entry, size=size)[0] == want
 
     @needs_native
     def test_auto_prefers_native(self, auto):
@@ -147,6 +149,19 @@ class TestProviderEquality:
         for b, got in results.items():
             assert got.dtype == np.int64, b
             assert np.array_equal(got, ref), b
+
+    def test_member_counts_batch_one_replica_keeps_shape(self, plane,
+                                                         monkeypatch):
+        # One-seed runs hand the batch kernels a (1, n) plane; every
+        # provider must answer (1, n), not the single-vector (n,).
+        art, masks = plane
+        for b in _backends():
+            monkeypatch.setenv("REPRO_KERNEL_BACKEND", b)
+            got = kernels.member_counts_batch(art, indicators=masks[:1],
+                                              convention="closed")
+            assert got.shape == (1, art.n), b
+            assert np.array_equal(got[0], kernels.member_counts(
+                art, indicator=masks[0], convention="closed")), b
 
     def test_member_counts_single(self, plane, monkeypatch):
         art, masks = plane
@@ -252,7 +267,7 @@ class TestIntrospection:
             assert status["native"]["threads"] >= 1
         for entry, info in status["entry_points"].items():
             assert info["provider"] in ("native", "numpy")
-            assert info["min_size"] == MIN_SIZE[entry]
+            assert "min_size" not in info
         assert json.dumps(status)  # JSON-ready, no numpy scalars
 
     def test_status_reports_forced_unavailable(self, monkeypatch):

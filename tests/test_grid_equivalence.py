@@ -10,7 +10,10 @@ never visible in the results.  The suite pins cell-level members,
 radius classes, the per-point fallbacks (message mode, ineligible
 graphs), the ``timing`` dispatch breakdown, degenerate axes, and native
 thread counts (subprocess matrix, since the worker pool is configured
-by environment at import-free call time).
+by environment at import-free call time).  Single and replica runs are
+one-graph grids on the same kernels, so sampled cells are also checked
+against the per-node reference (``execute(..., reference=True)``), the
+one independent oracle.
 """
 
 from __future__ import annotations
@@ -23,18 +26,21 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.udg import solve_kmds_udg_batch, solve_kmds_udg_grid
+from repro.core.udg import (UDGProgram, solve_kmds_udg_batch,
+                            solve_kmds_udg_grid)
+from repro.engine import execute
 from repro.errors import GraphError
-from repro.graphs.udg import UnitDiskGraph, random_udg
+from repro.graphs.udg import (NoisySensingUDG, QuasiUnitDiskGraph,
+                              UnitDiskGraph, random_udg)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 SEEDS = (0, 11)
 KS = (1, 3)
 DENSITY = 8.0
-#: Smallest n whose id-draw range takes vecrng's vector path; below
-#: it ``grid_supported`` says no and the cell runs per-point.
 GRID_N = 300
+#: Below 257 nodes the id draws take vecrng's per-node fallback
+#: streams; such graphs still run on the grid dispatch.
 SMALL_N = 120
 
 
@@ -95,6 +101,39 @@ class TestGridIdentity:
         _assert_cells_equal(grid, _per_point(graphs, SEEDS, KS))
 
 
+class TestReferenceOracle:
+    """Grid cells against the per-node reference loops, across vecrng's
+    routing boundary (n = 256 takes the fallback streams, n = 257 the
+    vector engine) and the geometric variants the kernels model."""
+
+    @staticmethod
+    def _graphs():
+        base = random_udg(GRID_N, density=DENSITY, seed=81)
+        return [random_udg(SMALL_N, density=DENSITY, seed=80),
+                random_udg(256, density=DENSITY, seed=82),
+                random_udg(257, density=DENSITY, seed=83),
+                base,
+                QuasiUnitDiskGraph(base.points, alpha=0.75, seed=84),
+                NoisySensingUDG(base.points, sigma=0.05, noise_seed=85),
+                random_udg(600, density=DENSITY, seed=86)]
+
+    @pytest.mark.parametrize("policy", ("random", "by-id"))
+    def test_cells_match_reference(self, policy):
+        graphs = self._graphs()
+        timing = {}
+        grid = solve_kmds_udg_grid(graphs, SEEDS, KS,
+                                   selection_policy=policy, timing=timing)
+        assert timing["path"] == "grid"
+        for g, per_k in zip(graphs, grid):
+            for k, per_seed in zip(KS, per_k):
+                for seed, cell in zip(SEEDS, per_seed):
+                    ref = execute(UDGProgram(g, k, policy, seed), "direct",
+                                  seed=seed, reference=True)
+                    assert cell.members == ref.members
+                    assert cell.stats == ref.stats
+                    assert cell.details == ref.details
+
+
 class TestFallbacks:
     def test_message_mode_goes_per_point(self):
         graphs = _graphs((40,))
@@ -107,9 +146,10 @@ class TestFallbacks:
 
     def test_ineligible_graphs_partition_mixed(self):
         # A sensing subclass the kernels cannot model (bespoke
-        # ``neighbors_within``) and a below-vector-threshold graph both
-        # take the per-point path while stock graphs stay on the grid
-        # dispatch; every cell still matches the per-point loop.
+        # ``neighbors_within``) takes the per-point path while stock
+        # graphs -- including one small enough for the fallback
+        # streams -- stay on the grid dispatch; every cell still
+        # matches the per-point loop.
         class BespokeSensing(UnitDiskGraph):
             def neighbors_within(self, i, radius):
                 return super().neighbors_within(i, radius)
@@ -122,8 +162,8 @@ class TestFallbacks:
         timing = {}
         grid = solve_kmds_udg_grid(graphs, SEEDS, (1,), timing=timing)
         assert timing["path"] == "mixed"
-        assert timing["grid_graphs"] == 2
-        assert timing["per_point_graphs"] == 2
+        assert timing["grid_graphs"] == 3
+        assert timing["per_point_graphs"] == 1
         _assert_cells_equal(grid, _per_point(graphs, SEEDS, (1,)))
 
 

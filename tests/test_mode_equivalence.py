@@ -104,14 +104,17 @@ def _assert_same_result(kernel, reference):
     assert kernel.details == reference.details
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("k", (1, 2, 3))
-@pytest.mark.parametrize("policy", ("random", "by-id"))
-def test_udg_kernel_matches_reference(policy, k, seed):
+#: Extra sizes around vecrng's routing boundary: identifiers come from
+#: [1, n^4], so n <= 256 draws on the per-node fallback streams and
+#: n >= 257 on the vector engine.
+BOUNDARY_NS = (256, 257, 300)
+
+
+def _check_udg_kernel_matches_reference(n, policy, k, seed):
     from repro.core.udg import UDGProgram
     from repro.engine import execute
 
-    udg = random_udg(120, density=9.0, seed=seed)
+    udg = random_udg(n, density=9.0, seed=seed)
     kernel = solve_kmds_udg(udg, k=k, mode="direct",
                             selection_policy=policy, seed=seed)
     ref = execute(UDGProgram(udg, k, policy, seed), "direct", seed=seed,
@@ -121,15 +124,28 @@ def test_udg_kernel_matches_reference(policy, k, seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("graph_kind", ("qudg", "noisy"))
-def test_udg_kernel_matches_reference_on_geometric_variants(
-        graph_kind, seed):
+@pytest.mark.parametrize("k", (1, 2, 3))
+@pytest.mark.parametrize("policy", ("random", "by-id"))
+def test_udg_kernel_matches_reference(policy, k, seed):
+    _check_udg_kernel_matches_reference(120, policy, k, seed)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("k", (1, 2, 3))
+@pytest.mark.parametrize("policy", ("random", "by-id"))
+@pytest.mark.parametrize("n", BOUNDARY_NS)
+def test_udg_kernel_matches_reference_at_stream_boundary(n, policy, k, seed):
+    _check_udg_kernel_matches_reference(n, policy, k, seed)
+
+
+def _check_udg_kernel_matches_reference_on_geometric_variants(
+        n, graph_kind, seed):
     from repro.core.udg import UDGProgram
     from repro.engine import execute
     from repro.engine.kernels import supports_kernel_election
     from repro.graphs.udg import NoisySensingUDG, QuasiUnitDiskGraph
 
-    base = random_udg(90, density=9.0, seed=seed)
+    base = random_udg(n, density=9.0, seed=seed)
     if graph_kind == "qudg":
         udg = QuasiUnitDiskGraph(base.points, alpha=0.75, seed=seed)
     else:
@@ -140,6 +156,21 @@ def test_udg_kernel_matches_reference_on_geometric_variants(
                   reference=True)
     ref.details["mode"] = "direct"
     _assert_same_result(kernel, ref)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("graph_kind", ("qudg", "noisy"))
+def test_udg_kernel_matches_reference_on_geometric_variants(graph_kind, seed):
+    _check_udg_kernel_matches_reference_on_geometric_variants(
+        90, graph_kind, seed)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("graph_kind", ("qudg", "noisy"))
+@pytest.mark.parametrize("n", BOUNDARY_NS)
+def test_udg_variants_match_reference_at_stream_boundary(n, graph_kind, seed):
+    _check_udg_kernel_matches_reference_on_geometric_variants(
+        n, graph_kind, seed)
 
 
 def test_udg_exotic_subclass_falls_back_to_reference():
@@ -314,13 +345,40 @@ def test_batch_with_empty_seed_list():
     assert solve_kmds_udg_batch(udg, (), k=1) == []
 
 
+def _elect_round(src, nbr, within, active, ids):
+    """One Part I election round for one replica row: the scatter-max
+    oracle of ``kernels.elect_round_batch``.
+
+    Every active node elects the lexicographically largest ``(id,
+    node)`` among itself and its active neighbors at ``within``
+    distance; a node stays active iff somebody elected it.  Pass 1
+    scatter-maxes the candidate ids per elector, pass 2 the candidate
+    indices among id-ties.
+    """
+    import numpy as np
+
+    n = active.shape[0]
+    sel = within & active[src] & active[nbr]
+    s, d = src[sel], nbr[sel]
+    best_id = np.where(active, ids, 0)
+    np.maximum.at(best_id, s, ids[d])
+    best_node = np.where(active & (ids == best_id),
+                         np.arange(n, dtype=np.int64), -1)
+    tie = ids[d] == best_id[s]
+    np.maximum.at(best_node, s[tie], d[tie])
+    elected = np.zeros(n, dtype=bool)
+    chosen = best_node[active]
+    elected[chosen[chosen >= 0]] = True
+    return active & elected
+
+
 def test_elect_round_batch_accepts_precompressed_within():
     # The shared within-compression a round computes once and passes via
     # within_csr must be the same thing elect_round_batch computes for
-    # itself, and every batch row must equal the single-replica kernel.
+    # itself, and every batch row must equal the single-row oracle.
     import numpy as np
 
-    from repro.engine.kernels import (compress_within, elect_round,
+    from repro.engine.kernels import (compress_within, elect_prep,
                                       elect_round_batch, udg_distance_csr)
 
     udg = random_udg(50, density=8.0, seed=6)
@@ -334,8 +392,12 @@ def test_elect_round_batch_accepts_precompressed_within():
     pre = elect_round_batch(indptr, src, nbr, within, active.copy(), ids,
                             within_csr=compress_within(indptr, nbr, within))
     assert np.array_equal(auto, pre)
+    prepped = elect_round_batch(
+        indptr, src, nbr, None, active.copy(), ids,
+        prep=elect_prep(compress_within(indptr, nbr, within)))
+    assert np.array_equal(auto, prepped)
     for r in range(R):
-        row = elect_round(src, nbr, within, active[r].copy(), ids[r])
+        row = _elect_round(src, nbr, within, active[r].copy(), ids[r])
         assert np.array_equal(auto[r], row)
 
 

@@ -1,15 +1,15 @@
-"""Unit tests for the vectorized per-node / per-(replica, node) RNG
-streams (:mod:`repro.simulation.vecrng`).
+"""Unit tests for the vectorized per-(replica, graph, node) RNG streams
+(:mod:`repro.simulation.vecrng`).
 
 The module's contract is bit-exactness against numpy's own generators:
 every draw a lane makes must equal what the corresponding
-``spawn_node_rngs`` generator would have produced, and replica ``r`` of
-a :class:`ReplicaNodeStreams` must be indistinguishable from a
-single-run pool seeded with ``seeds[r]``.  These tests pin that
-contract plus the edge cases the engine relies on: lane handoff to
-materialized generators, the ``bounded_ranges`` 32-bit fallback
-routing, masked draws with ``need`` and ``out=``, and native-vs-numpy
-equality for the compiled masked-draw kernel.
+``spawn_node_rngs`` generator would have produced, so replica ``r`` of
+a replica sweep is indistinguishable from a single-run pool seeded with
+``seeds[r]`` and graph ``g`` of a grid from a pool over its own nodes.
+These tests pin that contract plus the edge cases the engine relies on:
+lane handoff to materialized generators, the ``bounded_ranges`` 32-bit
+fallback routing, masked draws with ``need`` and ``out=``, and
+native-vs-numpy equality for the compiled masked-draw kernel.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ import pytest
 
 from repro.simulation import vecrng
 from repro.simulation.rng import spawn_node_rngs
-from repro.simulation.vecrng import node_stream_pool, replica_node_streams
+from repro.simulation.vecrng import (grid_streams, node_stream_pool,
+                                     replica_node_streams)
 
 # > 2^32 inclusive width: Lemire's 64-bit path, so the vector engine is
 # eligible.  (The engine samples integers(1, high + 1); the inclusive
@@ -91,15 +92,23 @@ class TestReplicaBitExactness:
         b = streams.draw_ints(np.arange(N) + N, HIGH)
         assert a.tolist() == b.tolist()
 
-    def test_replica_pool_view_offsets_lanes(self):
-        streams = replica_node_streams(range(N), SEEDS[:2],
-                                       bounded_ranges=RANGES)
-        view = streams.replica_pool(1)
-        ref = _reference(SEEDS[1])
-        assert view.draw_ints(np.arange(N), HIGH).tolist() == _ref_ints(ref)
-        # View draws advance the shared streams, not a copy.
-        drawn = streams.draw_ints(np.arange(N) + N, HIGH)
-        assert drawn.tolist() == _ref_ints(ref)
+    @pytest.mark.parametrize("ranges,high", [(RANGES, HIGH),
+                                             ((1000,), 1000)],
+                             ids=["vector", "fallback"])
+    def test_grid_lanes_equal_single_pools(self, ranges, high):
+        # Lane r * total + offsets[g] + i is node i of graph g in
+        # replica r, on both stream classes.
+        counts = (3, N, 5)
+        streams = grid_streams(counts, SEEDS[:2], bounded_ranges=ranges)
+        assert streams.total == sum(counts)
+        drawn = streams.draw_ints(np.arange(2 * streams.total), high)
+        drawn = drawn.reshape(2, streams.total)
+        for r, seed in enumerate(SEEDS[:2]):
+            for g, n_g in enumerate(counts):
+                off = int(streams.offsets[g])
+                ref = _reference(seed, n=n_g)
+                assert drawn[r, off:off + n_g].tolist() \
+                    == _ref_ints(ref, high=high, n=n_g)
 
     def test_flat_lane_arithmetic(self):
         streams = replica_node_streams(range(N), SEEDS,
@@ -199,7 +208,7 @@ class TestGeneratorHandoff:
 class TestBoundedRangesRouting:
     def test_small_range_selects_fallback_pool(self):
         pool = node_stream_pool(range(N), 0, bounded_ranges=(1000,))
-        assert isinstance(pool, vecrng._FallbackPool)
+        assert isinstance(pool, vecrng._FallbackStreams)
         ref = _reference(0)
         assert pool.draw_ints(np.arange(N), 1000).tolist() \
             == _ref_ints(ref, high=1000)
@@ -208,19 +217,19 @@ class TestBoundedRangesRouting:
         # 2^32 - 1 is the last width numpy serves from the buffered
         # 32-bit sampler; 2^32 is the first Lemire-64 width.
         small = node_stream_pool(range(2), 0, bounded_ranges=((1 << 32) - 1,))
-        assert isinstance(small, vecrng._FallbackPool)
+        assert isinstance(small, vecrng._FallbackStreams)
         large = node_stream_pool(range(2), 0, bounded_ranges=((1 << 32),))
-        assert not isinstance(large, vecrng._FallbackPool)
+        assert not isinstance(large, vecrng._FallbackStreams)
 
     def test_full_width_selects_fallback(self):
         # 2^64 - 1 (integers(0, 2^64)) is masked, not Lemire: fallback.
         pool = node_stream_pool(range(2), 0, bounded_ranges=((1 << 64) - 1,))
-        assert isinstance(pool, vecrng._FallbackPool)
+        assert isinstance(pool, vecrng._FallbackStreams)
 
     def test_small_range_selects_replica_fallback(self):
         streams = replica_node_streams(range(N), SEEDS[:2],
                                        bounded_ranges=(1000,))
-        assert isinstance(streams, vecrng._FallbackReplicaStreams)
+        assert isinstance(streams, vecrng._FallbackStreams)
         refs = [_reference(s) for s in SEEDS[:2]]
         drawn = streams.draw_ints(np.arange(2 * N), 1000).reshape(-1, N)
         for r in range(2):
@@ -242,10 +251,10 @@ class TestBoundedRangesRouting:
         monkeypatch.setattr(vecrng, "_vector_verified", None)
         monkeypatch.setattr(vecrng, "_self_test", lambda: False)
         pool = node_stream_pool(range(N), 0, bounded_ranges=RANGES)
-        assert isinstance(pool, vecrng._FallbackPool)
+        assert isinstance(pool, vecrng._FallbackStreams)
         streams = replica_node_streams(range(N), SEEDS[:2],
                                        bounded_ranges=RANGES)
-        assert isinstance(streams, vecrng._FallbackReplicaStreams)
+        assert isinstance(streams, vecrng._FallbackStreams)
 
     def test_self_test_passes_for_real(self):
         assert vecrng._self_test()
