@@ -27,11 +27,21 @@ The invariants that make that possible:
 - **per-round single class** — every stock protocol sends one message
   class per round, so bit accounting is one
   ``Instrumentation.payload_class(sample, delivered)`` call, exactly
-  what :meth:`RoundBatch.deliver`'s per-class tally produces.
+  what :meth:`RoundBatch.deliver`'s per-class tally produces;
+- **lane-space streams** — node randomness comes from one
+  :func:`~repro.simulation.vecrng.node_stream_pool` per run, whose
+  lane ``i`` *is* the stream ``network.rngs`` gives lane ``i``'s node:
+  coin flips and identifiers are vector draws over lane arrays, and a
+  ``choice``-based pick takes the lane's own ``Generator``.  The pool
+  starts every stream at its beginning, so a run is eligible only
+  while ``network.rngs`` is :attr:`~repro.simulation.rng.LazyNodeRngs.fresh`.
+  A run that draws hands its pool to ``network.rngs``, and any later
+  run on the network continues the streams on the per-node loop.
 
 Eligibility is decided *before* any injector state is touched
 (:func:`resolve_stepper`): homogeneous processes of a registered exact
-type, only built-in injector types, no trace, no strict bit budget.
+type, only built-in injector types, no trace, no strict bit budget,
+fresh node streams.
 Anything else — exotic protocol subclasses, third-party
 ``filter_messages`` injectors — returns ``None`` and the runner falls
 back to the per-node loop automatically.  The per-node path also
@@ -48,6 +58,7 @@ import numpy as np
 from repro.engine import dispatch
 from repro.engine.instrumentation import Instrumentation
 from repro.errors import SimulationError
+from repro.simulation import vecrng
 from repro.simulation.faults import (CrashFaultInjector, FaultInjector,
                                      MessageLossInjector)
 from repro.types import stable_sorted
@@ -107,14 +118,16 @@ def inbox_reduce(indptr: np.ndarray, values: np.ndarray, mask: np.ndarray,
 def take(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Permutation gather ``values[idx]`` through the ``state_scatter``
     dispatch entry (float64 payload columns and uint8 masks go native;
-    anything else uses ``np.take``, which is the same pure gather)."""
+    anything else uses ``np.take``, which is the same pure gather, and
+    never consults the registry)."""
     out = np.empty(idx.size, dtype=values.dtype)
-    impl = dispatch.kernel("state_scatter")
-    if impl is not None and values.dtype.itemsize in (1, 8) and \
-            values.dtype.kind in "fu" and values.flags.c_contiguous:
-        impl(idx, values, out)
-    else:
-        np.take(values, idx, out=out)
+    if values.dtype.itemsize in (1, 8) and values.dtype.kind in "fu" \
+            and values.flags.c_contiguous:
+        impl = dispatch.kernel("state_scatter")
+        if impl is not None:
+            impl(idx, values, out)
+            return out
+    np.take(values, idx, out=out)
     return out
 
 
@@ -129,7 +142,8 @@ class MessagePlan:
     twice: sender-major (``esrc`` / ``edst`` / ``indptr``, row = one
     lane's broadcast fan-out in stable neighbor order — the enqueue
     order of a full-broadcast round) and receiver-major (``rperm``
-    gathers a sender-major per-edge column into inbox order;
+    gathers a sender-major per-edge column into inbox order, and its
+    inverse ``rpos`` maps a sender-major edge to its inbox position;
     ``rindptr`` rows are per-lane inboxes with senders ascending,
     because the stable argsort preserves the sender-major order among
     equal destinations).
@@ -156,6 +170,8 @@ class MessagePlan:
         self.E = int(self.indptr[-1])
         # Receiver-major view of the same edge set.
         self.rperm = np.argsort(self.edst, kind="stable")
+        self.rpos = np.empty_like(self.rperm)
+        self.rpos[self.rperm] = np.arange(self.E, dtype=np.int64)
         self.rsrc = self.esrc[self.rperm]
         self.rindptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.edst, minlength=n), out=self.rindptr[1:])
@@ -220,20 +236,31 @@ class ColumnarStepper:
     must never advance again.
     """
 
+    #: Inclusive widths of every bounded ``integers`` draw the stepper
+    #: makes (see :func:`~repro.simulation.vecrng.grid_streams`).
+    bounded_ranges: Tuple[int, ...] = ()
+
     def __init__(self, network, plan: MessagePlan):
         self.network = network
         self.plan = plan
         self.procs = [network.processes[v] for v in plan.nodes]
-        self._rngs: Optional[List[np.random.Generator]] = None
+        self._streams = None
 
     @property
-    def rngs(self) -> List[np.random.Generator]:
-        """Per-lane node RNG streams, materialized on first draw (so
-        deterministic protocols never pay the O(n) spawn)."""
-        if self._rngs is None:
-            rngs = self.network.rngs
-            self._rngs = [rngs[v] for v in self.plan.nodes]
-        return self._rngs
+    def streams(self):
+        """The run's node streams over the plan's lanes, seeded on first
+        draw (so deterministic protocols never pay for them).
+
+        The pool is handed to ``network.rngs`` as soon as it exists:
+        nothing reads those during a columnar run, and any lookup after
+        it, even after a raise, continues each node's stream from where
+        this run left it."""
+        if self._streams is None:
+            self._streams = vecrng.node_stream_pool(
+                self.plan.nodes, self.network.seed,
+                bounded_ranges=self.bounded_ranges)
+            self.network.rngs.adopt(self._streams)
+        return self._streams
 
     def crash(self, lane: int) -> None:
         raise NotImplementedError
@@ -298,6 +325,10 @@ def resolve_stepper(network, injectors: Sequence[FaultInjector]
     if any(type(inj) not in _BUILTIN_INJECTORS for inj in injectors):
         return None
     if network.strict_message_bits is not None:
+        return None
+    if not network.rngs.fresh:
+        # An earlier run on this network may have advanced the node
+        # streams; a stepper's pool would restart them.
         return None
     return factory(network, injectors)
 

@@ -44,7 +44,7 @@ class SynchronousNetwork:
     processes:
         One :class:`NodeProcess` per graph node.
     seed:
-        Root seed for all per-node randomness.
+        Root seed for all per-node randomness (the ``seed`` attribute).
     value_bits:
         Optional override for the fixed-point width of ``value`` message
         fields (see :class:`~repro.simulation.messages.MessageSizeModel`).
@@ -82,9 +82,12 @@ class SynchronousNetwork:
         self.n = self.graph.number_of_nodes()
         self.size_model = MessageSizeModel(max(1, self.n), value_bits=value_bits)
         self.strict_message_bits = strict_message_bits
+        #: Root seed of the per-node streams (the columnar plane seeds
+        #: its lane-space pool from it).
+        self.seed = seed
         # Lazy: streams are derived per node on first use, so runs that
-        # draw no node randomness (e.g. the columnar stepping plane on
-        # deterministic protocols) skip the O(n) spawn entirely.
+        # never look one up (the columnar stepping plane, which draws
+        # from its own lane-space pool) skip the O(n) spawn entirely.
         self.rngs = LazyNodeRngs(self.graph.nodes, seed)
 
         # Columnar outbox: one record per send *call* (a broadcast is a

@@ -9,15 +9,25 @@ dispatches.  Registration happens at import time via
 imported lazily by :func:`~repro.simulation.columnar.resolve_stepper`.
 
 Every stepper is **bit-identical** to the per-node reference
-(``reference=True``), including RNG consumption: per-lane
-draws happen in lane order — the runner's advance order — through the
-same ``network.rngs`` generators, and selection helpers
-(:func:`~repro.core.rounding._choose_requests`,
+(``reference=True``), including RNG consumption.  Node randomness comes
+from the run's lane-space pool (:attr:`ColumnarStepper.streams
+<repro.simulation.columnar.ColumnarStepper.streams>`), whose lane ``i``
+is the very stream ``network.rngs`` gives lane ``i``'s node: coin flips
+and identifiers are one vector draw over the drawing lanes, and each
+stream advances exactly as the reference's per-node draw would.
+Selection helpers (:func:`~repro.core.rounding._choose_requests`,
 :func:`~repro.core.udg._pick`) are called verbatim rather than
-re-implemented.  Float reductions follow the reference's exact operand
+re-implemented, with the lane's own ``Generator``
+(``streams.generator(lane)``), taken only on lanes whose selection
+draws.  Float reductions follow the reference's exact operand
 order; where a stepper adds a masked ``+0.0`` in place of the
 reference's *skip*, a comment states why the accumulator can never be
 ``-0.0`` (the one case where ``+ 0.0`` is not an identity).
+
+Steppers seed every array the generator body reads from process state
+(``PatchNode.promoted`` / ``iterations``, ``JRSNode.member`` /
+``phases``), so a run on processes an earlier run left behind replays
+the reference too.
 
 A factory may return ``None`` to decline a run it cannot replay
 exactly (heterogeneous per-lane parameters that never occur via the
@@ -28,7 +38,7 @@ per-node generator loop.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -39,9 +49,9 @@ from repro.core.fractional import (_COLOR_WHITE, DualShareMsg,
                                    FractionalNode, XUpdateMsg)
 from repro.core.rounding import (MembershipMsg, ReqMsg, RoundingNode,
                                  _choose_requests, rounding_probability)
-from repro.core.udg import (AdoptMsg, DeficitMsg, ElectionMsg, ElectMsg,
-                            LeaderStatusMsg, UDGNode, _draw_id, _id_space,
-                            _pick, theta_schedule)
+from repro.core.udg import (_MAX_SAMPLED_ID, AdoptMsg, DeficitMsg,
+                            ElectionMsg, ElectMsg, LeaderStatusMsg, UDGNode,
+                            _id_ranges, _id_space, _pick, theta_schedule)
 from repro.dynamics.repair import (AdoptMsg as PatchAdoptMsg, HelpMsg,
                                    LeaderAnnounceMsg, PatchNode)
 from repro.engine import kernels
@@ -78,6 +88,16 @@ def _same(values) -> bool:
     except StopIteration:
         return True
     return all(v == first for v in it)
+
+
+def _pick_lane(stepper: ColumnarStepper, lane: int, candidates: List,
+               need: int, policy: str) -> List:
+    """:func:`~repro.core.udg._pick` for one lane, taking the lane's
+    ``Generator`` only when the pick draws (``random`` among more than
+    ``need`` candidates; every other pick ignores its ``rng``)."""
+    draws = policy == "random" and need < len(candidates)
+    rng = stepper.streams.generator(lane) if draws else None
+    return _pick(rng, candidates, need, policy)
 
 
 # ======================================================================
@@ -324,9 +344,9 @@ def _rounding_factory(network, injectors):
 class RoundingStepper(ColumnarStepper):
     """Algorithm 2's two exchanges, lane-batched.
 
-    The per-lane coin flips and REQ-target selections consume
-    ``network.rngs`` in lane order — the runner's advance order — and
-    the selection itself is the reference's own ``_choose_requests``.
+    The coin flips are one ``streams.random`` draw over the live lanes;
+    a REQ-target selection is the reference's own ``_choose_requests``
+    on the lane's ``Generator``, taken only when the selection may draw.
     """
 
     def __init__(self, network, plan: MessagePlan):
@@ -344,10 +364,14 @@ class RoundingStepper(ColumnarStepper):
         plan, live = self.plan, self.live
 
         if round_index == 0:
-            for i in np.nonzero(live)[0]:
-                proc = self.procs[i]
-                self.member[i] = self.rngs[i].random() < \
-                    rounding_probability(proc.x[proc.node_id], proc.delta)
+            lanes = np.flatnonzero(live)
+            procs = self.procs
+            probs = np.fromiter(
+                (rounding_probability(procs[i].x[procs[i].node_id],
+                                      procs[i].delta)
+                 for i in lanes.tolist()),
+                dtype=np.float64, count=lanes.size)
+            self.member[lanes] = self.streams.random(lanes) < probs
             self.member_sent = self.member.copy()
             alive0 = None if live.all() else live[plan.esrc]
             return RoundTraffic(MembershipMsg(), plan.esrc, plan.edst,
@@ -374,7 +398,11 @@ class RoundingStepper(ColumnarStepper):
                 candidates = ([] if self.member[i] else [me]) + \
                     [nodes[s] for s, hm in zip(rsrc[row], heard_member[row])
                      if not hm]
-                for w in _choose_requests(self.rngs[i], me, candidates,
+                # Only "highest-x" never draws, and no selection draws
+                # when it takes every candidate.
+                draws = proc.policy != "highest-x" and need < len(candidates)
+                rng = self.streams.generator(int(i)) if draws else None
+                for w in _choose_requests(rng, me, candidates,
                                           proc.x, need, proc.policy):
                     if w == me:
                         self.member[i] = True
@@ -419,24 +447,44 @@ def _udg_factory(network, injectors):
     return UDGStepper(network, plan, sensing)
 
 
+class _Frontier(NamedTuple):
+    """The live lanes' slice of a :class:`MessagePlan` (see
+    :meth:`UDGStepper._frontier`)."""
+
+    lanes: np.ndarray   # live lanes, ascending
+    rows: np.ndarray    # their receiver-major edge ids, inbox order
+    seg: np.ndarray     # position in ``lanes`` of each ``rows`` entry
+    sent: np.ndarray    # sender-major edge ids of their broadcasts
+    esrc: np.ndarray    # ``plan.esrc[sent]``
+    edst: np.ndarray    # ``plan.edst[sent]``
+
+
 class UDGStepper(ColumnarStepper):
     """Algorithm 3 (Parts I and II), lane-batched.
 
-    Part I (advances ``0 .. 2R-1``, two per theta): active lanes draw
-    identifiers in lane order, the within-theta fan-out comes from the
-    distance CSR (:func:`~repro.engine.kernels.udg_distance_csr`, whose
-    per-row order is the ``neighbors_within`` enqueue order), and the
-    election is a two-pass lexicographic scatter-max (the argmax of
+    Part I (advances ``0 .. 2R-1``, two per theta): the active lanes
+    draw their identifiers as one masked vector draw, the within-theta
+    fan-out comes from the distance CSR
+    (:func:`~repro.engine.kernels.udg_distance_csr`, whose per-row order
+    is the ``neighbors_within`` enqueue order), and the election is a
+    two-pass lexicographic scatter-max (the argmax of
     :func:`~repro.engine.kernels.elect_round_batch`) restricted to
     *delivered* edges (an empty inbox leaves the incumbent ``(my_id,
-    me)`` — self-election, exactly the reference).  Advance ``2R`` processes the
-    last token round, fixes ``leader``, and starts Part II.
+    me)`` — self-election, exactly the reference).  Advance ``2R``
+    processes the last token round, fixes ``leader``, and starts Part
+    II.
 
     Part II repeats 3-advance iterations; a lane whose done-predicate
     holds finishes at the iteration's first advance, before sending.
     Views (``leader_of`` / ``deficient_of``) are per-receiver-major-edge
     cells updated only on delivery, so stale views under loss match the
-    reference's dict semantics.
+    reference's dict semantics.  Part II works on the live frontier
+    (:meth:`_frontier`): broadcasts emit only the live senders' edges,
+    in enqueue order — the edges a full broadcast masked by the live
+    senders would leave, which is all the injectors ever see — and
+    views and deficiency are updated over the live lanes' rows only.
+    Under loss a few leaders stay live for most of Part II's iteration
+    cap, so no round pays for the whole edge set.
     """
 
     def __init__(self, network, plan: MessagePlan, udg):
@@ -447,7 +495,8 @@ class UDGStepper(ColumnarStepper):
         self.policy = p0.policy
         self.iters = p0.part2_sync_iterations
         self.schedule = theta_schedule(p0.n, network.radius)
-        self.id_hi = _id_space(p0.n)
+        self.id_hi = min(_id_space(p0.n), _MAX_SAMPLED_ID)
+        self.bounded_ranges = _id_ranges(p0.n)
         _, self.d_src, self.d_nbr, self.d_dist = kernels.udg_distance_csr(udg)
         self.live = np.ones(n, dtype=bool)
         self.active = np.ones(n, dtype=bool)
@@ -462,11 +511,30 @@ class UDGStepper(ColumnarStepper):
         self.def_sent = np.zeros(n, dtype=bool)
         self.lane_idx = np.arange(n, dtype=np.int64)
         self._edges: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._front: Optional[_Frontier] = None
+        self._sent: Optional[np.ndarray] = None
 
     def crash(self, lane: int) -> None:
         self.live[lane] = False
 
     # -- shared pieces -------------------------------------------------
+    def _frontier(self) -> _Frontier:
+        """The live lanes' rows and fan-out, rebuilt whenever the live
+        count changes (``live`` only shrinks, so an equal count is an
+        equal set)."""
+        live = self.live
+        count = int(np.count_nonzero(live))
+        front = self._front
+        if front is None or front.lanes.size != count:
+            plan = self.plan
+            rows = np.flatnonzero(live[plan.rdst])
+            sent = np.flatnonzero(live[plan.esrc])
+            seg = (np.cumsum(live) - 1)[plan.rdst[rows]]
+            front = self._front = _Frontier(
+                np.flatnonzero(live), rows, seg, sent,
+                plan.esrc[sent], plan.edst[sent])
+        return front
+
     def _delivered_to(self, alive_prev) -> np.ndarray:
         """Receivers of at least one delivered unicast from the last
         dynamic (non-broadcast) traffic this stepper emitted."""
@@ -475,16 +543,11 @@ class UDGStepper(ColumnarStepper):
             got[self._edges[1][alive_prev]] = True
         return got
 
-    def _mask_r(self, alive_prev) -> np.ndarray:
-        if alive_prev is None:
-            return np.zeros(self.plan.E, dtype=bool)
-        return self.plan.to_receiver(alive_prev)
-
     def _broadcast(self, sample) -> RoundTraffic:
-        plan, live = self.plan, self.live
+        front = self._frontier()
         self._edges = None
-        alive0 = None if live.all() else live[plan.esrc]
-        return RoundTraffic(sample, plan.esrc, plan.edst, alive0)
+        self._sent = front.sent
+        return RoundTraffic(sample, front.esrc, front.edst)
 
     def _process_token(self, alive_prev) -> None:
         got = self._delivered_to(alive_prev)
@@ -492,17 +555,23 @@ class UDGStepper(ColumnarStepper):
         self.active[upd] &= got[upd] | self.elected_self[upd]
 
     def _update_views(self, view: np.ndarray, sent: np.ndarray,
-                      mask_r: np.ndarray) -> None:
+                      alive_prev) -> None:
+        """Record the last broadcast's delivered values in their
+        receivers' view cells.  (Cells of lanes that have left ``live``
+        since are written too; nothing reads them again.)"""
+        if alive_prev is None:
+            return
         plan = self.plan
-        upd = mask_r & self.live[plan.rdst]
-        view[upd] = sent[plan.rsrc[upd]]
+        pos = plan.rpos[self._sent[alive_prev]]
+        view[pos] = sent[plan.rsrc[pos]]
 
     def _refresh_deficiency(self) -> None:
-        plan, live = self.plan, self.live
-        cov = (np.bincount(plan.rdst[self.Lview], minlength=plan.n)
-               + self.leader.astype(np.int64))
-        new_def = ~self.leader & (cov < self.k)
-        self.my_def[live] = new_def[live]
+        front = self._frontier()
+        lanes = front.lanes
+        lead = self.leader[lanes]
+        cov = np.bincount(front.seg[self.Lview[front.rows]],
+                          minlength=lanes.size) + lead
+        self.my_def[lanes] = ~lead & (cov < self.k)
 
     # -- the round map -------------------------------------------------
     def advance(self, round_index: int, alive_prev):
@@ -516,8 +585,7 @@ class UDGStepper(ColumnarStepper):
             if round_index > 0:
                 self._process_token(alive_prev)
             sending = self.active & live
-            for i in np.nonzero(sending)[0]:
-                self.ids[i] = _draw_id(self.rngs[i], self.id_hi)
+            self.streams.draw_ints_masked(sending, self.id_hi, out=self.ids)
             theta = self.schedule[round_index // 2]
             sel = (self.d_dist <= theta) & sending[self.d_src]
             esrc, edst = self.d_src[sel], self.d_nbr[sel]
@@ -555,8 +623,7 @@ class UDGStepper(ColumnarStepper):
             return self._broadcast(LeaderStatusMsg()), ()
 
         if round_index == a0 + 1:
-            self._update_views(self.Lview, self.leader_sent,
-                               self._mask_r(alive_prev))
+            self._update_views(self.Lview, self.leader_sent, alive_prev)
             self._refresh_deficiency()
             self.def_sent = self.my_def.copy()
             return self._broadcast(DeficitMsg()), ()
@@ -564,27 +631,28 @@ class UDGStepper(ColumnarStepper):
         phase = (round_index - a0 - 2) % 3
         if phase == 0:
             # DeficitMsg processing, the done check, adoption picks.
-            self._update_views(self.Dview, self.def_sent,
-                               self._mask_r(alive_prev))
+            self._update_views(self.Dview, self.def_sent, alive_prev)
             m = (round_index - a0 - 2) // 3
             if m == self.iters:
                 # The reference's for-loop is exhausted: StopIteration.
-                return None, np.nonzero(live)[0].tolist()
-            any_def = np.bincount(plan.rdst[self.Dview],
-                                  minlength=plan.n) > 0
-            done = live & ~self.my_def & (~self.leader | ~any_def)
-            finished = np.nonzero(done)[0].tolist()
-            live = self.live = live & ~done
+                return None, np.flatnonzero(live).tolist()
+            front = self._frontier()
+            lanes = front.lanes
+            any_def = np.bincount(front.seg[self.Dview[front.rows]],
+                                  minlength=lanes.size) > 0
+            lead = self.leader[lanes]
+            done = ~self.my_def[lanes] & (~lead | ~any_def)
+            finished = lanes[done].tolist()
+            live[lanes[done]] = False
             esrc: List[int] = []
             edst: List[int] = []
-            rindptr, rsrc = plan.rindptr, plan.rsrc
-            for i in np.nonzero(live & self.leader)[0]:
-                row = slice(rindptr[i], rindptr[i + 1])
-                candidates = sorted(
-                    ([int(i)] if self.my_def[i] else [])
-                    + [int(s) for s in rsrc[row][self.Dview[row]]])
-                for u in _pick(self.rngs[i], candidates, self.k,
-                               self.policy):
+            rindptr, rsrc, Dview = plan.rindptr, plan.rsrc, self.Dview
+            for i in lanes[lead & ~done].tolist():
+                lo, hi = rindptr[i], rindptr[i + 1]
+                candidates = sorted(([i] if self.my_def[i] else [])
+                                    + rsrc[lo:hi][Dview[lo:hi]].tolist())
+                for u in _pick_lane(self, i, candidates, self.k,
+                                    self.policy):
                     if u == i:
                         self.my_def[i] = False
                     else:
@@ -605,8 +673,7 @@ class UDGStepper(ColumnarStepper):
             return self._broadcast(LeaderStatusMsg()), ()
 
         # phase == 2: status processing; deficiency refresh broadcast.
-        self._update_views(self.Lview, self.leader_sent,
-                           self._mask_r(alive_prev))
+        self._update_views(self.Lview, self.leader_sent, alive_prev)
         self._refresh_deficiency()
         self.def_sent = self.my_def.copy()
         return self._broadcast(DeficitMsg()), ()
@@ -643,10 +710,11 @@ class PatchStepper(ColumnarStepper):
     ``deficit`` are written back only for those normally-finished
     lanes (crashed lanes keep their constructor attributes), while
     ``promoted`` / ``iterations`` / ``member_neighbors`` mirror the
-    reference's in-run attribute mutations and are written for every
+    reference's in-run attribute mutations — seeded from the processes,
+    which the reference only ever adds to — and are written for every
     lane.  Adoption picks call :func:`~repro.core.udg._pick` verbatim
     with the delivered help senders in inbox (sender-ascending) order,
-    consuming ``network.rngs`` in lane order.
+    on the lane's own stream.
     """
 
     def __init__(self, network, plan: MessagePlan):
@@ -668,8 +736,10 @@ class PatchStepper(ColumnarStepper):
         self.idle = np.zeros(n, dtype=np.int64)
         self.heard = np.zeros(n, dtype=bool)
         self.promote = np.zeros(n, dtype=bool)
-        self.promoted = np.zeros(n, dtype=bool)
-        self.iterations = np.zeros(n, dtype=np.int64)
+        self.promoted = np.fromiter((p.promoted for p in self.procs),
+                                    bool, n)
+        self.iterations = np.fromiter((p.iterations for p in self.procs),
+                                      np.int64, n)
         self.finished_ok = np.zeros(n, dtype=bool)
         # Per-receiver-major-edge bit: an announcement from this sender
         # arrived at some point (feeds ``member_neighbors``).
@@ -730,8 +800,8 @@ class PatchStepper(ColumnarStepper):
             for i in np.nonzero(self.heard)[0]:
                 row = slice(rindptr[i], rindptr[i + 1])
                 candidates = [nodes[s] for s in rsrc[row][heard_e[row]]]
-                for u in _pick(self.rngs[i], candidates, self.k,
-                               self.policy):
+                for u in _pick_lane(self, int(i), candidates, self.k,
+                                    self.policy):
                     esrc.append(i)
                     edst.append(plan.lane_of[u])
             self.promote = (live & ~self.member & (self.deficit > 0)
@@ -803,10 +873,12 @@ class JRSStepper(ColumnarStepper):
     ``(span, repr(id))`` / ``(best_span, repr(best_id))`` tuple maxima
     become integer maxima over packed keys ``span * n + repr_rank``
     (the factory guarantees distinct reprs); the coin flips at round 6
-    consume ``network.rngs`` in lane order over candidate lanes only,
-    with the reference's own ``float(np.median(...))`` expression.
+    are one ``streams.random`` draw over the candidate lanes, with the
+    reference's own ``float(np.median(...))`` expression.
     ``support_of.get(u, 1)`` defaults are provably dead: a node with
     positive residual never exits and always sends its support.
+    ``member`` and ``phases`` start from the processes' values, as the
+    generator body's do.
     """
 
     def __init__(self, network, plan: MessagePlan, reprs: List[str]):
@@ -816,10 +888,11 @@ class JRSStepper(ColumnarStepper):
         self.convention = p0.convention
         self.max_phases = p0.max_phases
         self.live = np.ones(n, dtype=bool)
-        self.member = np.zeros(n, dtype=bool)
+        self.member = np.fromiter((p.member for p in self.procs), bool, n)
         self.residual = np.fromiter((p.req for p in self.procs),
                                     np.int64, n)
-        self.phases = np.zeros(n, dtype=np.int64)
+        self.phases = np.fromiter((p.phases for p in self.procs),
+                                  np.int64, n)
         order = sorted(range(n), key=reprs.__getitem__)
         self.rank = np.empty(n, dtype=np.int64)
         self.rank[order] = np.arange(n, dtype=np.int64)
@@ -940,14 +1013,16 @@ class JRSStepper(ColumnarStepper):
             joined = np.zeros(n, dtype=bool)
             res_pos = self.residual > 0
             rindptr, rsrc = plan.rindptr, plan.rsrc
-            for i in np.nonzero(live & self.candidate)[0]:
-                row = slice(rindptr[i], rindptr[i + 1])
-                nbr = rsrc[row]
+            cands = np.flatnonzero(live & self.candidate)
+            probs = np.empty(cands.size)
+            for j, i in enumerate(cands.tolist()):
+                nbr = rsrc[rindptr[i]:rindptr[i + 1]]
                 sup = ([int(self.support[i])] if res_pos[i] else []) + \
                     [int(s) for s in self.support[nbr[res_pos[nbr]]]]
                 med = float(np.median(sup))
-                p = 1.0 if med <= 1 else 1.0 / med
-                joined[i] = self.rngs[i].random() < p
+                probs[j] = 1.0 if med <= 1 else 1.0 / med
+            if cands.size:
+                joined[cands] = self.streams.random(cands) < probs
             self.joined = joined
             return self._broadcast(JrsJoinMsg()), ()
 

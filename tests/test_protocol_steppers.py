@@ -21,7 +21,7 @@ import pytest
 from repro.baselines.jrs import JRSProgram
 from repro.core.fractional import FractionalProgram, _resolve_instance
 from repro.core.rounding import RoundingProgram
-from repro.core.udg import UDGProgram
+from repro.core.udg import UDGNode, UDGProgram, theta_schedule
 from repro.dynamics.repair import LocalPatchRepair, PatchNode
 from repro.engine import execute
 from repro.engine.artifacts import graph_artifacts
@@ -29,9 +29,11 @@ from repro.engine.instrumentation import Instrumentation
 from repro.errors import GraphError
 from repro.graphs.properties import feasible_coverage
 from repro.graphs.udg import random_udg
+from repro.simulation.columnar import resolve_stepper
 from repro.simulation.faults import CrashFaultInjector, MessageLossInjector
 from repro.simulation.network import SynchronousNetwork
 from repro.simulation.runner import run_protocol
+from repro.simulation.vecrng import GridReplicaStreams, _FallbackStreams
 
 STATS = ("rounds", "messages_sent", "bits_sent", "max_message_bits")
 
@@ -163,6 +165,61 @@ def test_udg_stepper_identical_under_crash_plus_loss():
             CrashFaultInjector({2: [0, 5], 9: [9]}),
             MessageLossInjector(0.4, seed=13)])
     assert batched.members == oracle.members
+
+
+# Around the vector engine's identifier boundary: n^4 - 1 fits the
+# 32-bit sampler up to n = 256 (per-node fallback streams), and Lemire's
+# 64-bit path from n = 257 on (vector draws).
+
+@pytest.mark.parametrize("n", (256, 257, 300))
+@pytest.mark.parametrize("policy", ("by-id", "random"))
+def test_udg_stepper_identical_at_stream_boundary(n, policy):
+    udg = random_udg(n, density=8.0, seed=n)
+    program = UDGProgram(udg, 2, policy, 3)
+    batched, oracle = _pair(
+        program, seed=3,
+        injector_factory=lambda: [MessageLossInjector(0.2, seed=5)])
+    assert batched.members == oracle.members
+
+
+@pytest.mark.parametrize("n", (257, 300))
+def test_udg_stepper_identical_under_crash_plus_loss_vector_draws(n):
+    udg = random_udg(n, density=8.0, seed=n + 1)
+    program = UDGProgram(udg, 2, "random", 9)
+    batched, oracle = _pair(
+        program, seed=9,
+        injector_factory=lambda: [
+            CrashFaultInjector({2: [0, 7, 40], 9: [9, 120], 15: [3]}),
+            MessageLossInjector(0.1, seed=21)])
+    assert batched.members == oracle.members
+
+
+def test_udg_stepper_lossy_run_to_iteration_cap():
+    """The repository benchmark's lossy shape at n=257: a few leaders
+    stay live until Part II's iteration cap."""
+    n = 257
+    udg = random_udg(n, density=10.0, seed=17)
+    cap = 2 * len(theta_schedule(n)) + 2 + 3 * (n + 1)
+    outs = []
+    for reference in (False, True):
+        procs = [UDGNode(v, 2, n, "random", n + 1) for v in range(n)]
+        net = SynchronousNetwork(udg, procs, seed=0)
+        injectors = [MessageLossInjector(0.05, seed=1)]
+        stats = run_protocol(net, injectors=injectors, max_rounds=cap + 8,
+                             reference=reference)
+        outs.append(({p.node_id for p in procs if p.leader}, _stats(stats),
+                     _inj_state(injectors)))
+    assert outs[0] == outs[1]
+    assert outs[0][1][0] == cap == 788
+
+
+@pytest.mark.parametrize("n,kind", ((256, _FallbackStreams),
+                                    (257, GridReplicaStreams)))
+def test_udg_stepper_stream_class(n, kind):
+    udg = random_udg(n, density=8.0, seed=n)
+    procs = UDGProgram(udg, 2, "random", 0).processes()
+    stepper = resolve_stepper(SynchronousNetwork(udg, procs, seed=0), [])
+    assert type(stepper.streams) is kind
 
 
 # ----------------------------------------------------------------------
@@ -303,6 +360,112 @@ def test_local_patch_repair_oracle_identical(loss):
 
 
 # ----------------------------------------------------------------------
+# Two runs on one network: the node streams continue, process state
+# carries over
+# ----------------------------------------------------------------------
+
+def _udg_rerun_case(n):
+    udg = random_udg(n, density=8.0, seed=n)
+    program = UDGProgram(udg, 2, "random", 0)
+    return udg, program.processes, program.max_rounds()
+
+
+def _rounding_rerun_case():
+    g = _graph(1)
+    lp = _resolve_instance(g, None, feasible_coverage(g, 2))
+    frac = execute(FractionalProgram(lp, t=2, compute_duals=False), "direct")
+    program = RoundingProgram(lp, frac.x, "random", 1)
+    return program.network_graph, program.processes, program.max_rounds()
+
+
+def _jrs_rerun_case():
+    # The open convention: a closed-convention rerun never converges,
+    # because members from the first run cannot join again (and some
+    # open ones do not either; this one does).
+    g = _graph(8)
+    rng = np.random.default_rng(1)
+    req = {v: int(rng.integers(0, 3)) for v in g.nodes}
+    program = JRSProgram(graph_artifacts(g), req, "open", 8, 200)
+    return g, program.processes, program.max_rounds()
+
+
+def _patch_rerun_case(policy):
+    patch, members, deficient = _patch_instance(1)
+    return patch, lambda: _patch_procs(
+        patch, members, deficient, k=1, policy=policy, patience=3,
+        maxit=10), 36
+
+
+_RERUN_CASES = {
+    "udg-40": lambda: _udg_rerun_case(40),
+    "udg-300": lambda: _udg_rerun_case(300),
+    "rounding": _rounding_rerun_case,
+    "jrs": _jrs_rerun_case,
+    "patch-random": lambda: _patch_rerun_case("random"),
+    "patch-by-id": lambda: _patch_rerun_case("by-id"),
+}
+
+
+def _proc_state(procs):
+    """Every process attribute a run may write (``ctx`` aside: only the
+    per-node loop builds contexts)."""
+    def norm(value):
+        if isinstance(value, (set, frozenset)):
+            return tuple(sorted(map(repr, value)))
+        return repr(value)
+
+    return [sorted((k, norm(v)) for k, v in vars(p).items() if k != "ctx")
+            for p in procs]
+
+
+def _runs_on_one_network(case, references, seed=5):
+    graph, make_procs, max_rounds = case
+    procs = make_procs()
+    net = SynchronousNetwork(graph, procs, seed=seed)
+    out = []
+    for reference in references:
+        stats = run_protocol(net, max_rounds=max_rounds,
+                             reference=reference)
+        out.append((_stats(stats), _proc_state(procs)))
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(_RERUN_CASES))
+@pytest.mark.parametrize("order", ((False, False), (True, False),
+                                   (False, True)),
+                         ids=("columnar-columnar", "reference-columnar",
+                              "columnar-reference"))
+def test_rerun_on_one_network_matches_reference_reruns(case, order):
+    build = _RERUN_CASES[case]
+    got = _runs_on_one_network(build(), order)
+    want = _runs_on_one_network(build(), (True, True))
+    assert got == want
+
+
+def test_stepper_declines_once_streams_advanced():
+    udg, make_procs, max_rounds = _udg_rerun_case(40)
+    net = SynchronousNetwork(udg, make_procs(), seed=5)
+    assert resolve_stepper(net, []) is not None
+    run_protocol(net, max_rounds=max_rounds)
+    assert not net.rngs.fresh
+    assert resolve_stepper(net, []) is None
+
+
+@pytest.mark.parametrize("case", ("jrs", "patch-random", "patch-by-id"))
+def test_stepper_reads_process_state_left_by_earlier_run(case):
+    """Processes carrying an earlier run's state, on fresh streams: the
+    stepper starts from what the generator body reads."""
+    outs = []
+    for reference in (False, True):
+        graph, make_procs, max_rounds = _RERUN_CASES[case]()
+        procs = make_procs()
+        _runs_on_one_network((graph, lambda: procs, max_rounds), (True,))
+        outs.append(_runs_on_one_network((graph, lambda: procs, max_rounds),
+                                         (reference,), seed=6))
+    assert outs[0] == outs[1]
+
+
+# ----------------------------------------------------------------------
 # Experiment call sites ride the plane bit-identically
 # ----------------------------------------------------------------------
 
@@ -319,6 +482,22 @@ def test_e17_cell_identical_to_oracle():
 # ----------------------------------------------------------------------
 # The numpy dispatch leg (REPRO_KERNEL_BACKEND=numpy) is pinned too
 # ----------------------------------------------------------------------
+
+def test_take_consults_registry_only_for_native_dtypes(monkeypatch):
+    from repro.engine import dispatch
+    from repro.simulation import columnar
+
+    looked_up = []
+    monkeypatch.setattr(dispatch, "kernel",
+                        lambda entry, size=None: looked_up.append(entry))
+    idx = np.array([2, 0, 1])
+    mask = np.array([True, False, True])
+    assert columnar.take(mask, idx).tolist() == [True, True, False]
+    assert looked_up == []
+    values = np.array([0.5, 1.5, 2.5])
+    assert columnar.take(values, idx).tolist() == [2.5, 0.5, 1.5]
+    assert looked_up == ["state_scatter"]
+
 
 def test_stepper_numpy_backend_matches_oracle(monkeypatch):
     g = _graph(12)
