@@ -39,15 +39,8 @@ from repro.types import CoverageMap, NodeId
 CONVENTIONS = ("open", "closed")
 
 
-def _node_universe(graph):
-    """The node collection of a graph or artifacts bundle."""
-    if isinstance(graph, GraphArtifacts):
-        return graph.nodes
-    return as_nx(graph).nodes
-
-
 def _coverage_map(graph, k: Union[int, CoverageMap]) -> Dict[NodeId, int]:
-    nodes = _node_universe(graph)
+    nodes = as_nx(graph).nodes
     if isinstance(k, int):
         if k < 0:
             raise GraphError(f"k must be non-negative, got {k}")
@@ -58,19 +51,39 @@ def _coverage_map(graph, k: Union[int, CoverageMap]) -> Dict[NodeId, int]:
     return cov
 
 
+def _required(art: GraphArtifacts,
+              k: Union[int, CoverageMap]) -> Union[int, np.ndarray]:
+    """The requirement in index space: ``k`` itself when uniform, else
+    the coverage map as an index-aligned vector."""
+    if isinstance(k, int):
+        if k < 0:
+            raise GraphError(f"k must be non-negative, got {k}")
+        return k
+    required = np.fromiter((int(k[v]) for v in art.nodes), dtype=np.int64,
+                           count=art.n)
+    if (required < 0).any():
+        raise GraphError("coverage requirements must be non-negative")
+    return required
+
+
 def _check_members(member_set, nodes) -> None:
-    unknown = member_set - set(nodes)
+    """Raise unless every member is in ``nodes`` (O(|members|))."""
+    unknown = [v for v in member_set if v not in nodes]
     if unknown:
         raise GraphError(
             f"dominating set contains {len(unknown)} unknown node(s), "
-            f"e.g. {next(iter(unknown))!r}"
+            f"e.g. {unknown[0]!r}"
         )
 
 
-def _counts_vector(art: GraphArtifacts, member_set, *,
-                   convention: str) -> np.ndarray:
-    """Index-aligned member counts via the shared CSR kernel."""
-    return kernels.member_counts(art, member_set, convention=convention)
+def _member_mask(art: GraphArtifacts, member_set) -> np.ndarray:
+    """The index-aligned membership mask; unknown members raise
+    :class:`GraphError`."""
+    try:
+        return kernels.member_mask(art, member_set)
+    except KeyError:
+        _check_members(member_set, art.index)
+        raise
 
 
 def coverage_counts(graph, members: Iterable[NodeId], *,
@@ -90,8 +103,9 @@ def coverage_counts(graph, members: Iterable[NodeId], *,
         )
     member_set = set(members)
     if isinstance(graph, GraphArtifacts):
-        _check_members(member_set, graph.index)
-        counts_vec = _counts_vector(graph, member_set, convention=convention)
+        counts_vec = kernels.member_counts(
+            graph, indicator=_member_mask(graph, member_set),
+            convention=convention)
         return dict(zip(graph.nodes, counts_vec.tolist()))
     g = as_nx(graph)
     _check_members(member_set, g.nodes)
@@ -118,21 +132,14 @@ def coverage_deficit_vector(art: GraphArtifacts, members: Iterable[NodeId],
         raise GraphError(
             f"unknown convention {convention!r}; expected one of {CONVENTIONS}"
         )
-    member_set = set(members)
-    _check_members(member_set, art.index)
-    counts = _counts_vector(art, member_set, convention=convention)
-    k_map = _coverage_map(art, k)
-    required = (np.full(art.n, k, dtype=np.int64) if isinstance(k, int)
-                else np.asarray([k_map[v] for v in art.nodes],
-                                dtype=np.int64))
-    member_idx = None
-    if convention == "open" and member_set:
-        # As a boolean mask rather than an index list: the deficit
-        # kernel's compiled provider reads the mask plane directly.
-        member_idx = np.zeros(art.n, dtype=bool)
-        member_idx[[art.index[v] for v in member_set]] = True
-    deficit = kernels.deficit_vector(art, counts, required,
-                                     member_idx=member_idx)
+    mask = _member_mask(art, set(members))
+    counts = kernels.member_counts(art, indicator=mask,
+                                   convention=convention)
+    # The mask also exempts members under the open convention; the
+    # deficit kernel's compiled provider reads it directly.
+    deficit = kernels.deficit_vector(
+        art, counts, _required(art, k),
+        member_idx=mask if convention == "open" else None)
     return deficit, art.nodes
 
 
@@ -205,13 +212,11 @@ def redundancy_profile(graph, members: Iterable[NodeId], *,
     member_set = set(members)
     if isinstance(graph, GraphArtifacts):
         # All-numpy path: kernel counts, boolean mask, vector reduction.
-        _check_members(member_set, graph.index)
-        counts_vec = kernels.member_counts(graph, member_set,
+        mask = _member_mask(graph, member_set)
+        counts_vec = kernels.member_counts(graph, indicator=mask,
                                            convention=convention)
-        if convention == "open" and member_set:
-            keep = np.ones(graph.n, dtype=bool)
-            keep[[graph.index[v] for v in member_set]] = False
-            counts_vec = counts_vec[keep]
+        if convention == "open":
+            counts_vec = counts_vec[~mask]
         if counts_vec.size == 0:
             return {"min": 0.0, "mean": 0.0, "max": 0.0}
         return {

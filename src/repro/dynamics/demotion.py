@@ -37,8 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Set, TYPE_CHECKING
 
-import numpy as np
-
 from repro.engine import kernels
 from repro.engine.instrumentation import Instrumentation
 from repro.errors import GraphError
@@ -84,11 +82,7 @@ class SurplusDemotion:
         if not state.members:
             return outcome
         art = state.artifacts()
-        n = art.n
-        member_idx = np.asarray(
-            sorted(art.index[v] for v in state.members), dtype=np.int64)
-        member_mask = np.zeros(n, dtype=bool)
-        member_mask[member_idx] = True
+        member_mask = kernels.member_mask(art, state.members)
         counts = kernels.member_counts(art, indicator=member_mask,
                                        convention="open")
         candidates = kernels.demotion_candidates(art, member_mask,

@@ -54,7 +54,7 @@ from repro.dynamics.state import NetworkState
 from repro.engine.instrumentation import Instrumentation
 from repro.errors import ServiceError, ShardingError
 from repro.simulation.rng import spawn_named_rngs
-from repro.types import NodeId, RunStats
+from repro.types import NodeId, RunStats, stable_sorted
 
 #: Valid shard-dispatch executors for :class:`MaintenanceLoop`.
 EXECUTORS = ("thread", "process")
@@ -64,19 +64,31 @@ class _ArtifactGraphView:
     """Minimal read-only graph interface over live artifacts.
 
     Repair policies only query ``neighbors`` / ``degree``; serving them
-    from the patched :class:`GraphArtifacts` avoids the networkx
+    from the edited :class:`GraphArtifacts` avoids the networkx
     subgraph view's per-edge filter overhead (a large constant factor
-    in the repair hot path at n >= 10^4).  Neighbor order matches the
-    live view's sorted order, so policy decisions are identical.
+    in the repair hot path at n >= 10^4).  ``neighbors`` reads the
+    node's closed CSR row (never the per-node views) and yields it in
+    the live view's sorted order, so policy decisions are identical.
+    A view serves one epoch, during which the artifacts do not change,
+    so it keeps each row it has read.
     """
 
-    __slots__ = ("_art",)
+    __slots__ = ("_art", "_rows")
 
     def __init__(self, art):
         self._art = art
+        self._rows = {}
 
     def neighbors(self, v):
-        return iter(self._art.sorted_neighbors[v])
+        row = self._rows.get(v)
+        if row is None:
+            art = self._art
+            i = art.index[v]
+            lo, hi = art.indptr[i:i + 2].tolist()
+            nodes = art.nodes
+            row = self._rows[v] = stable_sorted(
+                [nodes[j] for j in art.indices[lo:hi].tolist() if j != i])
+        return iter(row)
 
     def degree(self):
         return zip(self._art.nodes, self._art.degrees.tolist())
@@ -133,8 +145,8 @@ class MaintenanceLoop:
         timeline stays bit-identical across all executors.
     incremental:
         Maintain live :class:`~repro.engine.artifacts.GraphArtifacts`
-        delta-patched per churn event, enabling the vectorized deficit
-        path.  ``False`` restores the rebuild-per-epoch baseline
+        edited once per epoch's churn batch, enabling the vectorized
+        deficit path.  ``False`` restores the rebuild-per-epoch baseline
         (benchmark reference; results are identical either way).
     demote:
         Optional :class:`~repro.dynamics.demotion.SurplusDemotion` decay
@@ -240,8 +252,8 @@ class MaintenanceLoop:
         if self.incremental:
             # Arm the live artifacts while the topology still equals the
             # deployment: the bundle builds from the concrete base graph
-            # (no subgraph-view overhead) and churn patches it from the
-            # first event on.
+            # (no subgraph-view overhead) and churn edits it from the
+            # first epoch on.
             state.artifacts()
         self._state = state
         self._timeline = DynamicsTimeline()
@@ -324,7 +336,8 @@ class MaintenanceLoop:
 
             def neighbors_of(u):
                 i = art.index[u]
-                return [art.nodes[j] for j in art.closed_nbrs[i]]
+                row = art.indices[art.indptr[i]:art.indptr[i + 1]]
+                return [art.nodes[j] for j in row.tolist()]
         else:
             def neighbors_of(u):
                 return graph.neighbors(u)

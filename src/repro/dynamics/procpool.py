@@ -43,6 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.engine.instrumentation import Instrumentation
+from repro.engine.kernels import member_mask
 from repro.service.shm import AttachedGeneration, SharedArtifactStore, attach
 from repro.types import NodeId, RunStats
 
@@ -179,14 +180,11 @@ class ProcessShardPool:
 
         One copy per epoch: the CSR pair and node table come straight
         from the live :class:`~repro.engine.artifacts.GraphArtifacts`
-        caches; the membership mask is rebuilt in O(|members|).
+        arrays; the membership mask is rebuilt in O(|members|).
         """
         indptr, indices = art.closed_csr_arrays()
         nodes = art.nodes_array()
-        mask = np.zeros(art.n, dtype=bool)
-        idx = [art.index[v] for v in members if v in art.index]
-        if idx:
-            mask[idx] = True
+        mask = member_mask(art, members)
         return self._store.publish({
             "indptr": indptr,
             "indices": indices,

@@ -9,7 +9,7 @@ currently maintained dominator set.  It interprets the event records of
   the repair policies consume).  Built from a cached full unit-disk
   graph and an induced-subgraph view, so pure crash churn never pays a
   geometric rebuild;
-- :meth:`artifacts` — incrementally patched
+- :meth:`artifacts` — incrementally edited
   :class:`~repro.engine.artifacts.GraphArtifacts` over the live
   topology (what the vectorized :mod:`repro.core.verify` oracle and the
   sharded loop consume);
@@ -22,11 +22,15 @@ Scaling model
 A uniform-grid spatial hash (cell size = radius) over every positioned
 node is kept **alive across events**, so a join or a small move is an
 O(1)-expected local query instead of an O(n) geometric rebuild: the
-event patches the grid, the cached base graph, and the live artifacts
-(through :class:`~repro.engine.artifacts.ArtifactDelta`) in time
-proportional to the touched 1-hop ball.  Only a bulk move (full-network
-mobility, more than ``_MOVE_PATCH_FRACTION`` of the nodes) falls back to
-a from-scratch rebuild.  ``incremental=False`` restores the PR-2
+event patches the grid and (deferred) the cached base graph, and
+records one artifact edit — a removal, an addition with the neighbors
+the hash finds among the nodes live at that moment, or a rewire.
+:meth:`NetworkState.apply_all` hands its events' edits to the live
+:class:`~repro.engine.artifacts.ArtifactDelta` as one batch at its end,
+so the live CSR is rebuilt once per epoch, not once per event.  Only a
+bulk move (full-network mobility, more than ``_MOVE_PATCH_FRACTION`` of
+the nodes) falls back to a from-scratch rebuild; it drops the live
+artifacts, pending edits included.  ``incremental=False`` restores the
 rebuild-on-change behavior (kept as the scaling benchmark's baseline).
 """
 
@@ -73,8 +77,9 @@ class NetworkState:
         Initial battery level of every node (joins start full too).
     incremental:
         Keep the spatial hash and live artifacts alive across events,
-        patching per-event 1-hop balls (default).  ``False`` restores
-        the rebuild-on-change baseline behavior.
+        editing the artifacts once per :meth:`apply_all` batch
+        (default).  ``False`` restores the rebuild-on-change baseline
+        behavior.
     """
 
     def __init__(self, positions: Dict[NodeId, Tuple[float, float]],
@@ -127,9 +132,11 @@ class NetworkState:
         # Spatial hash over *all* positioned nodes (alive and dead),
         # mirroring the base graph's universe.  Kept alive across events.
         self._grid: Dict[Cell, Set[NodeId]] | None = None
-        # Live-topology artifacts, patched per event via ArtifactDelta.
+        # Live-topology artifacts, edited once per apply_all batch via
+        # ArtifactDelta; the batch's edits wait in _pending_edits.
         self._live_art: GraphArtifacts | None = None
         self._live_delta: ArtifactDelta | None = None
+        self._pending_edits: List[Tuple] = []
 
     @classmethod
     def from_udg(cls, udg: UnitDiskGraph, *,
@@ -222,22 +229,39 @@ class NetworkState:
     # ------------------------------------------------------------------
     def apply(self, event: Event) -> None:
         """Interpret one churn event (see :mod:`repro.dynamics.events`)."""
-        if isinstance(event, CrashEvent):
-            self._crash(event.node)
-        elif isinstance(event, JoinEvent):
-            self._join(event.node, event.pos)
-        elif isinstance(event, DrainEvent):
-            self._drain(event.node, event.amount)
-        elif isinstance(event, MoveEvent):
-            self._move(event.positions)
-        else:
-            raise GraphError(
-                f"unknown event type {type(event).__name__}"
-            )
+        self.apply_all([event])
 
     def apply_all(self, events: Iterable[Event]) -> None:
-        for event in events:
-            self.apply(event)
+        """Interpret ``events`` in order, then edit the live artifacts
+        once with every edit they recorded (also when an event raises:
+        the events before it stay applied)."""
+        try:
+            for event in events:
+                if isinstance(event, CrashEvent):
+                    self._crash(event.node)
+                elif isinstance(event, JoinEvent):
+                    self._join(event.node, event.pos)
+                elif isinstance(event, DrainEvent):
+                    self._drain(event.node, event.amount)
+                elif isinstance(event, MoveEvent):
+                    self._move(event.positions)
+                else:
+                    raise GraphError(
+                        f"unknown event type {type(event).__name__}"
+                    )
+        finally:
+            self._flush_edits()
+
+    def _edit(self, edit: Tuple) -> None:
+        """Record one artifact edit for the current batch."""
+        if self._live_delta is not None:
+            self._pending_edits.append(edit)
+            self.artifact_patches += 1
+
+    def _flush_edits(self) -> None:
+        edits, self._pending_edits = self._pending_edits, []
+        if edits:
+            self._live_delta.apply(edits)
 
     def _crash(self, node: NodeId) -> None:
         if node not in self.alive:
@@ -246,9 +270,7 @@ class NetworkState:
         self.members.discard(node)
         self.total_crashes += 1
         self._live_view = None
-        if self._live_delta is not None:
-            self._live_delta.remove_node(node)
-            self.artifact_patches += 1
+        self._edit(("remove", node))
 
     def _join(self, node: NodeId, pos: Tuple[float, float]) -> None:
         if node in self.positions and node in self.alive:
@@ -279,9 +301,8 @@ class NetworkState:
         self.total_joins += 1
         self._live_view = None
         if self._live_delta is not None:
-            nbrs = [w for w, _ in self._nearby(node, pos, live_only=True)]
-            self._live_delta.add_node(node, nbrs)
-            self.artifact_patches += 1
+            self._edit(("add", node, [
+                w for w, _ in self._nearby(node, pos, live_only=True)]))
 
     def _drain(self, node: NodeId, amount: float) -> None:
         if node not in self.alive:
@@ -336,11 +357,9 @@ class NetworkState:
             if self._live_delta is not None:
                 for v in moved:
                     if v in self.alive:
-                        nbrs = [w for w, _ in
-                                self._nearby(v, self.positions[v],
-                                             live_only=True)]
-                        self._live_delta.rewire(v, nbrs)
-                        self.artifact_patches += 1
+                        self._edit(("rewire", v, [
+                            w for w, _ in self._nearby(
+                                v, self.positions[v], live_only=True)]))
         self.total_moves += 1
         self._live_view = None
 
@@ -395,17 +414,18 @@ class NetworkState:
     def _drop_live_artifacts(self) -> None:
         self._live_art = None
         self._live_delta = None
+        self._pending_edits = []
 
     def artifacts(self) -> GraphArtifacts:
         """Incrementally maintained :class:`GraphArtifacts` of the live
         topology (the vectorized verify oracle's input).
 
-        Built from scratch once, then patched per event through an
-        :class:`~repro.engine.artifacts.ArtifactDelta` in time
-        proportional to each event's 1-hop ball.  With
-        ``incremental=False`` every call rebuilds (baseline behavior).
-        The bundle's node order is maintenance order, not insertion
-        order — consume it through ``index`` / ``nodes``.
+        Built from scratch once, then edited through an
+        :class:`~repro.engine.artifacts.ArtifactDelta` once per
+        :meth:`apply_all` batch.  With ``incremental=False`` every call
+        rebuilds (baseline behavior).  The bundle's node order is
+        maintenance order, not insertion order — consume it through
+        ``index`` / ``nodes``.
         """
         if not self.incremental:
             self.artifact_rebuilds += 1

@@ -1,4 +1,4 @@
-"""Per-graph cached derived structures, with incremental delta patching.
+"""Per-graph cached derived structures, with batched incremental edits.
 
 Every solver call used to rebuild the same derived data from scratch:
 :class:`~repro.core.lp.CoveringLP` re-sorted every closed neighborhood,
@@ -8,30 +8,36 @@ every neighbor list.  Inside a sweep (E1, E4, E6, ...) the same graph is
 solved dozens of times, so this recomputation dominated setup cost.
 
 :func:`graph_artifacts` returns a :class:`GraphArtifacts` bundle holding
-all of it, cached per graph object:
+all of it, cached per graph object.  Its primary form is array-native:
 
 - node list, node -> index map, ``n``, ``m``, max degree ``Delta``;
-- degree vector (index-aligned numpy array);
-- per-node sorted neighbor tuples (the simulator's stable order);
-- closed neighborhoods as sorted index arrays (the paper's ``N_i``);
-- the closed-adjacency CSR matrix ``A`` with ``A[i, j] = 1`` iff
-  ``j in N_i`` and its COO pair list (built lazily — only direct-mode
-  kernels and the vectorized verify oracle need them).
+- the closed-neighborhood CSR ``(indptr, indices)`` (row ``i`` is the
+  paper's ``N_i`` as index-sorted node indices) and the index-aligned
+  degree vector, built in numpy from one pass over the adjacency.
+
+Everything else derives from the CSR on first use: the scipy matrix
+``A`` with ``A[i, j] = 1`` iff ``j in N_i`` and its COO pairs, the open
+CSR, and the per-node views the per-node paths read — sorted neighbor
+tuples (the simulator's stable order) and closed neighborhoods as
+index arrays.
 
 Incremental updates
 -------------------
 The maintenance loop (:mod:`repro.dynamics`) mutates its topology every
-epoch; rebuilding artifacts from scratch is O(n + m) of Python-loop work
-per event and dominates the epoch at n >= 10^4.
+epoch; rebuilding artifacts from scratch is O(n + m) work per epoch.
 :meth:`GraphArtifacts.delta_patcher` returns an :class:`ArtifactDelta`
-whose ``add_node`` / ``remove_node`` /
-``rewire`` patch the node index, degree vector, neighbor orders, and
-closed neighborhoods in time proportional to the touched 1-hop ball.
-The closed-adjacency CSR is invalidated by a patch and regenerated
-lazily by a pure-numpy kernel (one memcpy-speed pass, at most once per
-verify call, instead of per event).
+whose :meth:`~ArtifactDelta.apply` takes one epoch's ordered node
+removals, additions and rewires as one batch.  The index moves are
+replayed on plain integers (O(edits)); then the CSR is rebuilt once, in
+numpy.  A batch that leaves every old node in its slot (joins, removals
+of the last-indexed nodes) only truncates and appends to rows; any
+other batch relabels the kept entries, adds the new edges, and restores
+row order with one stable sort that only has to reorder the rows
+holding a relabelled or new entry.  An edit allocates new arrays and
+never writes into ones it handed out, so published snapshots and
+shared-memory exports may alias them.  Each edit counts as one patch.
 
-Patched artifacts maintain their *own* node order: ``remove_node`` moves
+Edited artifacts maintain their *own* node order: removing a node moves
 the last-indexed node into the freed slot, so the ``nodes`` list may be
 a permutation of ``list(graph.nodes)``.  All internal fields stay
 mutually consistent; consumers must go through ``index`` / ``nodes``
@@ -55,7 +61,7 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
@@ -69,53 +75,93 @@ from repro.types import NodeId, stable_sorted
 _VERSIONS = itertools.count(1)
 
 
+def _int_ids(nodes: Sequence[NodeId]) -> Optional[np.ndarray]:
+    """``nodes`` as an int64 array, or ``None`` unless every id is an
+    integer."""
+    if not nodes:
+        return np.zeros(0, dtype=np.int64)
+    try:
+        raw = np.asarray(nodes)
+    except (TypeError, ValueError):  # pragma: no cover — exotic ids
+        return None
+    if raw.ndim != 1 or raw.dtype.kind not in "iu":
+        return None
+    return raw.astype(np.int64, copy=False)
+
+
+#: Edge keys pack ``row << _SHIFT | col``.  With node indices below
+#: 2^30 a key is non-negative and its sum with ``_GONE`` negative.
+_SHIFT = 32
+_MASK = (1 << _SHIFT) - 1
+_GONE = -(1 << 62)
+
+
 class GraphArtifacts:
     """Derived structures for one graph, computed once and shared.
 
     Do not construct directly — go through :func:`graph_artifacts` so
     repeated solver calls on the same graph hit the cache.  For evolving
-    topologies, obtain an :class:`ArtifactDelta` via :meth:`delta` and
-    patch instead of rebuilding.
+    topologies, obtain an :class:`ArtifactDelta` via
+    :meth:`delta_patcher` and edit instead of rebuilding.
     """
 
     def __init__(self, graph: nx.Graph):
         self.graph = graph
         self.nodes: List[NodeId] = list(graph.nodes)
         self.index: Dict[NodeId, int] = {v: i for i, v in enumerate(self.nodes)}
-        self.n = len(self.nodes)
-        self.m = graph.number_of_edges()
-        #: Per-node sorted neighbor tuples (the simulator's stable order).
-        self.sorted_neighbors: Dict[NodeId, Tuple[NodeId, ...]] = {
-            v: tuple(stable_sorted(graph.neighbors(v))) for v in self.nodes
-        }
+        n = self.n = len(self.nodes)
+        # One pass over the adjacency: row lengths, then every row's
+        # neighbor ids flattened in row order.
+        adj = graph._adj
+        rows = [adj[v] for v in self.nodes]
+        lengths = np.fromiter(map(len, rows), dtype=np.int64, count=n)
+        total = int(lengths.sum())
+        flat = itertools.chain.from_iterable(rows)
+        ids = _int_ids(self.nodes)
+        lo = int(ids.min()) if n and ids is not None else 0
+        if n and ids is not None and int(ids.max()) - lo < 4 * n:
+            # Vectorized id -> index relabel through a dense lookup table.
+            lut = np.empty(int(ids.max()) - lo + 1, dtype=np.int64)
+            lut[ids - lo] = np.arange(n, dtype=np.int64)
+            cols = lut[np.fromiter(flat, dtype=np.int64, count=total) - lo]
+        else:
+            cols = np.fromiter(map(self.index.__getitem__, flat),
+                               dtype=np.int64, count=total)
+        src = np.repeat(np.arange(n, dtype=np.int64), lengths)
+        diag = np.arange(n, dtype=np.int64)
+        keys = np.concatenate(((src << _SHIFT) + cols, (diag << _SHIFT) + diag))
+        keys.sort()
+        #: Closed-neighborhood CSR over node indices (the paper's N_i):
+        #: row ``i`` is ``indices[indptr[i]:indptr[i + 1]]``, sorted.
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(lengths + 1, out=self.indptr[1:])
+        self.indices: np.ndarray = keys & _MASK
         #: Index-aligned degree vector.
-        self.degrees: np.ndarray = np.asarray(
-            [len(self.sorted_neighbors[v]) for v in self.nodes], dtype=np.int64
-        )
+        self.degrees: np.ndarray = lengths
+        # A self-loop is one edge but one adjacency entry.
+        self._loops = int(np.count_nonzero(src == cols))
+        self.m = (total + self._loops) // 2
         #: The paper's Delta (0 on the empty graph).
-        self.delta_max: int = int(self.degrees.max()) if self.n else 0
-        #: Closed neighborhoods as sorted index arrays (the paper's N_i).
-        self.closed_nbrs: List[np.ndarray] = [
-            np.asarray(
-                sorted([self.index[v]]
-                       + [self.index[w] for w in self.sorted_neighbors[v]]),
-                dtype=np.int64,
-            )
-            for v in self.nodes
-        ]
-        #: Monotonic build/patch version (bumped by every delta patch).
+        self.delta_max: int = int(lengths.max()) if n else 0
+        #: Monotonic build/edit version (bumped by every delta edit).
         self.version: int = next(_VERSIONS)
+        self._nodes_array: Optional[np.ndarray] = ids
+        self._clear_derived()
+        _STATS["full_rebuilds"] += 1
+
+    def _clear_derived(self) -> None:
+        """Drop every structure derived from the CSR."""
         self._closed_adjacency: Optional[sp.csr_matrix] = None
         self._closed_pairs: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._open_csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._closed_arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._closed_idx32: Optional[np.ndarray] = None
-        self._nodes_array: Optional[np.ndarray] = None
+        self._sorted_neighbors: Optional[Dict[NodeId, Tuple[NodeId, ...]]] \
+            = None
+        self._closed_nbrs: Optional[List[np.ndarray]] = None
         #: Scratch for :mod:`repro.engine.kernels` over this graph alone
         #: (the ``kernel_cache`` of its one-graph :class:`StackedGraphs`);
-        #: dropped by every :class:`ArtifactDelta` patch.
+        #: dropped by every :class:`ArtifactDelta` edit.
         self.kernel_cache: Dict = {}
-        _STATS["full_rebuilds"] += 1
 
     # ``delta`` predates the incremental API and names the paper's max
     # degree; keep it readable while ``delta()`` hands out patchers.
@@ -129,48 +175,51 @@ class GraphArtifacts:
         self.delta_max = int(value)
 
     # ------------------------------------------------------------------
-    def closed_adjacency(self) -> sp.csr_matrix:
-        """Sparse 0/1 matrix ``A`` with ``A[i, j] = 1`` iff ``j in N_i``.
+    # Per-node views (lazy; for the per-node paths on static graphs)
+    # ------------------------------------------------------------------
+    @property
+    def sorted_neighbors(self) -> Dict[NodeId, Tuple[NodeId, ...]]:
+        """Per-node neighbor tuples in the simulator's stable (id-sorted)
+        order, derived from the CSR on first use."""
+        if self._sorted_neighbors is None:
+            indptr, indices = self.open_csr()
+            nodes = self.nodes
+            flat = list(map(nodes.__getitem__, indices.tolist()))
+            bounds = indptr.tolist()
+            self._sorted_neighbors = {
+                v: tuple(stable_sorted(flat[bounds[i]:bounds[i + 1]]))
+                for i, v in enumerate(nodes)}
+        return self._sorted_neighbors
 
-        Assembled directly in CSR form (indptr from the degree vector,
-        indices by concatenating the already-sorted closed neighborhoods)
-        — a vectorized memcpy-speed pass, no COO sort.
-        """
+    @property
+    def closed_nbrs(self) -> List[np.ndarray]:
+        """Closed neighborhoods as sorted index arrays (the paper's
+        ``N_i``): views of the CSR rows, split on first use."""
+        if self._closed_nbrs is None:
+            self._closed_nbrs = (np.split(self.indices, self.indptr[1:-1])
+                                 if self.n else [])
+        return self._closed_nbrs
+
+    # ------------------------------------------------------------------
+    def closed_adjacency(self) -> sp.csr_matrix:
+        """Sparse 0/1 matrix ``A`` with ``A[i, j] = 1`` iff ``j in N_i``
+        (the CSR arrays wrapped with unit data; built lazily)."""
         if self._closed_adjacency is None:
-            if self.n:
-                lengths = self.degrees + 1
-                indptr = np.zeros(self.n + 1, dtype=np.int64)
-                np.cumsum(lengths, out=indptr[1:])
-                indices = np.concatenate(self.closed_nbrs)
-                data = np.ones(len(indices), dtype=float)
-            else:
-                indptr = np.zeros(1, dtype=np.int64)
-                indices = np.zeros(0, dtype=np.int64)
-                data = np.zeros(0, dtype=float)
+            data = np.ones(len(self.indices), dtype=float)
             self._closed_adjacency = sp.csr_matrix(
-                (data, indices, indptr), shape=(self.n, self.n)
-            )
+                (data, self.indices, self.indptr), shape=(self.n, self.n))
         return self._closed_adjacency
 
     def closed_csr_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """Closed-neighborhood CSR as raw int64 ``(indptr, indices)``.
 
-        The same row structure as :meth:`closed_adjacency` but without
-        the scipy matrix wrapper (whose index dtypes scipy may narrow):
-        flat contiguous int64 arrays suitable for exporting into shared
-        memory and for vectorized row gathers.  Built lazily, dropped by
-        every :class:`ArtifactDelta` patch.
+        The bundle's primary arrays: flat contiguous int64 (unlike
+        :meth:`closed_adjacency`, whose index dtypes scipy may narrow),
+        suitable for exporting into shared memory and for vectorized
+        row gathers.  An :class:`ArtifactDelta` edit replaces them with
+        new arrays and never writes into these.
         """
-        if self._closed_arrays is None:
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            if self.n:
-                np.cumsum(self.degrees + 1, out=indptr[1:])
-                indices = np.ascontiguousarray(
-                    np.concatenate(self.closed_nbrs), dtype=np.int64)
-            else:
-                indices = np.zeros(0, dtype=np.int64)
-            self._closed_arrays = (indptr, indices)
-        return self._closed_arrays
+        return self.indptr, self.indices
 
     def closed_csr_indices32(self) -> Optional[np.ndarray]:
         """The :meth:`closed_csr_arrays` indices as a contiguous int32
@@ -180,14 +229,13 @@ class GraphArtifacts:
         int32 column indices — half the index bandwidth of int64 on the
         memory-bound inner loop.  Every node index fits int32 whenever
         ``n < 2^31``, so the narrowing is lossless; cached here (and
-        dropped by every :class:`ArtifactDelta` patch) so the copy is
+        dropped by every :class:`ArtifactDelta` edit) so the copy is
         paid once per topology, not per matvec.
         """
         if self._closed_idx32 is None:
-            _, indices = self.closed_csr_arrays()
-            if self.n >= 2 ** 31 or indices.size >= 2 ** 31:
+            if self.n >= 2 ** 31 or self.indices.size >= 2 ** 31:
                 return None
-            self._closed_idx32 = np.ascontiguousarray(indices,
+            self._closed_idx32 = np.ascontiguousarray(self.indices,
                                                       dtype=np.int32)
         return self._closed_idx32
 
@@ -198,44 +246,35 @@ class GraphArtifacts:
         Only integer-labelled graphs can be exported this way; the
         service/shared-memory layer depends on it, so a graph with
         non-integer node ids raises :class:`~repro.errors.GraphError`.
-        Built lazily, dropped by every :class:`ArtifactDelta` patch.
+        Built with the bundle and carried through every edit.
         """
         if self._nodes_array is None:
-            try:
-                raw = np.asarray(self.nodes)
-            except (TypeError, ValueError):  # pragma: no cover — exotic ids
-                raw = np.empty(0, dtype=object)
-            if self.n and (raw.ndim != 1 or raw.dtype.kind not in "iu"):
-                sample = self.nodes[0]
+            ids = _int_ids(self.nodes)
+            if ids is None:
                 raise GraphError(
                     "nodes_array() requires integer node ids; got labels "
-                    f"like {sample!r}")
-            self._nodes_array = raw.astype(np.int64) if self.n else \
-                np.zeros(0, dtype=np.int64)
+                    f"like {self.nodes[0]!r}")
+            self._nodes_array = ids
         return self._nodes_array
 
     def open_csr(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Open-neighborhood CSR ``(indptr, indices)`` over node indices.
-
-        Row ``i`` lists ``index[w]`` for every neighbor ``w`` of
-        ``nodes[i]``, in the same stable (id-sorted) order as
-        ``sorted_neighbors`` — the broadcast fan-out order the columnar
-        transport and vectorized per-neighbor kernels share.  Built
-        lazily, dropped by every :class:`ArtifactDelta` patch.
+        """Open-neighborhood CSR ``(indptr, indices)`` over node indices:
+        the closed CSR minus its diagonal entry, so row ``i`` holds
+        ``index[w]`` for every neighbor ``w`` of ``nodes[i]``, sorted by
+        index.  Built lazily, dropped by every :class:`ArtifactDelta`
+        edit.
         """
         if self._open_csr is None:
-            index = self.index
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            if self.n:
-                np.cumsum(self.degrees, out=indptr[1:])
-                indices = np.fromiter(
-                    (index[w] for v in self.nodes
-                     for w in self.sorted_neighbors[v]),
-                    dtype=np.int64, count=int(indptr[-1]),
-                )
-            else:
-                indices = np.zeros(0, dtype=np.int64)
-            self._open_csr = (indptr, indices)
+            n = self.n
+            src = np.repeat(np.arange(n, dtype=np.int64), self.degrees + 1)
+            # Each row's first diagonal entry sits after the entries
+            # below it (a self-loop keeps its second copy).
+            below = np.bincount(src[self.indices < src], minlength=n)
+            keep = np.ones(len(self.indices), dtype=bool)
+            keep[self.indptr[:-1] + below] = False
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(self.degrees, out=indptr[1:])
+            self._open_csr = (indptr, self.indices[keep])
         return self._open_csr
 
     def closed_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -256,154 +295,273 @@ class GraphArtifacts:
         return ArtifactDelta(self)
 
 
+#: One :meth:`ArtifactDelta.apply` edit: ``("remove", node)``,
+#: ``("add", node, neighbors)`` or ``("rewire", node, neighbors)``.
+Edit = Tuple
+
+
+class _Replay:
+    """One batch's index moves and edge records, on plain integers.
+
+    Every node alive during the batch has a *uid*: the bundle's old
+    index for nodes present before it, ``n0 + j`` for the batch's
+    ``j``-th addition (a node removed and re-added is a new uid).  The
+    node list and index are edited as each event would edit them; slot
+    occupancy and uid positions are kept as sparse overrides of the
+    identity, so the replay costs O(edits + new edges), not O(n).
+    """
+
+    def __init__(self, art: GraphArtifacts):
+        self.art = art
+        self.n0 = self.n = art.n
+        self.occupant: Dict[int, int] = {}  # slot -> uid
+        self.slot: Dict[int, int] = {}      # uid -> slot (-1: removed)
+        self.reset: Dict[int, int] = {}     # uid -> time of last rewire
+        self.edges: List[Tuple[int, int, int]] = []  # (uid, uid, time)
+        self.added: List[NodeId] = []
+        self.time = 0
+
+    def _uid(self, node: NodeId) -> int:
+        s = self.art.index[node]
+        return self.occupant.get(s, s)
+
+    def _neighbors(self, verb: str, node: NodeId,
+                   neighbors: Iterable[NodeId]) -> List[NodeId]:
+        nbrs = list(neighbors)
+        index = self.art.index
+        seen = set()
+        for w in nbrs:
+            if w not in index:
+                raise GraphError(
+                    f"cannot {verb} node {node!r}: unknown neighbor {w!r}")
+            if w in seen:
+                raise GraphError(
+                    f"cannot {verb} node {node!r}: duplicate neighbor {w!r}")
+            seen.add(w)
+        return nbrs
+
+    def __call__(self, edit: Edit) -> None:
+        """Validate and replay one edit (raises before changing
+        anything if it is invalid)."""
+        op, node = edit[0], edit[1]
+        art = self.art
+        if op == "remove":
+            if node not in art.index:
+                raise GraphError(f"cannot remove node {node!r}: not present")
+            i = art.index.pop(node)
+            uid = self.occupant.get(i, i)
+            last = self.n - 1
+            if i != last:
+                moved = art.nodes[last]
+                art.nodes[i] = moved
+                art.index[moved] = i
+                mover = self.occupant.get(last, last)
+                self.occupant[i] = mover
+                self.slot[mover] = i
+            art.nodes.pop()
+            self.slot[uid] = -1
+            self.n -= 1
+        elif op == "add":
+            if node in art.index:
+                raise GraphError(f"cannot add node {node!r}: already present")
+            nbrs = self._neighbors("add", node, edit[2])
+            uid = self.n0 + len(self.added)
+            self.added.append(node)
+            art.index[node] = self.n
+            art.nodes.append(node)
+            self.occupant[self.n] = uid
+            self.slot[uid] = self.n
+            self.n += 1
+            self.edges.extend((uid, self._uid(w), self.time) for w in nbrs)
+        elif op == "rewire":
+            if node not in art.index:
+                raise GraphError(f"cannot rewire node {node!r}: not present")
+            nbrs = self._neighbors("rewire", node, edit[2])
+            if node in nbrs:
+                raise GraphError(f"cannot rewire node {node!r} onto itself")
+            uid = self._uid(node)
+            self.reset[uid] = self.time
+            self.edges.extend((uid, self._uid(w), self.time) for w in nbrs)
+        else:
+            raise GraphError(f"unknown artifact edit {op!r}")
+        self.time += 1
+
+    def commit(self) -> None:
+        """Rebuild the bundle's arrays for the replayed edits (new
+        arrays; the old ones are never written)."""
+        art, n0, n1 = self.art, self.n0, self.n
+        slot, reset = self.slot, self.reset
+        rewired = [u for u in reset if u < n0]
+        # The batch's surviving new edges, and a fresh diagonal entry
+        # for every added or rewired node still present, as sorted keys.
+        new: List[int] = []
+        for a, b, t in self.edges:
+            sa, sb = slot.get(a, a), slot.get(b, b)
+            if (sa >= 0 and sb >= 0 and reset.get(a, -1) <= t
+                    and reset.get(b, -1) <= t):
+                new += ((sa << _SHIFT) + sb, (sb << _SHIFT) + sa)
+        for u in itertools.chain(range(n0, n0 + len(self.added)), rewired):
+            s = slot.get(u, u)
+            if s >= 0:
+                new.append((s << _SHIFT) + s)
+        new_keys = np.asarray(sorted(new), dtype=np.int64)
+        olds = [(u, s) for u, s in slot.items() if u < n0]
+        kept = n0 - len(olds)
+        if not rewired and all(s < 0 and u >= kept for u, s in olds):
+            counts, indices = self._append(kept, new_keys)
+        else:
+            counts, indices = self._resort(olds, rewired, new_keys)
+        indptr = np.zeros(n1 + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        degrees = counts - 1
+        if art._loops:
+            art._loops = int(np.count_nonzero(
+                indices == np.repeat(np.arange(n1), degrees + 1))) - n1
+        ids = art._nodes_array
+        moves = [(s, u) for s, u in self.occupant.items() if s < n1]
+        if ids is not None and moves:
+            added = _int_ids(self.added)
+            if added is None:
+                ids = None
+            else:
+                uid_at = np.arange(n1, dtype=np.int64)
+                for s, u in moves:
+                    uid_at[s] = u
+                ids = np.concatenate((ids, added))[uid_at]
+        elif ids is not None:
+            ids = ids[:n1]
+        art.n = n1
+        art.m = (len(indices) - n1 + art._loops) // 2
+        art.indptr, art.indices = indptr, indices
+        art.degrees = degrees
+        art.delta_max = int(degrees.max()) if n1 else 0
+        art._nodes_array = ids
+        art.version = next(_VERSIONS)
+        art._clear_derived()
+
+    def _append(self, kept: int, new_keys: np.ndarray
+                ) -> Tuple[np.ndarray, np.ndarray]:
+        """Closed row lengths and CSR indices after a batch that left
+        the old nodes of slots ``[0, kept)`` in place and removed the
+        rest (joins and tail removals).  Every dropped or new entry then
+        sits at the end of its row, so rows are truncated and appended
+        to, never sorted."""
+        art, n1 = self.art, self.n
+        cut = art.indptr[kept]
+        indices = art.indices[:cut]
+        counts = np.zeros(n1, dtype=np.int64)
+        counts[:kept] = art.degrees[:kept] + 1
+        if kept < self.n0:
+            # The CSR is symmetric: the removed rows list every entry
+            # the kept rows lose.
+            counts[:kept] -= np.bincount(art.indices[cut:],
+                                         minlength=self.n0)[:kept]
+            indices = indices[indices < kept]
+        if len(new_keys):
+            rows = new_keys >> _SHIFT
+            # Each new entry lands at its row's end (new rows follow the
+            # kept ones), shifted by the new entries placed before it.
+            ends = np.append(np.cumsum(counts[:kept]), len(indices))
+            at = ends[np.minimum(rows, kept)] \
+                + np.arange(len(rows), dtype=np.int64)
+            merged = np.empty(len(indices) + len(rows), dtype=np.int64)
+            old = np.ones(len(merged), dtype=bool)
+            old[at] = False
+            merged[at] = new_keys & _MASK
+            merged[old] = indices
+            indices = merged
+            counts += np.bincount(rows, minlength=n1)
+        return counts, indices
+
+    def _resort(self, olds, rewired, new_keys: np.ndarray
+                ) -> Tuple[np.ndarray, np.ndarray]:
+        """Closed row lengths and CSR indices after any batch.
+
+        Every old entry becomes the key over its endpoints' final
+        slots, or a negative key once an endpoint was removed or
+        rewired (a rewire drops all of the node's old edges); the
+        surviving keys and the new ones go through one stable sort.
+        Only rows holding a relabelled or new entry are out of order,
+        so the sort (a run-merging timsort) costs little more than a
+        linear pass.
+        """
+        art = self.art
+        final = np.arange(self.n0, dtype=np.int64)
+        for u, s in olds:
+            final[u] = s
+        final[rewired] = -1
+        gone = final < 0
+        row_key = np.where(gone, _GONE, final << _SHIFT)
+        col_key = np.where(gone, _GONE, final)
+        keys = np.repeat(row_key, art.degrees + 1) + col_key[art.indices]
+        if gone.any():
+            keys = keys[keys >= 0]
+        keys = np.concatenate((keys, new_keys))
+        keys.sort(kind="stable")
+        return np.bincount(keys >> _SHIFT, minlength=self.n), keys & _MASK
+
+
 class ArtifactDelta:
-    """Incremental patcher for one :class:`GraphArtifacts` bundle.
+    """Batched incremental editor for one :class:`GraphArtifacts` bundle.
 
-    Each operation touches only the 1-hop ball of the affected node:
-    the node list/index, degree vector, sorted neighbor tuples, and
-    closed-neighborhood index arrays are edited in place, the version
-    token is bumped, and the lazy CSR/pairs caches are dropped (they
-    regenerate vectorized on next access).  The patcher does **not**
-    mutate the underlying graph — callers that own an evolving topology
-    (e.g. :class:`repro.dynamics.NetworkState`) apply the same change to
-    both sides and the property suite pins the equivalence.
+    :meth:`apply` takes an ordered list of edits — node removals,
+    additions and rewires — and leaves the bundle exactly as applying
+    them one at a time would: same node order, same CSR, same counters.
+    The index moves are replayed on plain integers; the CSR is then
+    rebuilt once per batch in numpy (see the module notes).
+    :meth:`add_node`, :meth:`remove_node` and :meth:`rewire` are
+    one-edit batches.
 
-    ``remove_node`` keeps the index dense by moving the last-indexed
-    node into the freed slot (order is *not* insertion order afterwards).
+    The editor does **not** mutate the underlying graph — callers that
+    own an evolving topology (e.g. :class:`repro.dynamics.NetworkState`)
+    apply the same change to both sides and the property suite pins the
+    equivalence.  Removing a node keeps the index dense by moving the
+    last-indexed node into the freed slot (order is *not* insertion
+    order afterwards).
     """
 
     def __init__(self, artifacts: GraphArtifacts):
         self.art = artifacts
-        #: Number of patch operations applied through this patcher.
+        #: Number of edits applied through this patcher.
         self.patches = 0
         # A patched bundle no longer mirrors the graph object it was
         # built from; evict it so cache users rebuild honestly.
         if artifacts.graph is not None:
             _CACHE.pop(as_nx(artifacts.graph), None)
 
-    # ------------------------------------------------------------------
-    def _bump(self) -> None:
-        art = self.art
-        art.version = next(_VERSIONS)
-        art._closed_adjacency = None
-        art._closed_pairs = None
-        art._open_csr = None
-        art._closed_arrays = None
-        art._closed_idx32 = None
-        art._nodes_array = None
-        art.kernel_cache = {}
-        self.patches += 1
-        _STATS["delta_patches"] += 1
+    def apply(self, edits: Iterable[Edit]) -> None:
+        """Apply ``edits`` in order as one batch.
 
-    def _refresh_delta(self) -> None:
-        art = self.art
-        art.delta_max = int(art.degrees.max()) if art.n else 0
+        Each edit counts as one patch.  An added or rewired node's
+        neighbors must be present, and distinct, when its edit runs
+        (earlier edits of the batch count).  An invalid edit raises
+        :class:`GraphError` after the edits before it are applied; it
+        and the rest are not.
+        """
+        replay = _Replay(self.art)
+        try:
+            for edit in edits:
+                replay(edit)
+        finally:
+            if replay.time:
+                replay.commit()
+                self.patches += replay.time
+                _STATS["delta_patches"] += replay.time
 
-    # ------------------------------------------------------------------
     def add_node(self, node: NodeId, neighbors: Iterable[NodeId]) -> None:
-        """Append ``node`` with edges to ``neighbors`` (all existing)."""
-        art = self.art
-        if node in art.index:
-            raise GraphError(f"cannot add node {node!r}: already present")
-        nbrs = tuple(stable_sorted(neighbors))
-        unknown = [w for w in nbrs if w not in art.index]
-        if unknown:
-            raise GraphError(
-                f"cannot add node {node!r}: unknown neighbor {unknown[0]!r}")
-        i = art.n
-        art.nodes.append(node)
-        art.index[node] = i
-        art.sorted_neighbors[node] = nbrs
-        art.degrees = np.append(art.degrees, np.int64(len(nbrs)))
-        art.closed_nbrs.append(np.asarray(
-            sorted([i] + [art.index[w] for w in nbrs]), dtype=np.int64))
-        for w in nbrs:
-            j = art.index[w]
-            art.sorted_neighbors[w] = tuple(
-                stable_sorted(art.sorted_neighbors[w] + (node,)))
-            art.degrees[j] += 1
-            art.closed_nbrs[j] = np.append(art.closed_nbrs[j], np.int64(i))
-        art.n += 1
-        art.m += len(nbrs)
-        self._refresh_delta()
-        self._bump()
+        """Append ``node`` with edges to ``neighbors`` (all present,
+        no repeats)."""
+        self.apply([("add", node, neighbors)])
 
     def remove_node(self, node: NodeId) -> None:
         """Drop ``node`` and its edges; the last-indexed node takes its
-        slot (swap-with-last keeps the index dense in O(ball) time)."""
-        art = self.art
-        if node not in art.index:
-            raise GraphError(f"cannot remove node {node!r}: not present")
-        i = art.index.pop(node)
-        nbrs = art.sorted_neighbors.pop(node)
-        # Detach the node from its neighbors' views.
-        for w in nbrs:
-            j = art.index[w]
-            art.sorted_neighbors[w] = tuple(
-                x for x in art.sorted_neighbors[w] if x != node)
-            art.degrees[j] -= 1
-            arr = art.closed_nbrs[j]
-            art.closed_nbrs[j] = arr[arr != i]
-        last_i = art.n - 1
-        if i != last_i:
-            # Move the last-indexed node into the freed slot and rewrite
-            # the index everywhere it appears (its closed ball).
-            last = art.nodes[last_i]
-            art.nodes[i] = last
-            art.index[last] = i
-            art.degrees[i] = art.degrees[last_i]
-            art.closed_nbrs[i] = art.closed_nbrs[last_i]
-            for w in art.sorted_neighbors[last] + (last,):
-                j = art.index[w]
-                arr = art.closed_nbrs[j]
-                arr[arr == last_i] = i
-                art.closed_nbrs[j] = np.sort(arr)
-        art.nodes.pop()
-        art.closed_nbrs.pop()
-        art.degrees = art.degrees[:last_i].copy()
-        art.n -= 1
-        art.m -= len(nbrs)
-        self._refresh_delta()
-        self._bump()
+        slot (swap-with-last keeps the index dense)."""
+        self.apply([("remove", node)])
 
     def rewire(self, node: NodeId, neighbors: Iterable[NodeId]) -> None:
         """Replace ``node``'s adjacency with ``neighbors`` in place
         (a move event: same node set, different edges)."""
-        art = self.art
-        if node not in art.index:
-            raise GraphError(f"cannot rewire node {node!r}: not present")
-        i = art.index[node]
-        new = tuple(stable_sorted(neighbors))
-        unknown = [w for w in new if w not in art.index]
-        if unknown:
-            raise GraphError(
-                f"cannot rewire node {node!r}: unknown neighbor "
-                f"{unknown[0]!r}")
-        old = art.sorted_neighbors[node]
-        old_set, new_set = set(old), set(new)
-        if node in new_set:
-            raise GraphError(f"cannot rewire node {node!r} onto itself")
-        for w in old_set - new_set:
-            j = art.index[w]
-            art.sorted_neighbors[w] = tuple(
-                x for x in art.sorted_neighbors[w] if x != node)
-            art.degrees[j] -= 1
-            arr = art.closed_nbrs[j]
-            art.closed_nbrs[j] = arr[arr != i]
-        for w in new_set - old_set:
-            j = art.index[w]
-            art.sorted_neighbors[w] = tuple(
-                stable_sorted(art.sorted_neighbors[w] + (node,)))
-            art.degrees[j] += 1
-            art.closed_nbrs[j] = np.sort(
-                np.append(art.closed_nbrs[j], np.int64(i)))
-        art.sorted_neighbors[node] = new
-        art.degrees[i] = len(new)
-        art.closed_nbrs[i] = np.asarray(
-            sorted([i] + [art.index[w] for w in new]), dtype=np.int64)
-        art.m += len(new_set) - len(old_set)
-        self._refresh_delta()
-        self._bump()
+        self.apply([("rewire", node, neighbors)])
 
 
 class StackedGraphs:

@@ -65,11 +65,11 @@ __all__ = [
 def member_mask(art: GraphArtifacts, members: Iterable) -> np.ndarray:
     """Index-aligned boolean membership mask of ``members`` (the native
     coverage kernels' operand; ``.astype(float)`` of it is exactly
-    :func:`member_indicator`)."""
+    :func:`member_indicator`).  One ``np.fromiter`` over ``art.index``;
+    an unknown member raises ``KeyError``."""
     mask = np.zeros(art.n, dtype=bool)
-    idx = [art.index[v] for v in members]
-    if idx:
-        mask[idx] = True
+    mask[np.fromiter(map(art.index.__getitem__, members),
+                     dtype=np.int64)] = True
     return mask
 
 
@@ -248,9 +248,23 @@ def scatter_cover(coverage: np.ndarray, art: GraphArtifacts,
             touched = np.empty(total, dtype=np.int64)
             impl(pi, indptr, indices, int(sign), coverage, touched)
             return touched
-    touched = np.concatenate([art.closed_nbrs[i] for i in promoted_idx])
+    touched, _ = _closed_balls(art, promoted_idx)
     np.add.at(coverage, touched, sign)
     return touched
+
+
+def _closed_balls(art: GraphArtifacts, idx) -> Tuple[np.ndarray,
+                                                      np.ndarray]:
+    """The closed CSR rows of the (non-empty) ``idx`` concatenated in
+    order, gathered in one vectorized expansion, and each row's length."""
+    indptr, indices = art.closed_csr_arrays()
+    pi = np.asarray(idx, dtype=np.int64)
+    starts = indptr[pi]
+    sizes = indptr[pi + 1] - starts
+    ends = np.cumsum(sizes)
+    ee = np.repeat(starts - (ends - sizes), sizes) \
+        + np.arange(int(ends[-1]))
+    return indices[ee], sizes
 
 
 def scatter_cover_batch(coverage: np.ndarray, art: GraphArtifacts,
@@ -272,14 +286,7 @@ def scatter_cover_batch(coverage: np.ndarray, art: GraphArtifacts,
     if len(promoted_idx) == 0:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty
-    indptr, indices = art.closed_csr_arrays()
-    pi = np.asarray(promoted_idx, dtype=np.int64)
-    starts = indptr[pi]
-    sizes = indptr[pi + 1] - starts
-    ends = np.cumsum(sizes)
-    ee = np.repeat(starts - (ends - sizes), sizes) \
-        + np.arange(int(ends[-1]))
-    touched = indices[ee]
+    touched, sizes = _closed_balls(art, promoted_idx)
     reps = np.repeat(np.asarray(rep_idx, dtype=np.int64), sizes)
     if coverage.flags.c_contiguous:
         n = coverage.shape[1]

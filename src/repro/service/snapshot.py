@@ -16,10 +16,12 @@ What a snapshot holds (all index-aligned over ``n`` live nodes):
   coverage-counting plane) and the deficit vector against ``k``;
 - the epoch number and a capture timestamp (the snapshot-age metric).
 
-Capture cost is O(n + m) copies at worst — the CSR pair and node table
-come straight from the live artifact caches, which the artifact layer
-rebuilds (not mutates) after churn, so sharing references is safe: a
-later epoch's patches can never reach into a published snapshot.
+Capture shares the CSR pair and node table with the live artifacts
+instead of copying them: they are the bundle's primary arrays, and an
+:class:`~repro.engine.artifacts.ArtifactDelta` edit replaces them with
+new arrays rather than writing into them, so a later epoch's churn can
+never reach into a published snapshot.  What capture computes is
+O(|members|) for the membership mask plus one coverage matvec.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Dict, Optional, TYPE_CHECKING
 
 import numpy as np
 
-from repro.engine.kernels import deficit_vector, member_counts
+from repro.engine.kernels import deficit_vector, member_counts, member_mask
 
 if TYPE_CHECKING:  # pragma: no cover
     import networkx as nx
@@ -94,17 +96,14 @@ class EpochSnapshot:
         """Freeze the live state's coverage view (writer side).
 
         Reads the live :class:`~repro.engine.artifacts.GraphArtifacts`
-        caches and runs one CSR matvec for the dominator counts — the
+        arrays and runs one CSR matvec for the dominator counts — the
         same kernels the loop's verify step uses, so a published
         snapshot always agrees with ``fully_covered_after``.
         """
         art = state.artifacts()
         indptr, indices = art.closed_csr_arrays()
         nodes = art.nodes_array()
-        mask = np.zeros(art.n, dtype=bool)
-        idx = [art.index[v] for v in state.members if v in art.index]
-        if idx:
-            mask[idx] = True
+        mask = member_mask(art, state.members)
         counts = member_counts(art, indicator=mask, convention="open")
         deficit = deficit_vector(art, counts, k, member_idx=mask)
         return cls(epoch=epoch, k=k, nodes=nodes, indptr=indptr,
