@@ -38,7 +38,8 @@ from typing import Dict, Iterator, List, Sequence, Set, Union
 
 import numpy as np
 
-from repro.engine import Instrumentation, RoundProgram, execute, validate_seed
+from repro.engine import (Instrumentation, Lanes, RoundProgram, execute,
+                          validate_seed)
 from repro.engine.artifacts import graph_artifacts
 from repro.errors import GraphError, InfeasibleInstanceError
 from repro.graphs.properties import as_nx
@@ -384,6 +385,31 @@ class JRSProgram(RoundProgram):
         )
 
     # ------------------------------------------------------------------
+    def lanes(self) -> Lanes:
+        from repro.simulation.columnar import lane_order
+
+        art = self.artifacts
+        _, order = lane_order(art)
+        n = art.n
+        return Lanes(
+            JRSNode, convention=self.convention, max_phases=self.max_phases,
+            req=np.array([int(self.req[v]) for v in art.nodes],
+                         dtype=np.int64)[order],
+            member=np.zeros(n, dtype=bool),
+            phases=np.zeros(n, dtype=np.int64))
+
+    def collect_lanes(self, stepper, stats: RunStats) -> DominatingSet:
+        nodes = stepper.plan.nodes
+        phases = stepper.phases
+        return DominatingSet(
+            members={nodes[i]
+                     for i in np.flatnonzero(stepper.member).tolist()},
+            stats=stats,
+            details={"algorithm": "jrs-lrg",
+                     "phases": int(phases.max()) if phases.size else 0,
+                     "convention": self.convention},
+        )
+
     def processes(self) -> List[JRSNode]:
         return [JRSNode(v, self.req[v], self.convention, self.max_phases)
                 for v in self.artifacts.nodes]

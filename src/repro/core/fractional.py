@@ -35,7 +35,8 @@ from typing import Dict, Iterator, List, Optional, Sequence
 import numpy as np
 
 from repro.core.lp import CoveringLP
-from repro.engine import Instrumentation, RoundProgram, execute, validate_seed
+from repro.engine import (Instrumentation, Lanes, RoundProgram, execute,
+                          validate_seed)
 from repro.errors import GraphError, InfeasibleInstanceError
 from repro.graphs.properties import as_nx
 from repro.simulation.messages import Message
@@ -148,8 +149,12 @@ class FractionalNode(NodeProcess):
         white = True
         dyn = float(len(closed))
         big_e = base * (self.w_max / self.w_min)
-        self.alpha = {j: 0.0 for j in closed}
-        self.beta = {j: 0.0 for j in closed}
+        duals = self.compute_duals
+        if duals:
+            # The dual bookkeeping (Lines 12-16's alpha/beta shares) is
+            # analysis-only: without compute_duals the rows stay empty.
+            self.alpha = {j: 0.0 for j in closed}
+            self.beta = {j: 0.0 for j in closed}
         # Members of the closed neighborhood still white.  Gray is
         # monotone (a covered node never reverts), so tracking the
         # shrinking white set replaces re-summing a color map; under
@@ -186,7 +191,9 @@ class FractionalNode(NodeProcess):
                     c_plus = x_plus
                     for _, msg in inbox:
                         c_plus += msg.x_plus
-                    if c_plus > 0:
+                    if not duals:
+                        lam = 0.0  # lam only weights the dual shares
+                    elif c_plus > 0:
                         lam = min(1.0, max(0.0, (k_i - c) / c_plus))
                     else:
                         lam = 1.0
@@ -219,7 +226,7 @@ class FractionalNode(NodeProcess):
 
         self.x = x
 
-        if self.compute_duals:
+        if duals:
             # Line 27 needs alpha_{i,j} y_j - beta_{i,j}, which lives at
             # neighbor j; one extra exchange delivers every share.
             for j in nbrs:
@@ -379,6 +386,54 @@ class FractionalProgram(RoundProgram):
                 weight=w_of[v], w_max=w_max, w_min=w_min)
             for v in lp.nodes
         ]
+
+    def lanes(self) -> Lanes:
+        from repro.simulation.columnar import lane_order
+
+        lp = self.lp
+        _, order = lane_order(self.artifacts)
+        if self.weights is None:
+            weight = np.ones(lp.n)
+            w_max = w_min = 1.0
+        else:
+            w_list = [float(self.weights[v]) for v in lp.nodes]
+            weight = np.asarray(w_list)[order]
+            w_max, w_min = max(w_list), min(w_list)
+        if self.local_delta is None:
+            delta = np.full(lp.n, float(lp.delta))
+        else:
+            delta = np.fromiter((self.local_delta[v] for v in lp.nodes),
+                                dtype=np.float64, count=lp.n)[order]
+        return Lanes(FractionalNode, t=self.t,
+                     compute_duals=self.compute_duals,
+                     w_max=w_max, w_min=w_min,
+                     k=lp.k_vector()[order], delta=delta, weight=weight)
+
+    def collect_lanes(self, stepper, stats: RunStats) -> FractionalSolution:
+        lp, plan = self.lp, stepper.plan
+        # A lane that crashed before the end never wrote its x (nor z);
+        # the process keeps its constructor's 0.0 there.
+        x = np.where(stepper.wrote_x, stepper.x, 0.0)
+        z = np.where(stepper.wrote_z, stepper.z, 0.0)
+        x, y, z = (plan.to_artifact_order(col).tolist()
+                   for col in (x, stepper.y, z))
+        if self.compute_duals:
+            alpha, beta = (
+                dict(zip(lp.nodes, plan.to_artifact_order(
+                    np.array(rows, dtype=object)).tolist()))
+                for rows in stepper.dual_rows())
+        else:
+            alpha = {v: {} for v in lp.nodes}
+            beta = {v: {} for v in lp.nodes}
+        return FractionalSolution(
+            x=dict(zip(lp.nodes, x)),
+            y=dict(zip(lp.nodes, y)),
+            z=dict(zip(lp.nodes, z)),
+            alpha=alpha,
+            beta=beta,
+            t=self.t,
+            stats=stats,
+        )
 
     def collect(self, processes: Sequence[FractionalNode],
                 stats: RunStats) -> FractionalSolution:

@@ -34,7 +34,8 @@ from typing import Iterator, List, Mapping, Sequence
 import numpy as np
 
 from repro.core.lp import CoveringLP
-from repro.engine import Instrumentation, RoundProgram, execute, validate_seed
+from repro.engine import (Instrumentation, Lanes, RoundProgram, execute,
+                          validate_seed)
 from repro.engine import kernels
 from repro.errors import GraphError
 from repro.graphs.properties import as_nx
@@ -268,6 +269,27 @@ class RoundingProgram(RoundProgram):
             details={"sampled": sampled, "requested": len(requested),
                      "policy": policy},
         )
+
+    def lanes(self) -> Lanes:
+        from repro.simulation.columnar import lane_order
+
+        lp, x = self.lp, self.x
+        _, order = lane_order(self.artifacts)
+        n = lp.n
+        return Lanes(
+            RoundingNode,
+            k=np.fromiter((lp.coverage[v] for v in lp.nodes),
+                          dtype=np.int64, count=n)[order],
+            delta=np.full(n, lp.delta, dtype=np.int64),
+            x=np.fromiter((x[v] for v in lp.nodes), dtype=np.float64,
+                          count=n)[order],
+            xmap=[x] * n, policy=[self.policy] * n)
+
+    def collect_lanes(self, stepper, stats: RunStats) -> DominatingSet:
+        nodes = stepper.plan.nodes
+        members = {nodes[i] for i in np.flatnonzero(stepper.member).tolist()}
+        return DominatingSet(members=members, stats=stats,
+                             details={"policy": self.policy})
 
     def processes(self) -> List[RoundingNode]:
         lp = self.lp

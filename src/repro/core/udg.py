@@ -36,7 +36,7 @@ from typing import Dict, Iterator, List, Sequence, Set
 
 import numpy as np
 
-from repro.engine import (Instrumentation, RoundProgram, execute,
+from repro.engine import (Instrumentation, Lanes, RoundProgram, execute,
                           execute_batch, execute_grid, validate_seed)
 from repro.engine import kernels
 from repro.engine.artifacts import StackedGraphs, graph_artifacts, \
@@ -887,10 +887,21 @@ class UDGProgram(RoundProgram):
         n = self.udg.n
         # Upper bound on Part II iterations: each iteration removes at
         # least k deficient nodes from any nonempty U(v), so deg+1 over k
-        # suffices; use n as a safe global bound.
+        # suffices; use n as a safe global bound (as :meth:`lanes` does).
         sync_iters = n + 1
         return [UDGNode(v, self.k, n, self.policy, sync_iters)
                 for v in range(n)]
+
+    def lanes(self) -> Lanes:
+        # Lanes are the node ids 0..n-1 (the stepper requires it).
+        n = self.udg.n
+        return Lanes(UDGNode, k=self.k, n=n, policy=self.policy,
+                     part2_sync_iterations=n + 1)
+
+    def collect_lanes(self, stepper, stats: RunStats) -> DominatingSet:
+        return DominatingSet(members=set(stepper.members().tolist()),
+                             stats=stats,
+                             details={"mode": "message", "k": self.k})
 
     def collect(self, processes: Sequence[UDGNode],
                 stats: RunStats) -> DominatingSet:

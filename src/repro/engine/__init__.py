@@ -37,13 +37,14 @@ from repro.engine.backends import (
 )
 from repro.engine import kernels
 from repro.engine.instrumentation import Instrumentation
-from repro.engine.program import RoundProgram
+from repro.engine.program import Lanes, RoundProgram
 
 __all__ = [
     "BACKENDS",
     "MESSAGE_BACKENDS",
     "GraphArtifacts",
     "Instrumentation",
+    "Lanes",
     "RoundProgram",
     "StackedGraphs",
     "cache_stats",

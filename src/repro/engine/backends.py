@@ -111,6 +111,13 @@ def execute(program: RoundProgram, mode: str = "direct", *,
         bit-for-bit against its oracle by
         ``tests/test_mode_equivalence.py`` and
         ``tests/test_protocol_steppers.py``.
+
+    On ``message``, a program with a columnar stepper runs as a *lane
+    run*: its node parameters go to the stepper as lane arrays
+    (:meth:`RoundProgram.lanes`) and the result comes from the
+    stepper's final arrays (:meth:`RoundProgram.collect_lanes`), so no
+    node process is built.  Processes are built only for the oracle,
+    the asynchronous backends, and runs the columnar plane declines.
     """
     backend = resolve_backend(mode)
     seed = validate_seed(seed)
@@ -137,6 +144,29 @@ def execute(program: RoundProgram, mode: str = "direct", *,
     # import here would close an initialization cycle.
     from repro.simulation.network import SynchronousNetwork
 
+    if backend == "message" and not reference:
+        lanes = _lanes_of(program)
+        if lanes is not None:
+            from repro.simulation import columnar
+
+            net = SynchronousNetwork.for_lanes(
+                program.network_graph, lanes, seed=seed,
+                **program.network_kwargs)
+            try:
+                stats = columnar.try_columnar(
+                    net, max_rounds=program.max_rounds(), injectors=injectors)
+                stepper = lanes.stepper
+            finally:
+                # The stepper refers back to the network, which holds
+                # the lanes: break the cycle so the run's arrays are
+                # freed on return rather than at the next collection.
+                lanes.stepper = None
+            if stats is not None:
+                return program.collect_lanes(stepper, stats)
+            # Declined (third-party injector, strict bit budget, ...): the
+            # per-node loop, without asking the columnar plane twice.
+            reference = True
+
     processes = program.processes()
     net = SynchronousNetwork(program.network_graph, processes, seed=seed,
                              **program.network_kwargs)
@@ -157,6 +187,19 @@ def execute(program: RoundProgram, mode: str = "direct", *,
         stats = astats.as_run_stats()
     assert isinstance(stats, RunStats)
     return program.collect(processes, stats)
+
+
+def _lanes_of(program: RoundProgram):
+    """``program.lanes()``, unless a subclass overrides ``processes``
+    below the class that defines ``lanes``: its processes are not the
+    ones the lanes describe, so it runs them (the per-node loop, or a
+    stepper if they are of a registered exact type)."""
+    cls = type(program)
+    owner = {name: next(c for c in cls.__mro__ if name in vars(c))
+             for name in ("lanes", "processes")}
+    if owner["lanes"] is not owner["processes"]:
+        return None
+    return program.lanes()
 
 
 def execute_batch(program: RoundProgram, seeds: Sequence[int],

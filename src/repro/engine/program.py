@@ -7,26 +7,56 @@ distributed algorithm:
   cached :class:`~repro.engine.artifacts.GraphArtifacts`), charging its
   analytic round/message schedule on the given
   :class:`~repro.engine.instrumentation.Instrumentation`;
+- ``lanes()`` / ``collect_lanes(stepper, stats)`` — the lane hook of
+  programs with a columnar stepper (:mod:`repro.simulation.steppers`):
+  every node's parameters as scalars and lane-ordered arrays
+  (:class:`Lanes`), and the result read back from the stepper's final
+  lane arrays.  ``execute(program, "message")`` runs these without
+  building a single node process;
 - ``processes()`` — one :class:`~repro.simulation.node.NodeProcess`
   generator per node, executable on the synchronous simulator *or* on
   either asynchronous synchronizer (the generators are transport-
-  oblivious);
+  oblivious); the per-node oracle (``reference=True``), the
+  asynchronous backends and runs the columnar plane declines use them;
 - ``collect(processes, stats)`` — assemble the algorithm's result object
   from the final node states plus the transport's accounting.
 
-Both paths must consume the per-node RNG streams identically, so every
+All paths must consume the per-node RNG streams identically, so every
 backend produces the same output for the same seed (asserted by
-``tests/test_mode_equivalence.py``).
+``tests/test_mode_equivalence.py``; the lane and process paths are
+pinned against each other by ``tests/test_protocol_steppers.py``).
 """
 
 from __future__ import annotations
 
 import copy
-from typing import List, Sequence
+from typing import List, Optional, Sequence, Type
 
 from repro.engine.artifacts import GraphArtifacts
 from repro.engine.instrumentation import Instrumentation
 from repro.types import RunStats
+
+
+class Lanes:
+    """A program's node parameters for a process-free columnar run.
+
+    ``kind`` is the exact process type whose registered stepper runs the
+    lanes; every other keyword becomes an attribute holding a scalar
+    (shared by every lane) or a lane-ordered array.  Lane ``i`` is the
+    ``i``-th node in stable order (:func:`~repro.types.stable_sorted`
+    over the graph's nodes, the order of
+    :func:`~repro.simulation.columnar.lane_order`).  The stepper
+    factories build the same record from hand-built processes, so one
+    stepper constructor serves both kinds of run.
+
+    After a lane run, ``stepper`` is the stepper whose final lane arrays
+    hold the result (see :meth:`RoundProgram.collect_lanes`).
+    """
+
+    def __init__(self, kind: Type, **params):
+        self.kind = kind
+        self.stepper = None
+        self.__dict__.update(params)
 
 
 class RoundProgram:
@@ -130,6 +160,19 @@ class RoundProgram:
         ``execute_batch(grid_point(g, k), seeds)`` calls — pinned by
         ``tests/test_grid_equivalence.py``.
         """
+        raise NotImplementedError
+
+    def lanes(self) -> Optional[Lanes]:
+        """Every node's parameters as lane arrays for a process-free
+        columnar run, or None (the default) when no stepper runs this
+        program.  Programs that return lanes implement
+        :meth:`collect_lanes`."""
+        return None
+
+    def collect_lanes(self, stepper, stats: RunStats):
+        """Assemble the result object from a lane run's final stepper
+        arrays + accounting; equal to :meth:`collect` on the processes a
+        per-node run leaves."""
         raise NotImplementedError
 
     def processes(self) -> List:

@@ -7,6 +7,22 @@ delivery machinery used by :func:`repro.simulation.runner.run_protocol`.
 The network accepts either a plain ``networkx.Graph`` (optionally with
 ``pos`` node attributes for geometric protocols) or any object with an
 ``nx`` attribute holding one (e.g. :class:`repro.graphs.udg.UnitDiskGraph`).
+
+Two kinds of run use a network:
+
+- a **process run** binds one process per node and executes on the
+  per-node generator loop or, when eligible, on the columnar stepping
+  plane (:mod:`repro.simulation.columnar`), which writes its final lane
+  state back onto the processes;
+- a **lane run** (:meth:`SynchronousNetwork.for_lanes`) carries a
+  program's node parameters as lane arrays
+  (:class:`~repro.engine.program.Lanes`) instead of processes, and only
+  the columnar plane can execute it.  ``execute(program, "message")``
+  takes this path for programs with a registered stepper.
+
+Node positions are read on first use (:meth:`distance`,
+:meth:`neighbors_within`, :attr:`is_geometric`), so runs that never
+sense distances — every columnar run — never load them.
 """
 
 from __future__ import annotations
@@ -57,28 +73,51 @@ class SynchronousNetwork:
     def __init__(self, graph, processes: Iterable[NodeProcess], *,
                  seed: int | None = None, value_bits: int | None = None,
                  strict_message_bits: int | None = None):
+        self._bind(graph, seed, value_bits, strict_message_bits)
+        self.processes: Dict[NodeId, NodeProcess] = {}
+        for proc in processes:
+            node_id = proc.node_id
+            if node_id not in self.graph:
+                raise SimulationError(
+                    f"process for unknown node {node_id!r}"
+                )
+            if node_id in self.processes:
+                raise SimulationError(
+                    f"duplicate process for node {node_id!r}"
+                )
+            self.processes[node_id] = proc
+        # Every process names a distinct graph node, so equal counts mean
+        # every node has one; the missing set only words the error.
+        if len(self.processes) != self.n:
+            missing = set(self.graph.nodes) - set(self.processes)
+            raise SimulationError(
+                f"no process supplied for {len(missing)} node(s), e.g. {next(iter(missing))!r}"
+            )
+        #: A process run carries no lanes (see :meth:`for_lanes`).
+        self.lanes = None
+
+    @classmethod
+    def for_lanes(cls, graph, lanes, *, seed: int | None = None,
+                  value_bits: int | None = None,
+                  strict_message_bits: int | None = None
+                  ) -> "SynchronousNetwork":
+        """A process-free network for a lane run: ``lanes`` (a
+        :class:`~repro.engine.program.Lanes`) holds every node's
+        parameters as lane arrays, ``processes`` stays empty, and only
+        :func:`~repro.simulation.columnar.try_columnar` can run it; the
+        run leaves its final lane state on ``lanes.stepper``."""
+        net = cls.__new__(cls)
+        net._bind(graph, seed, value_bits, strict_message_bits)
+        net.processes = {}
+        net.lanes = lanes
+        return net
+
+    def _bind(self, graph, seed, value_bits, strict_message_bits) -> None:
         self.graph: nx.Graph = getattr(graph, "nx", graph)
         if not isinstance(self.graph, nx.Graph):
             raise SimulationError(
                 f"expected a networkx.Graph (or wrapper), got {type(graph).__name__}"
             )
-        self.processes: Dict[NodeId, NodeProcess] = {}
-        for proc in processes:
-            if proc.node_id not in self.graph:
-                raise SimulationError(
-                    f"process for unknown node {proc.node_id!r}"
-                )
-            if proc.node_id in self.processes:
-                raise SimulationError(
-                    f"duplicate process for node {proc.node_id!r}"
-                )
-            self.processes[proc.node_id] = proc
-        missing = set(self.graph.nodes) - set(self.processes)
-        if missing:
-            raise SimulationError(
-                f"no process supplied for {len(missing)} node(s), e.g. {next(iter(missing))!r}"
-            )
-
         self.n = self.graph.number_of_nodes()
         self.size_model = MessageSizeModel(max(1, self.n), value_bits=value_bits)
         self.strict_message_bits = strict_message_bits
@@ -103,7 +142,9 @@ class SynchronousNetwork:
         #: Communication radius: the wrapper's ``radius`` (a
         #: :class:`~repro.graphs.udg.UnitDiskGraph`), else the paper's 1.
         self.radius = float(getattr(graph, "radius", 1.0))
-        self._positions = self._load_positions()
+        # Loaded by the first geometric query (see _geometry).
+        self._positions_loaded = False
+        self._positions: Optional[Dict[NodeId, Tuple[float, float]]] = None
         # Stable neighbor orderings come from the per-graph artifact
         # cache, shared with direct-mode kernels and repeated runs.
         self._artifacts = graph_artifacts(self.graph)
@@ -119,21 +160,29 @@ class SynchronousNetwork:
             return {v: (float(p[0]), float(p[1])) for v, p in pos.items()}
         return None
 
+    def _geometry(self) -> Optional[Dict[NodeId, Tuple[float, float]]]:
+        """The node positions, read from the graph on first use."""
+        if not self._positions_loaded:
+            self._positions = self._load_positions()
+            self._positions_loaded = True
+        return self._positions
+
     @property
     def is_geometric(self) -> bool:
         """Whether every node carries a position (distance sensing works)."""
-        return self._positions is not None
+        return self._geometry() is not None
 
     def distance(self, u: NodeId, v: NodeId) -> float:
         """Euclidean distance between two positioned nodes."""
-        if self._positions is None:
-            raise GeometryError(
-                "distance sensing requires node positions ('pos' attributes)"
-            )
         cache = self._edge_distance_cache
         d = cache.get((u, v))
         if d is None:
-            (x1, y1), (x2, y2) = self._positions[u], self._positions[v]
+            positions = self._geometry()
+            if positions is None:
+                raise GeometryError(
+                    "distance sensing requires node positions ('pos' attributes)"
+                )
+            (x1, y1), (x2, y2) = positions[u], positions[v]
             d = math.hypot(x1 - x2, y1 - y2)
             # Store under both orientations: order-insensitive lookups
             # without canonicalizing (the ids need not be comparable).
@@ -145,7 +194,7 @@ class SynchronousNetwork:
         """Graph neighbors of ``v`` within sensed distance ``radius``."""
         if self._sensing is not None:
             return tuple(self._sensing.neighbors_within(v, radius))
-        if self._positions is None:
+        if self._geometry() is None:
             raise GeometryError(
                 "neighbors_within requires node positions ('pos' attributes)"
             )

@@ -24,20 +24,26 @@ order; where a stepper adds a masked ``+0.0`` in place of the
 reference's *skip*, a comment states why the accumulator can never be
 ``-0.0`` (the one case where ``+ 0.0`` is not an identity).
 
+Every stepper but :class:`PatchStepper` is built from a
+:class:`~repro.engine.program.Lanes` record: the program's own on a lane
+run (``execute(program, "message")``, no processes at all), or one its
+factory derives from the processes on a process run (``run_protocol``
+on hand-built processes).  Parameters stay per lane either way.
 Steppers seed every array the generator body reads from process state
 (``PatchNode.promoted`` / ``iterations``, ``JRSNode.member`` /
 ``phases``), so a run on processes an earlier run left behind replays
-the reference too.
+the reference too; a program's lanes carry the constructor values.
 
 A factory may return ``None`` to decline a run it cannot replay
-exactly (heterogeneous per-lane parameters that never occur via the
-stock programs, sensing subclasses with bespoke semantics, injector
-mixes a stepper does not model); the runner then falls back to the
-per-node generator loop.
+exactly (heterogeneous parameters a stepper keeps as scalars, which
+never occur via the stock programs, sensing subclasses with bespoke
+semantics, injector mixes a stepper does not model); the runner then
+falls back to the per-node generator loop.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -48,13 +54,14 @@ from repro.baselines.jrs import (JRSNode, JrsCandMsg, JrsFallbackMsg,
 from repro.core.fractional import (_COLOR_WHITE, DualShareMsg,
                                    FractionalNode, XUpdateMsg)
 from repro.core.rounding import (MembershipMsg, ReqMsg, RoundingNode,
-                                 _choose_requests, rounding_probability)
+                                 _choose_requests)
 from repro.core.udg import (_MAX_SAMPLED_ID, AdoptMsg, DeficitMsg,
                             ElectionMsg, ElectMsg, LeaderStatusMsg, UDGNode,
                             _id_ranges, _id_space, _pick, theta_schedule)
 from repro.dynamics.repair import (AdoptMsg as PatchAdoptMsg, HelpMsg,
                                    LeaderAnnounceMsg, PatchNode)
 from repro.engine import kernels
+from repro.engine.program import Lanes
 from repro.errors import GraphError
 from repro.simulation.columnar import (ColumnarStepper, MessagePlan,
                                        RoundTraffic, inbox_reduce, plan_for,
@@ -79,6 +86,11 @@ def _float_pow_table(bases: np.ndarray, expo: float,
     vals = np.fromiter((post(float(b) ** expo) for b in ubase),
                        dtype=np.float64, count=ubase.size)
     return vals[inv]
+
+
+def _lane_procs(network, plan: MessagePlan) -> List:
+    """A process run's processes in lane order."""
+    return [network.processes[v] for v in plan.nodes]
 
 
 def _same(values) -> bool:
@@ -106,10 +118,21 @@ def _pick_lane(stepper: ColumnarStepper, lane: int, candidates: List,
 
 @register_stepper(FractionalNode)
 def _fractional_factory(network, injectors):
-    procs = network.processes.values()
-    if not _same((p.t, p.compute_duals, p.w_max, p.w_min) for p in procs):
-        return None
-    return FractionalStepper(network, plan_for(network))
+    plan = plan_for(network)
+    lanes = network.lanes
+    if lanes is None:
+        procs = _lane_procs(network, plan)
+        if not _same((p.t, p.compute_duals, p.w_max, p.w_min)
+                     for p in procs):
+            return None
+        p0, n = procs[0], plan.n
+        lanes = Lanes(
+            FractionalNode, t=p0.t, compute_duals=p0.compute_duals,
+            w_max=p0.w_max, w_min=p0.w_min,
+            k=np.fromiter((p.k_i for p in procs), np.float64, n),
+            delta=np.fromiter((p.delta for p in procs), np.float64, n),
+            weight=np.fromiter((p.weight for p in procs), np.float64, n))
+    return FractionalStepper(network, plan, lanes)
 
 
 class FractionalStepper(ColumnarStepper):
@@ -121,7 +144,12 @@ class FractionalStepper(ColumnarStepper):
     process XUpdateMsg (the coverage/dual accounting) and broadcast
     ColorMsg.  Advance ``2t^2`` processes the last ColorMsg and either
     finishes or unicasts DualShareMsg; advance ``2t^2+1`` assembles
-    ``z``.
+    ``z``.  Without ``compute_duals`` no dual share is accumulated, as
+    in the generator body.
+
+    Lanes: scalars ``t``, ``compute_duals``, ``w_max``, ``w_min``;
+    arrays ``k`` (the ``k_i``), ``delta`` (global or local Delta) and
+    ``weight``.
 
     Exactness notes (vs the generator body, which skips zero terms):
 
@@ -137,21 +165,17 @@ class FractionalStepper(ColumnarStepper):
       counts equal ``len(white_set)`` in any summation order.
     """
 
-    def __init__(self, network, plan: MessagePlan):
+    def __init__(self, network, plan: MessagePlan, lanes: Lanes):
         super().__init__(network, plan)
         n = plan.n
-        procs = self.procs
-        p0 = procs[0]
-        self.t = p0.t
-        self.compute_duals = p0.compute_duals
-        self.k_i = np.fromiter((p.k_i for p in procs), np.float64, n)
-        self.w = np.fromiter((p.weight for p in procs), np.float64, n)
-        base = np.fromiter((p.delta + 1.0 for p in procs), np.float64, n)
+        self.t = lanes.t
+        self.compute_duals = lanes.compute_duals
+        self.k_i = np.asarray(lanes.k, dtype=np.float64)
+        self.w = np.asarray(lanes.weight, dtype=np.float64)
+        base = np.asarray(lanes.delta, dtype=np.float64) + 1.0
         self.base = base
-        w_ratio = p0.w_max / p0.w_min
-        self.big_e = np.fromiter((float(b) * w_ratio for b in base),
-                                 np.float64, n)
-        self.w_max = p0.w_max
+        self.big_e = base * (lanes.w_max / lanes.w_min)
+        self.w_max = lanes.w_max
 
         self.live = np.ones(n, dtype=bool)
         self.started = np.zeros(n, dtype=bool)
@@ -170,12 +194,13 @@ class FractionalStepper(ColumnarStepper):
         E = plan.E
         self.W_e = np.ones(E, dtype=bool)
         self.W_self = np.ones(n, dtype=bool)
-        # alpha/beta edge shares live on the receiver-major edge set
-        # (row i, senders ascending == the reference's closed order).
-        self.alpha_e = np.zeros(E)
-        self.beta_e = np.zeros(E)
-        self.alpha_self = np.zeros(n)
-        self.beta_self = np.zeros(n)
+        if self.compute_duals:
+            # alpha/beta edge shares live on the receiver-major edge set
+            # (row i, senders ascending == the reference's closed order).
+            self.alpha_e = np.zeros(E)
+            self.beta_e = np.zeros(E)
+            self.alpha_self = np.zeros(n)
+            self.beta_self = np.zeros(n)
         self._dual_vals: Optional[np.ndarray] = None
         self._pow_cache: Dict[Tuple[str, int], np.ndarray] = {}
 
@@ -224,20 +249,22 @@ class FractionalStepper(ColumnarStepper):
         c_plus = inbox_reduce(plan.rindptr, xp_e, mask_r, self.x_plus)
         proc = self.white & live
         thr = self._pow("thr", p)
-        lam = np.ones(plan.n)
-        sel = proc & (c_plus > 0)
-        lam[sel] = np.minimum(
-            1.0, np.maximum(0.0, (self.k_i[sel] - self.c[sel]) / c_plus[sel]))
-        # Dual shares: share = lam * x_plus per (row, sender) pair, each
-        # touched once per round; gated-out terms add +0.0 to the
-        # non-negative accumulators — exactly the reference's skip.
-        gate_e = mask_r & proc[rdst]
-        share_e = np.where(gate_e, take(lam, rdst) * xp_e, 0.0)
-        self.alpha_e += share_e
-        self.beta_e += np.where(gate_e, share_e / take(thr, rdst), 0.0)
-        share_s = np.where(proc, lam * self.x_plus, 0.0)
-        self.alpha_self += share_s
-        self.beta_self += np.where(proc, share_s / thr, 0.0)
+        if self.compute_duals:
+            lam = np.ones(plan.n)
+            sel = proc & (c_plus > 0)
+            lam[sel] = np.minimum(1.0, np.maximum(
+                0.0, (self.k_i[sel] - self.c[sel]) / c_plus[sel]))
+            # Dual shares: share = lam * x_plus per (row, sender) pair,
+            # each touched once per round; gated-out terms add +0.0 to
+            # the non-negative accumulators — exactly the reference's
+            # skip.
+            gate_e = mask_r & proc[rdst]
+            share_e = np.where(gate_e, take(lam, rdst) * xp_e, 0.0)
+            self.alpha_e += share_e
+            self.beta_e += np.where(gate_e, share_e / take(thr, rdst), 0.0)
+            share_s = np.where(proc, lam * self.x_plus, 0.0)
+            self.alpha_self += share_s
+            self.beta_self += np.where(proc, share_s / thr, 0.0)
         self.c[proc] += c_plus[proc]
         newly = proc & (self.c >= self.k_i)
         self.y[newly] = 1.0 / thr[newly]
@@ -304,17 +331,36 @@ class FractionalStepper(ColumnarStepper):
         self.wrote_z |= live
         return None, np.nonzero(live)[0].tolist()
 
-    def finalize(self) -> None:
+    def dual_rows(self) -> Tuple[List[dict], List[dict]]:
+        """Per-lane ``alpha`` and ``beta`` dicts (the node itself, then
+        its senders ascending), empty for lanes that never started (as
+        their processes keep them); only with ``compute_duals``."""
         plan = self.plan
         nodes = plan.nodes
         rindptr = plan.rindptr.tolist()
         # Bulk ndarray -> Python-float conversion once (``tolist`` yields
         # the same floats as per-element ``float()``), then dict-building
         # per lane with zero per-edge numpy indexing.
-        xs, ys, zs = self.x.tolist(), self.y.tolist(), self.z.tolist()
         a_self, b_self = self.alpha_self.tolist(), self.beta_self.tolist()
         a_e, b_e = self.alpha_e.tolist(), self.beta_e.tolist()
         senders = [nodes[s] for s in plan.rsrc.tolist()]
+        alphas: List[dict] = []
+        betas: List[dict] = []
+        for i, started in enumerate(self.started.tolist()):
+            alpha, beta = {}, {}
+            if started:
+                lo, hi = rindptr[i], rindptr[i + 1]
+                alpha[nodes[i]] = a_self[i]
+                alpha.update(zip(senders[lo:hi], a_e[lo:hi]))
+                beta[nodes[i]] = b_self[i]
+                beta.update(zip(senders[lo:hi], b_e[lo:hi]))
+            alphas.append(alpha)
+            betas.append(beta)
+        return alphas, betas
+
+    def finalize(self) -> None:
+        xs, ys, zs = self.x.tolist(), self.y.tolist(), self.z.tolist()
+        alphas, betas = self.dual_rows() if self.compute_duals else ((), ())
         for i, proc in enumerate(self.procs):
             if not self.started[i]:
                 continue
@@ -323,13 +369,9 @@ class FractionalStepper(ColumnarStepper):
             proc.y = ys[i]
             if self.wrote_z[i]:
                 proc.z = zs[i]
-            lo, hi = rindptr[i], rindptr[i + 1]
-            alpha = {nodes[i]: a_self[i]}
-            alpha.update(zip(senders[lo:hi], a_e[lo:hi]))
-            beta = {nodes[i]: b_self[i]}
-            beta.update(zip(senders[lo:hi], b_e[lo:hi]))
-            proc.alpha = alpha
-            proc.beta = beta
+            if alphas:
+                proc.alpha = alphas[i]
+                proc.beta = betas[i]
 
 
 # ======================================================================
@@ -338,20 +380,55 @@ class FractionalStepper(ColumnarStepper):
 
 @register_stepper(RoundingNode)
 def _rounding_factory(network, injectors):
-    return RoundingStepper(network, plan_for(network))
+    plan = plan_for(network)
+    lanes = network.lanes
+    if lanes is None:
+        procs = _lane_procs(network, plan)
+        n = plan.n
+        lanes = Lanes(
+            RoundingNode,
+            k=np.fromiter((p.k_i for p in procs), np.int64, n),
+            delta=np.array([p.delta for p in procs]),
+            x=np.fromiter((p.x[p.node_id] for p in procs), np.float64, n),
+            xmap=[p.x for p in procs],
+            policy=[p.policy for p in procs])
+    return RoundingStepper(network, plan, lanes)
+
+
+def _coin_probabilities(x: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """:func:`~repro.core.rounding.rounding_probability` over lanes:
+    ``math.log(delta + 1.0)`` once per distinct delta (the factor is 1
+    where ``delta <= 0``, whose reference is ``min(1.0, x_i)``), then
+    ``min(1.0, x * factor)`` as ``where(p < 1.0, p, 1.0)`` — Python's
+    ``min`` keeps its first argument unless the second is smaller."""
+    uniq, inv = np.unique(delta, return_inverse=True)
+    factor = np.fromiter(
+        (math.log(d + 1.0) if d > 0 else 1.0 for d in uniq.tolist()),
+        dtype=np.float64, count=uniq.size)
+    p = x * factor[inv.reshape(-1)]
+    return np.where(p < 1.0, p, 1.0)
 
 
 class RoundingStepper(ColumnarStepper):
     """Algorithm 2's two exchanges, lane-batched.
 
-    The coin flips are one ``streams.random`` draw over the live lanes;
-    a REQ-target selection is the reference's own ``_choose_requests``
-    on the lane's ``Generator``, taken only when the selection may draw.
+    Lanes: arrays ``k``, ``delta`` and ``x`` (each lane's own
+    fractional value), plus per-lane lists ``xmap`` (the mapping a REQ
+    selection ranks by) and ``policy``.  The coin probabilities are one
+    vector expression and the flips one ``streams.random`` draw over the
+    live lanes; the needs are one vector, and only lanes with positive
+    need run the reference's own ``_choose_requests`` in Python, on the
+    lane's ``Generator`` when the selection may draw.
     """
 
-    def __init__(self, network, plan: MessagePlan):
+    def __init__(self, network, plan: MessagePlan, lanes: Lanes):
         super().__init__(network, plan)
         n = plan.n
+        self.k = np.asarray(lanes.k, dtype=np.int64)
+        self.delta = np.asarray(lanes.delta)
+        self.x = np.asarray(lanes.x, dtype=np.float64)
+        self.xmap = lanes.xmap
+        self.policy = lanes.policy
         self.live = np.ones(n, dtype=bool)
         self.member = np.zeros(n, dtype=bool)
         self.member_sent = np.zeros(n, dtype=bool)
@@ -365,12 +442,7 @@ class RoundingStepper(ColumnarStepper):
 
         if round_index == 0:
             lanes = np.flatnonzero(live)
-            procs = self.procs
-            probs = np.fromiter(
-                (rounding_probability(procs[i].x[procs[i].node_id],
-                                      procs[i].delta)
-                 for i in lanes.tolist()),
-                dtype=np.float64, count=lanes.size)
+            probs = _coin_probabilities(self.x[lanes], self.delta[lanes])
             self.member[lanes] = self.streams.random(lanes) < probs
             self.member_sent = self.member.copy()
             alive0 = None if live.all() else live[plan.esrc]
@@ -383,16 +455,13 @@ class RoundingStepper(ColumnarStepper):
             # A closed neighbor counts as member iff its announcement
             # arrived and said so (member_of.get(w, False)).
             heard_member = mask_r & self.member_sent[plan.rsrc]
-            have = (np.bincount(plan.rdst[heard_member], minlength=plan.n)
-                    + self.member.astype(np.int64))
+            need = self.k - (np.bincount(plan.rdst[heard_member],
+                                         minlength=plan.n) + self.member)
             esrc: List[int] = []
             edst: List[int] = []
             rindptr, rsrc, nodes = plan.rindptr, plan.rsrc, plan.nodes
-            for i in np.nonzero(live)[0]:
-                proc = self.procs[i]
-                need = proc.k_i - int(have[i])
-                if need <= 0:
-                    continue
+            for i in np.flatnonzero(live & (need > 0)).tolist():
+                need_i = int(need[i])
                 me = nodes[i]
                 row = slice(rindptr[i], rindptr[i + 1])
                 candidates = ([] if self.member[i] else [me]) + \
@@ -400,10 +469,11 @@ class RoundingStepper(ColumnarStepper):
                      if not hm]
                 # Only "highest-x" never draws, and no selection draws
                 # when it takes every candidate.
-                draws = proc.policy != "highest-x" and need < len(candidates)
-                rng = self.streams.generator(int(i)) if draws else None
-                for w in _choose_requests(rng, me, candidates,
-                                          proc.x, need, proc.policy):
+                policy = self.policy[i]
+                draws = policy != "highest-x" and need_i < len(candidates)
+                rng = self.streams.generator(i) if draws else None
+                for w in _choose_requests(rng, me, candidates, self.xmap[i],
+                                          need_i, policy):
                     if w == me:
                         self.member[i] = True
                     else:
@@ -424,8 +494,8 @@ class RoundingStepper(ColumnarStepper):
         return None, np.nonzero(live)[0].tolist()
 
     def finalize(self) -> None:
-        for i, proc in enumerate(self.procs):
-            proc.member = bool(self.member[i])
+        for proc, member in zip(self.procs, self.member.tolist()):
+            proc.member = member
 
 
 # ======================================================================
@@ -437,14 +507,19 @@ def _udg_factory(network, injectors):
     sensing = network._sensing
     if sensing is None or not kernels.supports_kernel_election(sensing):
         return None
-    procs = network.processes.values()
-    if not _same((p.k, p.n, p.policy, p.part2_sync_iterations)
-                 for p in procs):
-        return None
+    lanes = network.lanes
+    if lanes is None:
+        procs = network.processes.values()
+        if not _same((p.k, p.n, p.policy, p.part2_sync_iterations)
+                     for p in procs):
+            return None
+        p0 = next(iter(procs))
+        lanes = Lanes(UDGNode, k=p0.k, n=p0.n, policy=p0.policy,
+                      part2_sync_iterations=p0.part2_sync_iterations)
     plan = plan_for(network)
     if plan.nodes != list(range(plan.n)):
         return None
-    return UDGStepper(network, plan, sensing)
+    return UDGStepper(network, plan, sensing, lanes)
 
 
 class _Frontier(NamedTuple):
@@ -485,18 +560,20 @@ class UDGStepper(ColumnarStepper):
     views and deficiency are updated over the live lanes' rows only.
     Under loss a few leaders stay live for most of Part II's iteration
     cap, so no round pays for the whole edge set.
+
+    Lanes: scalars ``k``, ``n``, ``policy`` and
+    ``part2_sync_iterations``.
     """
 
-    def __init__(self, network, plan: MessagePlan, udg):
+    def __init__(self, network, plan: MessagePlan, udg, lanes: Lanes):
         super().__init__(network, plan)
         n = plan.n
-        p0 = self.procs[0]
-        self.k = p0.k
-        self.policy = p0.policy
-        self.iters = p0.part2_sync_iterations
-        self.schedule = theta_schedule(p0.n, network.radius)
-        self.id_hi = min(_id_space(p0.n), _MAX_SAMPLED_ID)
-        self.bounded_ranges = _id_ranges(p0.n)
+        self.k = lanes.k
+        self.policy = lanes.policy
+        self.iters = lanes.part2_sync_iterations
+        self.schedule = theta_schedule(lanes.n, network.radius)
+        self.id_hi = min(_id_space(lanes.n), _MAX_SAMPLED_ID)
+        self.bounded_ranges = _id_ranges(lanes.n)
         _, self.d_src, self.d_nbr, self.d_dist = kernels.udg_distance_csr(udg)
         self.live = np.ones(n, dtype=bool)
         self.active = np.ones(n, dtype=bool)
@@ -678,6 +755,11 @@ class UDGStepper(ColumnarStepper):
         self.def_sent = self.my_def.copy()
         return self._broadcast(DeficitMsg()), ()
 
+    def members(self) -> np.ndarray:
+        """The lanes whose final ``leader`` flag is set (a lane that
+        crashed before Part I's verdict never wrote one)."""
+        return np.flatnonzero(self.leader & self.wrote_leader)
+
     def finalize(self) -> None:
         for i, proc in enumerate(self.procs):
             if self.wrote_leader[i]:
@@ -853,14 +935,24 @@ def _jrs_factory(network, injectors):
     # crash) breaks that identity: fall back to the per-node loop.
     if injectors:
         return None
-    procs = network.processes.values()
-    if not _same((p.convention, p.max_phases) for p in procs):
+    lanes = network.lanes
+    if lanes is None and not _same((p.convention, p.max_phases)
+                                   for p in network.processes.values()):
         return None
     plan = plan_for(network)
     reprs = [repr(v) for v in plan.nodes]
     if len(set(reprs)) != plan.n:
         return None  # (span, repr(id)) ranking needs distinct reprs
-    return JRSStepper(network, plan, reprs)
+    if lanes is None:
+        procs = _lane_procs(network, plan)
+        n = plan.n
+        lanes = Lanes(
+            JRSNode, convention=procs[0].convention,
+            max_phases=procs[0].max_phases,
+            req=np.fromiter((p.req for p in procs), np.int64, n),
+            member=np.fromiter((p.member for p in procs), bool, n),
+            phases=np.fromiter((p.phases for p in procs), np.int64, n))
+    return JRSStepper(network, plan, reprs, lanes)
 
 
 class JRSStepper(ColumnarStepper):
@@ -877,22 +969,23 @@ class JRSStepper(ColumnarStepper):
     reference's own ``float(np.median(...))`` expression.
     ``support_of.get(u, 1)`` defaults are provably dead: a node with
     positive residual never exits and always sends its support.
-    ``member`` and ``phases`` start from the processes' values, as the
-    generator body's do.
+    ``member`` and ``phases`` start from the lanes' values (a process
+    run's carry what an earlier run left), as the generator body's do.
+
+    Lanes: scalars ``convention`` and ``max_phases``; arrays ``req``,
+    ``member`` and ``phases``.
     """
 
-    def __init__(self, network, plan: MessagePlan, reprs: List[str]):
+    def __init__(self, network, plan: MessagePlan, reprs: List[str],
+                 lanes: Lanes):
         super().__init__(network, plan)
         n = plan.n
-        p0 = self.procs[0]
-        self.convention = p0.convention
-        self.max_phases = p0.max_phases
+        self.convention = lanes.convention
+        self.max_phases = lanes.max_phases
         self.live = np.ones(n, dtype=bool)
-        self.member = np.fromiter((p.member for p in self.procs), bool, n)
-        self.residual = np.fromiter((p.req for p in self.procs),
-                                    np.int64, n)
-        self.phases = np.fromiter((p.phases for p in self.procs),
-                                  np.int64, n)
+        self.member = np.array(lanes.member, dtype=bool)
+        self.residual = np.array(lanes.req, dtype=np.int64)
+        self.phases = np.array(lanes.phases, dtype=np.int64)
         order = sorted(range(n), key=reprs.__getitem__)
         self.rank = np.empty(n, dtype=np.int64)
         self.rank[order] = np.arange(n, dtype=np.int64)

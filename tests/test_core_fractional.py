@@ -11,6 +11,7 @@ from repro.core.fractional import (
     theorem_45_ratio_bound,
 )
 from repro.core.lp import CoveringLP
+from repro.engine import BACKENDS
 from repro.errors import GraphError, InfeasibleInstanceError
 from repro.graphs.generators import gnp_graph, star_graph
 from repro.graphs.properties import feasible_coverage, max_degree
@@ -126,10 +127,16 @@ class TestDualGuarantees:
         assert all(a >= 0 for row in sol.alpha.values() for a in row.values())
         assert all(b >= 0 for row in sol.beta.values() for b in row.values())
 
-    def test_duals_skipped_when_disabled(self, small_gnp):
-        sol = fractional_kmds(small_gnp, k=1, t=2, compute_duals=False)
+    @pytest.mark.parametrize("mode", BACKENDS)
+    def test_duals_skipped_when_disabled(self, small_gnp, mode):
+        sol = fractional_kmds(small_gnp, k=1, t=2, compute_duals=False,
+                              mode=mode, seed=0)
         assert all(not row for row in sol.alpha.values())
+        assert all(not row for row in sol.beta.values())
         assert all(z == 0 for z in sol.z.values())
+        with_duals = fractional_kmds(small_gnp, k=1, t=2, mode=mode, seed=0)
+        assert sol.x == with_duals.x
+        assert sol.y == with_duals.y
 
 
 class TestModes:
