@@ -76,7 +76,8 @@ from repro.graphs import (
 from repro.core.local_delta import two_hop_max_degree
 from repro.engine import BACKENDS
 from repro.weighted import solve_weighted_kmds
-from repro.types import DominatingSet, FractionalSolution, RunStats, uniform_coverage
+from repro.types import (DominatingSet, FractionalSolution, MemberSet,
+                         RunStats, uniform_coverage)
 
 __version__ = "1.0.0"
 
@@ -115,6 +116,7 @@ __all__ = [
     # results
     "DominatingSet",
     "FractionalSolution",
+    "MemberSet",
     "RunStats",
     # errors
     "ReproError",

@@ -85,6 +85,11 @@ def dominator_failure_experiment(graph, members: Iterable[NodeId],
                 "mean_residual_coverage": 0.0, "all_covered_probability": 0.0}
     rng = np.random.default_rng(seed)
     n_kill = int(round(kill_fraction * len(member_list)))
+    member_set = set(member_list)
+    # Nodes that were dominators (even dead ones) are treated as members
+    # of the structure: the question is whether *client* nodes keep a
+    # live dominator.
+    clients = [v for v in g.nodes if v not in member_set]
 
     uncovered_fracs: List[float] = []
     covered_fracs: List[float] = []
@@ -92,12 +97,8 @@ def dominator_failure_experiment(graph, members: Iterable[NodeId],
     all_covered = 0
     for _ in range(trials):
         killed = _choose_victims(g, member_list, n_kill, strategy, rng)
-        survivors = set(member_list) - killed
+        survivors = member_set - killed
         counts = coverage_counts(g, survivors, convention="open")
-        # Nodes that were dominators (even dead ones) are treated as
-        # members of the structure: the question is whether *client* nodes
-        # keep a live dominator.
-        clients = [v for v in g.nodes if v not in set(member_list)]
         if not clients:
             uncovered_fracs.append(0.0)
             covered_fracs.append(1.0)

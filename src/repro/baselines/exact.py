@@ -24,7 +24,6 @@ from typing import Optional, Set, Tuple, Union
 
 import numpy as np
 import scipy.optimize as opt
-import scipy.sparse as sp
 
 from repro.baselines.greedy import greedy_kmds
 from repro.baselines.lp_opt import _constraint_matrix

@@ -46,7 +46,8 @@ from repro.graphs.properties import as_nx
 from repro.simulation.messages import Message
 from repro.simulation.node import NodeProcess
 from repro.simulation.rng import spawn_node_rngs
-from repro.types import CoverageMap, DominatingSet, NodeId, RunStats
+from repro.types import (CoverageMap, DominatingSet, MemberSet, NodeId,
+                         RunStats)
 
 #: Communication rounds per LRG phase (state: 1, span: 1, 2-hop span max:
 #: 1, candidacy: 1, support: 1, coin joins: 1, fallback joins: 1).
@@ -399,11 +400,9 @@ class JRSProgram(RoundProgram):
             phases=np.zeros(n, dtype=np.int64))
 
     def collect_lanes(self, stepper, stats: RunStats) -> DominatingSet:
-        nodes = stepper.plan.nodes
         phases = stepper.phases
         return DominatingSet(
-            members={nodes[i]
-                     for i in np.flatnonzero(stepper.member).tolist()},
+            members=MemberSet.from_mask(stepper.member, stepper.plan.nodes),
             stats=stats,
             details={"algorithm": "jrs-lrg",
                      "phases": int(phases.max()) if phases.size else 0,

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import AbstractSet
 
 from repro.core.fractional import fractional_kmds, theorem_45_ratio_bound
 from repro.core.rounding import randomized_rounding
 from repro.graphs.properties import as_nx, max_degree
-from repro.types import CoverageMap, DominatingSet, FractionalSolution, RunStats
+from repro.types import (CoverageMap, DominatingSet, FractionalSolution,
+                         NodeId, RunStats)
 
 
 @dataclass
@@ -30,7 +32,7 @@ class KMDSResult:
     stats: RunStats = field(default_factory=RunStats)
 
     @property
-    def members(self) -> set:
+    def members(self) -> AbstractSet[NodeId]:
         return self.dominating_set.members
 
     @property

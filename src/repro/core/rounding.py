@@ -43,7 +43,7 @@ from repro.simulation.messages import Message
 from repro.simulation.node import NodeProcess
 from repro.simulation.rng import spawn_node_rngs
 from repro.simulation.vecrng import replica_node_streams
-from repro.types import CoverageMap, DominatingSet, NodeId, RunStats
+from repro.types import CoverageMap, DominatingSet, MemberSet, NodeId, RunStats
 
 REQUEST_POLICIES = ("random", "highest-x", "self-first")
 
@@ -194,6 +194,8 @@ class RoundingProgram(RoundProgram):
         required = np.fromiter((lp.coverage[v] for v in lp.nodes),
                                dtype=np.int64, count=n)
         nbrs_of = art.sorted_neighbors
+        # Results index the artifacts' stable node order.
+        nodes, order, _ = art.stable_order()
 
         results = []
         for r, instr in enumerate(instrs):
@@ -213,13 +215,15 @@ class RoundingProgram(RoundProgram):
                     requested.add(w)
                     if w != v:
                         req_messages += 1
-            members = {v for v, m in is_member.items() if m} | requested
+            final = member_vec.copy()
+            final[np.fromiter(map(art.index.__getitem__, requested),
+                              dtype=np.int64, count=len(requested))] = True
             # Accounting implied by the two-exchange schedule.
             instr.charge_messages(2 * self.artifacts.m,
                                   MembershipMsg(member=False), rounds=1)
             instr.charge_messages(req_messages, ReqMsg(), rounds=1)
             results.append(DominatingSet(
-                members=members,
+                members=MemberSet.from_mask(final[order], nodes),
                 stats=instr.stats,
                 details={"sampled": sampled, "requested": len(requested),
                          "policy": policy},
@@ -286,10 +290,9 @@ class RoundingProgram(RoundProgram):
             xmap=[x] * n, policy=[self.policy] * n)
 
     def collect_lanes(self, stepper, stats: RunStats) -> DominatingSet:
-        nodes = stepper.plan.nodes
-        members = {nodes[i] for i in np.flatnonzero(stepper.member).tolist()}
-        return DominatingSet(members=members, stats=stats,
-                             details={"policy": self.policy})
+        return DominatingSet(
+            members=MemberSet.from_mask(stepper.member, stepper.plan.nodes),
+            stats=stats, details={"policy": self.policy})
 
     def processes(self) -> List[RoundingNode]:
         lp = self.lp

@@ -51,7 +51,7 @@ from repro.simulation.vecrng import (grid_streams,
                                      materialize_bit_generator,
                                      node_stream_pool,
                                      replica_node_streams)
-from repro.types import DominatingSet, NodeId, RunStats
+from repro.types import DominatingSet, MemberSet, NodeId, RunStats
 
 #: The paper's base xi = 3/2 for the doubling schedule.
 XI = 1.5
@@ -120,9 +120,10 @@ def _pick(rng: np.random.Generator, candidates: List[NodeId], need: int,
     )
 
 
-def _members_set(row: np.ndarray) -> set:
-    """Materialize one indicator row as the result's member set."""
-    return set(np.nonzero(row)[0].tolist())
+def _members_set(row: np.ndarray) -> MemberSet:
+    """One indicator row as the result's member set: its index array
+    over the identity labels (UDG nodes are 0..n-1)."""
+    return MemberSet.from_mask(row, range(row.size))
 
 
 def _id_ranges(n: int) -> tuple:
@@ -899,7 +900,9 @@ class UDGProgram(RoundProgram):
                      part2_sync_iterations=n + 1)
 
     def collect_lanes(self, stepper, stats: RunStats) -> DominatingSet:
-        return DominatingSet(members=set(stepper.members().tolist()),
+        # Lanes are the node ids 0..n-1.
+        return DominatingSet(members=MemberSet(stepper.members(),
+                                               range(self.udg.n)),
                              stats=stats,
                              details={"mode": "message", "k": self.k})
 
@@ -932,7 +935,7 @@ def part_one_leaders(graph, *, seed: int | None = None) -> DominatingSet:
         leaders = _part_one_direct(udg, rngs, details)
     stats = RunStats()
     stats.rounds = 2 * len(details["theta_per_round"])
-    return DominatingSet(members=set(leaders), stats=stats, details=details)
+    return DominatingSet(members=leaders, stats=stats, details=details)
 
 
 def solve_kmds_udg(graph, k: int = 1, *,

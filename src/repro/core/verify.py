@@ -26,7 +26,8 @@ for callers that want to stay in numpy.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple, Union
+from collections.abc import Set
+from typing import AbstractSet, Dict, Iterable, List, Tuple, Union
 
 import numpy as np
 
@@ -76,6 +77,13 @@ def _check_members(member_set, nodes) -> None:
         )
 
 
+def _as_set(members: Iterable[NodeId]) -> AbstractSet[NodeId]:
+    """``members`` itself when it is already a set (a
+    :class:`~repro.types.MemberSet` stays one array for the mask),
+    else a ``set`` copy of the iterable."""
+    return members if isinstance(members, Set) else set(members)
+
+
 def _member_mask(art: GraphArtifacts, member_set) -> np.ndarray:
     """The index-aligned membership mask; unknown members raise
     :class:`GraphError`."""
@@ -101,7 +109,7 @@ def coverage_counts(graph, members: Iterable[NodeId], *,
         raise GraphError(
             f"unknown convention {convention!r}; expected one of {CONVENTIONS}"
         )
-    member_set = set(members)
+    member_set = _as_set(members)
     if isinstance(graph, GraphArtifacts):
         counts_vec = kernels.member_counts(
             graph, indicator=_member_mask(graph, member_set),
@@ -132,7 +140,7 @@ def coverage_deficit_vector(art: GraphArtifacts, members: Iterable[NodeId],
         raise GraphError(
             f"unknown convention {convention!r}; expected one of {CONVENTIONS}"
         )
-    mask = _member_mask(art, set(members))
+    mask = _member_mask(art, _as_set(members))
     counts = kernels.member_counts(art, indicator=mask,
                                    convention=convention)
     # The mask also exempts members under the open convention; the
@@ -152,7 +160,7 @@ def coverage_deficit(graph, members: Iterable[NodeId],
     regardless of their neighborhood).  Pass a :class:`GraphArtifacts`
     bundle to compute on the vectorized CSR path.
     """
-    member_set = set(members)
+    member_set = _as_set(members)
     if isinstance(graph, GraphArtifacts):
         deficit_vec, nodes = coverage_deficit_vector(
             graph, member_set, k, convention=convention)
@@ -209,7 +217,7 @@ def redundancy_profile(graph, members: Iterable[NodeId], *,
     """Summary of how redundantly the set covers the graph: min / mean /
     max coverage over non-member nodes (all nodes under ``closed``).  Used
     by the fault-tolerance experiments to compare k values."""
-    member_set = set(members)
+    member_set = _as_set(members)
     if isinstance(graph, GraphArtifacts):
         # All-numpy path: kernel counts, boolean mask, vector reduction.
         mask = _member_mask(graph, member_set)

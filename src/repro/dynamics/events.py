@@ -25,7 +25,7 @@ interprets it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Set, Tuple, TYPE_CHECKING
+from typing import Dict, Iterable, List, Mapping, Tuple, TYPE_CHECKING
 
 import numpy as np
 

@@ -158,6 +158,8 @@ class GraphArtifacts:
         self._sorted_neighbors: Optional[Dict[NodeId, Tuple[NodeId, ...]]] \
             = None
         self._closed_nbrs: Optional[List[np.ndarray]] = None
+        self._stable_order: Optional[Tuple[List[NodeId], np.ndarray, bool]] \
+            = None
         #: Scratch for :mod:`repro.engine.kernels` over this graph alone
         #: (the ``kernel_cache`` of its one-graph :class:`StackedGraphs`);
         #: dropped by every :class:`ArtifactDelta` edit.
@@ -199,6 +201,39 @@ class GraphArtifacts:
             self._closed_nbrs = (np.split(self.indices, self.indptr[1:-1])
                                  if self.n else [])
         return self._closed_nbrs
+
+    def stable_order(self) -> Tuple[List[NodeId], np.ndarray, bool]:
+        """The nodes in stable order (:func:`~repro.types.stable_sorted`),
+        the artifact index of each, and whether the labels sorted
+        naturally (no ``repr`` fallback).  Built on first use and
+        dropped by every edit; the node list is a new list per build,
+        never edited, so tables that index it stay valid.
+
+        Integer labels sort as one stable argsort; any other labels take
+        ``stable_sorted`` itself."""
+        if self._stable_order is None:
+            try:
+                ids = self.nodes_array()
+            except GraphError:
+                ids = None
+            natural = True
+            if ids is not None:
+                order = np.argsort(ids, kind="stable")
+                if np.array_equal(order, np.arange(order.size)):
+                    nodes = list(self.nodes)
+                else:
+                    nodes = list(map(self.nodes.__getitem__, order.tolist()))
+            else:
+                # ``stable_sorted``, noting whether it falls back to repr.
+                try:
+                    nodes = sorted(self.nodes)
+                except TypeError:
+                    nodes = sorted(self.nodes, key=repr)
+                    natural = False
+                order = np.fromiter(map(self.index.__getitem__, nodes),
+                                    dtype=np.int64, count=len(nodes))
+            self._stable_order = (nodes, order, natural)
+        return self._stable_order
 
     # ------------------------------------------------------------------
     def closed_adjacency(self) -> sp.csr_matrix:

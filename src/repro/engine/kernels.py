@@ -40,6 +40,8 @@ import numpy as np
 
 from repro.engine import dispatch
 from repro.engine.artifacts import GraphArtifacts, StackedGraphs
+from repro.errors import GraphError
+from repro.types import MemberSet
 
 __all__ = [
     "member_indicator",
@@ -62,12 +64,42 @@ __all__ = [
 # The coverage plane
 # ======================================================================
 
+def _identity_labels(art: GraphArtifacts) -> bool:
+    """Whether ``art`` labels its nodes 0..n-1 at their own indices."""
+    try:
+        ids = art.nodes_array()
+    except GraphError:
+        return False
+    return bool(np.array_equal(ids, np.arange(art.n)))
+
+
+def _member_indices(art: GraphArtifacts, members: MemberSet):
+    """The artifact indices of a :class:`MemberSet` without an id lookup:
+    when both label nodes 0..n-1, or when its table is the artifacts'
+    own stable node order.  ``None`` otherwise."""
+    idx = members.indices
+    if members.identity:
+        if (_identity_labels(art)
+                and (idx.size == 0 or idx[-1] < art.n)):
+            return idx
+        return None
+    nodes, order, _ = art.stable_order()
+    return order[idx] if members.nodes is nodes else None
+
+
 def member_mask(art: GraphArtifacts, members: Iterable) -> np.ndarray:
     """Index-aligned boolean membership mask of ``members`` (the native
     coverage kernels' operand; ``.astype(float)`` of it is exactly
-    :func:`member_indicator`).  One ``np.fromiter`` over ``art.index``;
-    an unknown member raises ``KeyError``."""
+    :func:`member_indicator`).  A :class:`~repro.types.MemberSet` over
+    the identity labels or the artifacts' own node order is one scatter
+    of its index array; anything else is one ``np.fromiter`` over
+    ``art.index``.  An unknown member raises ``KeyError``."""
     mask = np.zeros(art.n, dtype=bool)
+    if isinstance(members, MemberSet):
+        idx = _member_indices(art, members)
+        if idx is not None:
+            mask[idx] = True
+            return mask
     mask[np.fromiter(map(art.index.__getitem__, members),
                      dtype=np.int64)] = True
     return mask

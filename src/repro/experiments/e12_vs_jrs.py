@@ -11,7 +11,7 @@ quality.
 
 from __future__ import annotations
 
-from repro.baselines.jrs import jrs_kmds
+from repro.baselines.jrs import ROUNDS_PER_PHASE, jrs_kmds
 from repro.core.general import recommended_t, solve_kmds_general
 from repro.core.verify import is_k_dominating_set
 from repro.experiments.base import ExperimentReport, check_scale
@@ -72,5 +72,5 @@ def run(*, scale: str = "quick", seed: int = 0) -> ExperimentReport:
         },
         notes=(f"t = recommended_t(graph) ~ log2(Delta); mean size ratio "
                f"ours/JRS = {mean_ratio:.2f}; JRS rounds charge "
-               "5 per LRG phase."),
+               f"{ROUNDS_PER_PHASE} per LRG phase."),
     )

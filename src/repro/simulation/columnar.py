@@ -77,7 +77,7 @@ import numpy as np
 
 from repro.engine import dispatch
 from repro.engine.instrumentation import Instrumentation
-from repro.errors import GraphError, SimulationError
+from repro.errors import SimulationError
 from repro.simulation import vecrng
 from repro.simulation.faults import (CrashFaultInjector, FaultInjector,
                                      MessageLossInjector)
@@ -158,45 +158,12 @@ def take(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
 def lane_order(artifacts) -> Tuple[List, np.ndarray]:
     """A graph's lanes: its nodes in stable order
     (:func:`~repro.types.stable_sorted`), and the artifact index of each
-    lane's node.  Cached on the artifacts until their next edit.
-
-    Integer labels sort as one stable argsort; any other labels take
-    ``stable_sorted`` itself.  Programs gather their lane-ordered
-    parameter arrays with the index (see
+    lane's node (:meth:`~repro.engine.artifacts.GraphArtifacts.stable_order`,
+    cached on the artifacts until their next edit).  Programs gather
+    their lane-ordered parameter arrays with the index (see
     :class:`~repro.engine.program.Lanes`)."""
-    nodes, order, _ = _lane_order(artifacts)
+    nodes, order, _ = artifacts.stable_order()
     return nodes, order
-
-
-def _lane_order(artifacts) -> Tuple[List, np.ndarray, bool]:
-    """:func:`lane_order`, plus whether the labels sorted naturally
-    (``stable_sorted`` did not fall back to ``repr``)."""
-    cached = getattr(artifacts, "_lane_order", None)
-    if cached is not None and cached[0] == artifacts.version:
-        return cached[1:]
-    try:
-        ids = artifacts.nodes_array()
-    except GraphError:
-        ids = None
-    natural = True
-    if ids is not None:
-        order = np.argsort(ids, kind="stable")
-        if np.array_equal(order, np.arange(order.size)):
-            nodes = list(artifacts.nodes)
-        else:
-            nodes = list(map(artifacts.nodes.__getitem__, order.tolist()))
-    else:
-        # ``stable_sorted``, noting whether it falls back to ``repr``.
-        try:
-            nodes = sorted(artifacts.nodes)
-        except TypeError:
-            nodes = sorted(artifacts.nodes, key=repr)
-            natural = False
-        index = artifacts.index
-        order = np.fromiter(map(index.__getitem__, nodes), dtype=np.int64,
-                            count=len(nodes))
-    artifacts._lane_order = (artifacts.version, nodes, order, natural)
-    return nodes, order, natural
 
 
 class MessagePlan:
@@ -226,7 +193,7 @@ class MessagePlan:
     """
 
     def __init__(self, artifacts):
-        self.nodes, order, natural = _lane_order(artifacts)
+        self.nodes, order, natural = artifacts.stable_order()
         #: Artifact index of each lane's node.
         self.order = order
         n = self.n = len(self.nodes)

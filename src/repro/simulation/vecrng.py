@@ -350,11 +350,19 @@ class _LaneLayout:
 
     One-graph streams built from a node list by :func:`node_stream_pool`
     or :func:`replica_node_streams` also carry ``nodes`` (the stable
-    order) and ``lane`` (node id -> lane).
+    order) and ``lane`` (node id -> lane, built on first read).
     """
 
     nodes: List[NodeId]
-    lane: Dict[NodeId, int]
+    _lane: Optional[Dict[NodeId, int]] = None
+
+    @property
+    def lane(self) -> Dict[NodeId, int]:
+        """Node id -> lane of one-graph streams.  Most runs draw by lane
+        and never look a node up, so the map is built on first read."""
+        if self._lane is None:
+            self._lane = {v: i for i, v in enumerate(self.nodes)}
+        return self._lane
 
     def __init__(self, node_counts: Sequence[int], seeds: Sequence):
         self.counts = [int(c) for c in node_counts]
@@ -783,15 +791,14 @@ def replica_node_streams(nodes: Iterable[NodeId], seeds: Sequence,
                          *, bounded_ranges: Sequence[int] = ()):
     """One-graph :func:`grid_streams` over ``nodes``, one replica per
     seed.  Lane ``i`` is the ``i``-th node in stable order (``lane``
-    maps node ids to lanes), so replica ``r`` consumes exactly the
-    streams of ``spawn_node_rngs(nodes, seeds[r])`` and a batched run
-    draws as a sequential per-seed loop would.
+    maps node ids to lanes on first read), so replica ``r`` consumes
+    exactly the streams of ``spawn_node_rngs(nodes, seeds[r])`` and a
+    batched run draws as a sequential per-seed loop would.
     """
     node_list = stable_sorted(nodes)
     streams = grid_streams([len(node_list)], seeds,
                            bounded_ranges=bounded_ranges)
     streams.nodes = node_list
-    streams.lane = {v: i for i, v in enumerate(node_list)}
     return streams
 
 

@@ -7,8 +7,12 @@ convention), and most algorithm entry points accept either a
 
 from __future__ import annotations
 
+from collections.abc import Set as _SetABC
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Mapping, Sequence
+from typing import AbstractSet, Dict, Hashable, Iterable, List, Mapping, \
+    Sequence
+
+import numpy as np
 
 #: Node identifier. Any hashable (networkx convention); generators produce ints.
 NodeId = Hashable
@@ -31,6 +35,96 @@ def stable_sorted(items: Iterable) -> List:
         return sorted(items)
     except TypeError:
         return sorted(items, key=repr)
+
+
+class MemberSet(_SetABC):
+    """A read-only set of node ids held as a sorted index array.
+
+    ``indices`` (sorted, unique int64) index ``nodes``, the node table:
+    ``range(n)`` when the ids are the indices themselves, else any
+    sequence of ids that nobody edits afterwards.  The kernel fast paths
+    return their results in this form, so a result stays one array from
+    the kernel that decided it to the verifier that checks it
+    (:func:`repro.engine.kernels.member_mask` reads the array directly).
+
+    Iteration yields the ids themselves (plain Python objects, never
+    numpy scalars) in index order.  The hash set behind ``in`` is built
+    on the first membership test.  Set algebra returns plain ``set``
+    objects; two member sets over the same table compare by array.
+    Like ``set`` it is unhashable.  Copy it (``set(ms)``) to mutate.
+    """
+
+    __slots__ = ("_indices", "_nodes", "_lookup")
+
+    def __init__(self, indices, nodes: Sequence[NodeId]):
+        indices = np.asarray(indices, dtype=np.int64)
+        indices.flags.writeable = False
+        self._indices = indices
+        self._nodes = nodes
+        self._lookup = None
+
+    @classmethod
+    def from_mask(cls, mask: np.ndarray, nodes: Sequence[NodeId]
+                  ) -> "MemberSet":
+        """The members of a boolean row aligned with ``nodes``."""
+        return cls(np.flatnonzero(mask), nodes)
+
+    @property
+    def indices(self) -> np.ndarray:
+        """The sorted member indices into :attr:`nodes` (read-only)."""
+        return self._indices
+
+    @property
+    def nodes(self) -> Sequence[NodeId]:
+        """The node table the indices index."""
+        return self._nodes
+
+    @property
+    def identity(self) -> bool:
+        """Whether the ids are the indices (the table is ``range(n)``)."""
+        nodes = self._nodes
+        return type(nodes) is range and nodes.start == 0 and nodes.step == 1
+
+    def _ids(self) -> list:
+        idx = self._indices.tolist()
+        if self.identity:
+            return idx
+        if isinstance(self._nodes, np.ndarray):
+            return self._nodes[self._indices].tolist()
+        return list(map(self._nodes.__getitem__, idx))
+
+    def __len__(self) -> int:
+        return self._indices.size
+
+    def __iter__(self):
+        return iter(self._ids())
+
+    def __contains__(self, node) -> bool:
+        if self._lookup is None:
+            self._lookup = frozenset(self._ids())
+        return node in self._lookup
+
+    @classmethod
+    def _from_iterable(cls, it) -> set:
+        # The Set mixins build every algebra result through here.
+        return set(it)
+
+    def _same_table(self, other: "MemberSet") -> bool:
+        return (self._nodes is other._nodes
+                or (self.identity and other.identity))
+
+    def __eq__(self, other):
+        if isinstance(other, MemberSet) and self._same_table(other):
+            return np.array_equal(self._indices, other._indices)
+        return super().__eq__(other)
+
+    __hash__ = None
+
+    def __reduce__(self):
+        return (MemberSet, (self._indices, self._nodes))
+
+    def __repr__(self) -> str:
+        return f"MemberSet({self._ids()!r})"
 
 
 @dataclass(frozen=True)
@@ -136,9 +230,14 @@ class FractionalSolution:
 
 @dataclass
 class DominatingSet:
-    """An integral solution: the selected dominator set plus accounting."""
+    """An integral solution: the selected dominator set plus accounting.
 
-    members: set
+    ``members`` is read-only by contract: the kernel fast paths return a
+    :class:`MemberSet`, other paths a plain ``set``.  Copy it before
+    mutating.
+    """
+
+    members: AbstractSet[NodeId]
     stats: RunStats = field(default_factory=RunStats)
     #: Free-form diagnostic details (per-algorithm; e.g. part1/part2 sizes).
     details: dict = field(default_factory=dict)

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import List, Mapping
 
-import numpy as np
-
 from repro.core.lp import CoveringLP
 from repro.core.rounding import randomized_rounding, rounding_probability
 from repro.errors import GraphError, InfeasibleInstanceError

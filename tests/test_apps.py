@@ -1,13 +1,10 @@
 """Unit tests for the application layer (backbone, routing, data
 collection)."""
 
-import networkx as nx
-import numpy as np
 import pytest
 
-from repro.apps.backbone import Backbone, build_backbone, is_connected_backbone
+from repro.apps.backbone import build_backbone, is_connected_backbone
 from repro.apps.datacollection import (
-    DataCollectionReport,
     EnergyModel,
     run_data_collection,
 )

@@ -13,7 +13,6 @@ from repro.graphs.generators import gnp_graph
 from repro.graphs.properties import feasible_coverage, max_degree
 from repro.graphs.udg import random_udg
 from repro.simulation.asynchrony import (
-    AlphaSynchronizer,
     exponential_delays,
     run_protocol_async,
     uniform_delays,

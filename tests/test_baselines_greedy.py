@@ -8,7 +8,7 @@ import pytest
 from repro.baselines.greedy import greedy_kmds
 from repro.core.verify import is_k_dominating_set
 from repro.errors import GraphError, InfeasibleInstanceError
-from repro.graphs.generators import gnp_graph, grid_graph, star_graph
+from repro.graphs.generators import grid_graph
 from repro.graphs.properties import feasible_coverage
 
 

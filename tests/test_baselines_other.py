@@ -1,6 +1,5 @@
 """Unit tests for JRS, Gao, and heuristic baselines."""
 
-import networkx as nx
 import pytest
 
 from repro.baselines.gao import gao_mobile_centers

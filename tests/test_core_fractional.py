@@ -1,7 +1,5 @@
 """Unit tests for Algorithm 1 (distributed LP approximation)."""
 
-import math
-
 import networkx as nx
 import pytest
 
@@ -13,7 +11,7 @@ from repro.core.fractional import (
 from repro.core.lp import CoveringLP
 from repro.engine import BACKENDS
 from repro.errors import GraphError, InfeasibleInstanceError
-from repro.graphs.generators import gnp_graph, star_graph
+from repro.graphs.generators import gnp_graph
 from repro.graphs.properties import feasible_coverage, max_degree
 from repro.types import uniform_coverage
 

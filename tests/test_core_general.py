@@ -9,7 +9,7 @@ from repro.core.general import (
     solve_kmds_general,
 )
 from repro.core.verify import is_k_dominating_set
-from repro.graphs.generators import gnp_graph, star_graph
+from repro.graphs.generators import gnp_graph
 from repro.graphs.properties import feasible_coverage
 
 

@@ -1,6 +1,5 @@
 """Unit tests for the (PP)/(DP) LP machinery."""
 
-import networkx as nx
 import pytest
 
 from repro.core.lp import CoveringLP

@@ -6,8 +6,6 @@ check the protocol's behavior stays sane: it terminates, survivors hold
 a consistent state, and the damage is localized.
 """
 
-import pytest
-
 from repro.core.udg import UDGNode, theta_schedule
 from repro.core.verify import coverage_counts
 from repro.graphs.udg import random_udg

@@ -1,7 +1,6 @@
 """Integration tests: full pipelines across modules, including fault
 injection on the real simulator and the public package API."""
 
-import networkx as nx
 import pytest
 
 import repro
@@ -89,7 +88,7 @@ class TestFaultInjectionIntegration:
         procs = [FractionalNode(v, cov[v], delta, 2, False) for v in g.nodes]
         net = SynchronousNetwork(g, procs, seed=0)
         injector = CrashFaultInjector({3: [0, 1]})
-        stats = run_protocol(net, injectors=[injector], max_rounds=50)
+        run_protocol(net, injectors=[injector], max_rounds=50)
         crashed = [p for p in procs if p.crashed]
         assert len(crashed) == 2
         assert all(p.finished for p in procs if not p.crashed)

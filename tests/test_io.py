@@ -17,9 +17,8 @@ from repro.io import (
     save_dominating_set,
     save_udg,
     udg_from_dict,
-    udg_to_dict,
 )
-from repro.types import DominatingSet, RunStats
+from repro.types import DominatingSet
 
 
 class TestUdgRoundtrip:

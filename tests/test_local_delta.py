@@ -10,7 +10,7 @@ from repro.core.local_delta import (
 )
 from repro.core.lp import CoveringLP
 from repro.errors import GraphError
-from repro.graphs.generators import gnp_graph, path_graph, star_graph
+from repro.graphs.generators import path_graph
 from repro.graphs.properties import feasible_coverage, max_degree
 
 

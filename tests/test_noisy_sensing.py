@@ -1,6 +1,5 @@
 """Unit tests for imperfect distance sensing (NoisySensingUDG)."""
 
-import numpy as np
 import pytest
 
 from repro.core.udg import part_one_leaders, solve_kmds_udg

@@ -11,7 +11,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.analysis.ratio import best_known_optimum
 from repro.baselines.lp_opt import lp_optimum
 from repro.core.fractional import fractional_kmds
 from repro.core.rounding import randomized_rounding

@@ -5,8 +5,6 @@ properties are the paper's structural guarantees, which must hold on
 *every* input, not just the benchmark suite.
 """
 
-import math
-
 import networkx as nx
 import pytest
 from hypothesis import HealthCheck, example, given, settings

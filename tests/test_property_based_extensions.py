@@ -2,7 +2,6 @@
 weighted solvers, apps layer, synchronizers, deployments."""
 
 import networkx as nx
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -11,7 +10,6 @@ from repro.apps.backbone import build_backbone, is_connected_backbone
 from repro.apps.scheduling import assign_slots, verify_schedule
 from repro.baselines.greedy import greedy_kmds
 from repro.core.fractional import FractionalNode, fractional_kmds
-from repro.core.lp import CoveringLP
 from repro.core.verify import is_k_dominating_set
 from repro.graphs.properties import feasible_coverage, max_degree
 from repro.graphs.udg import NoisySensingUDG, UnitDiskGraph

@@ -1,6 +1,5 @@
 """Unit tests for the quasi unit disk graph model."""
 
-import numpy as np
 import pytest
 
 from repro.core.udg import solve_kmds_udg

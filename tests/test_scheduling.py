@@ -1,7 +1,6 @@
 """Unit tests for spatial-multiplexing scheduling and backbone
 robustness."""
 
-import networkx as nx
 import pytest
 
 from repro.apps.backbone import backbone_robustness, build_backbone

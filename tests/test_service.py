@@ -38,7 +38,6 @@ from repro.errors import GraphError, QueryError, ServiceError, ShardingError
 from repro.service import (
     CoverageDaemon,
     CoverageService,
-    EpochSnapshot,
     LoadGenerator,
     SharedArtifactStore,
     attach,

@@ -1,6 +1,5 @@
 """Unit tests for the SynchronousNetwork topology/delivery layer."""
 
-import networkx as nx
 import pytest
 
 from repro.core.fractional import ColorMsg

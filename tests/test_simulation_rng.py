@@ -1,7 +1,5 @@
 """Unit tests for deterministic per-node RNG streams."""
 
-import numpy as np
-
 from repro.simulation.rng import spawn_named_rngs, spawn_node_rngs
 
 
