@@ -191,8 +191,7 @@ class RoundingProgram(RoundProgram):
         # exactly as the reference loop does.
         counts = kernels.member_counts_batch(art, indicators=member_mat,
                                              convention="closed")
-        required = np.fromiter((lp.coverage[v] for v in lp.nodes),
-                               dtype=np.int64, count=n)
+        required = lp.requirements
         nbrs_of = art.sorted_neighbors
         # Results index the artifacts' stable node order.
         nodes, order, _ = art.stable_order()
@@ -282,8 +281,7 @@ class RoundingProgram(RoundProgram):
         n = lp.n
         return Lanes(
             RoundingNode,
-            k=np.fromiter((lp.coverage[v] for v in lp.nodes),
-                          dtype=np.int64, count=n)[order],
+            k=lp.requirements[order],
             delta=np.full(n, lp.delta, dtype=np.int64),
             x=np.fromiter((x[v] for v in lp.nodes), dtype=np.float64,
                           count=n)[order],

@@ -8,11 +8,16 @@ currently maintained dominator set.  It interprets the event records of
 - :meth:`graph` — the live topology as a ``networkx`` view (what
   the repair policies consume).  Built from a cached full unit-disk
   graph and an induced-subgraph view, so pure crash churn never pays a
-  geometric rebuild;
+  geometric rebuild.  A state started from a deployment
+  (:meth:`NetworkState.from_udg`) adopts the deployment's networkx
+  graph, copy-on-write, on the first call only;
 - :meth:`artifacts` — incrementally edited
   :class:`~repro.engine.artifacts.GraphArtifacts` over the live
   topology (what the vectorized :mod:`repro.core.verify` oracle and the
-  sharded loop consume);
+  sharded loop consume).  A state started from a deployment adopts a
+  copy of the deployment's cached bundle (new object, shared arrays)
+  instead of building a second one, so the artifacts-only fast path
+  never builds a networkx graph;
 - :meth:`live_udg` — a fresh :class:`~repro.graphs.udg.UnitDiskGraph`
   over only the live nodes (what a full recompute needs), plus the
   local-id -> global-id mapping.
@@ -49,7 +54,8 @@ from repro.dynamics.events import (
     JoinEvent,
     MoveEvent,
 )
-from repro.engine.artifacts import ArtifactDelta, GraphArtifacts, touch
+from repro.engine.artifacts import (ArtifactDelta, GraphArtifacts,
+                                    graph_artifacts, touch)
 from repro.errors import GraphError
 from repro.graphs.udg import UnitDiskGraph
 from repro.types import NodeId, stable_sorted
@@ -121,9 +127,12 @@ class NetworkState:
         # live view filters); rebuilt only when geometry changes beyond
         # what incremental patching covers.  A base seeded from a
         # caller-owned graph (``from_udg``) is shared until the first
-        # mutating event copies it (copy-on-write).
+        # mutating event copies it (copy-on-write).  _base_udg is such a
+        # deployment whose networkx graph is not adopted yet (the first
+        # graph() call adopts it; a geometry rebuild drops it).
         self._base_nx: nx.Graph | None = None
         self._base_shared = False
+        self._base_udg: UnitDiskGraph | None = None
         # Nodes whose base-graph adjacency is stale (deferred join/move
         # patches; flushed lazily by graph() so the artifacts-only fast
         # path never pays nx mutation costs).
@@ -143,17 +152,17 @@ class NetworkState:
                  members: Iterable[NodeId] = (),
                  battery_capacity: float = 1.0,
                  incremental: bool = True) -> "NetworkState":
-        """Start from an existing deployment (ids ``0..n-1``)."""
-        positions = {i: (float(x), float(y))
-                     for i, (x, y) in enumerate(udg.points)}
+        """Start from an existing deployment (ids ``0..n-1``).
+
+        The deployment's geometry is adopted, not rebuilt: its cached
+        artifacts (as a copy, by the first :meth:`artifacts` call) and
+        its networkx graph (copy-on-write, by the first :meth:`graph`
+        call)."""
+        positions = dict(enumerate(map(tuple, udg.points.tolist())))
         state = cls(positions, udg.radius, members=members,
                     battery_capacity=battery_capacity,
                     incremental=incremental)
-        # The deployment's graph (ids are already 0..n-1) *is* the base
-        # graph — adopt it copy-on-write instead of rebuilding the
-        # geometry from scratch on the first graph() call.
-        state._base_nx = udg.nx
-        state._base_shared = True
+        state._base_udg = udg
         return state
 
     # ------------------------------------------------------------------
@@ -183,6 +192,18 @@ class NetworkState:
                 grid.setdefault(self._cell_of(p), set()).add(v)
             self._grid = grid
         return self._grid
+
+    def _has_base(self) -> bool:
+        """Whether a base graph exists or waits to be adopted (join and
+        move patches to it are then deferred)."""
+        return self._base_nx is not None or self._base_udg is not None
+
+    def _drop_base(self) -> None:
+        """Forget the base graph (geometry changed beyond patching)."""
+        self._base_nx = None
+        self._base_udg = None
+        self._base_shared = False
+        self._base_dirty.clear()
 
     def _own_base(self) -> nx.Graph:
         """The base graph, privately owned (copy-on-write for a base
@@ -279,22 +300,20 @@ class NetworkState:
         rejoin = node in self.positions
         if not self.incremental:
             self.positions[node] = pos
-            self._base_nx = None  # geometry changed
-            self._base_shared = False
-            self._base_dirty.clear()
+            self._drop_base()  # geometry changed
         elif rejoin:
             # A dead node re-appearing at a (possibly) new position: a
             # grid move plus a (deferred) base-graph rewire of its ball.
             old = self.positions[node]
             self.positions[node] = pos
             self._grid_move(node, old, pos)
-            if self._base_nx is not None:
+            if self._has_base():
                 self._base_dirty.add(node)
         else:
             self.positions[node] = pos
             if self._grid is not None:
                 self._grid.setdefault(self._cell_of(pos), set()).add(node)
-            if self._base_nx is not None:
+            if self._has_base():
                 self._base_dirty.add(node)
         self.alive.add(node)
         self.battery[node] = self.battery_capacity
@@ -338,9 +357,7 @@ class NetworkState:
                 or len(moved) > _MOVE_PATCH_FRACTION * max(1, len(self.positions)))
         if bulk:
             self.positions.update(moved)
-            self._base_nx = None
-            self._base_shared = False
-            self._base_dirty.clear()
+            self._drop_base()
             self._grid = None
             self._drop_live_artifacts()
         else:
@@ -352,7 +369,7 @@ class NetworkState:
                         self._grid.setdefault(self._cell_of(p), set()).add(v)
                 else:
                     self._grid_move(v, old, p)
-            if self._base_nx is not None:
+            if self._has_base():
                 self._base_dirty.update(moved)
             if self._live_delta is not None:
                 for v in moved:
@@ -397,6 +414,13 @@ class NetworkState:
         that changes liveness or geometry; pure crash churn reuses the
         cached geometry and only narrows the view.
         """
+        if self._base_udg is not None:
+            # The deployment's graph (ids are already 0..n-1) *is* the
+            # base graph: adopt it copy-on-write instead of rebuilding
+            # the geometry from scratch.
+            self._base_nx = self._base_udg.nx
+            self._base_shared = True
+            self._base_udg = None
         if self._base_nx is None:
             self._rebuild_base()
             self._base_dirty.clear()
@@ -423,9 +447,11 @@ class NetworkState:
         Built from scratch once, then edited through an
         :class:`~repro.engine.artifacts.ArtifactDelta` once per
         :meth:`apply_all` batch.  With ``incremental=False`` every call
-        rebuilds (baseline behavior).  The bundle's node order is
-        maintenance order, not insertion order — consume it through
-        ``index`` / ``nodes``.
+        rebuilds (baseline behavior).  A state started from a
+        deployment that has not changed yet adopts a copy of the
+        deployment's cached bundle instead (counted as the build).  The
+        bundle's node order is maintenance order, not insertion order —
+        consume it through ``index`` / ``nodes``.
         """
         if not self.incremental:
             self.artifact_rebuilds += 1
@@ -434,13 +460,17 @@ class NetworkState:
             # With every positioned node alive and no deferred patches,
             # the live topology *is* the base graph — building from the
             # concrete graph skips the subgraph view's per-edge filter
-            # overhead (a large constant factor at n >= 10^4).
-            if (self._base_nx is not None and not self._base_dirty
-                    and len(self.alive) == len(self.positions)):
-                source = self._base_nx
+            # overhead (a large constant factor at n >= 10^4), and a
+            # deployment's own bundle needs no build at all.
+            pristine = (not self._base_dirty
+                        and len(self.alive) == len(self.positions))
+            if pristine and self._base_udg is not None:
+                self._live_art = graph_artifacts(self._base_udg).copy()
             else:
-                source = self.graph()
-            self._live_art = GraphArtifacts(source)
+                source = (self._base_nx
+                          if pristine and self._base_nx is not None
+                          else self.graph())
+                self._live_art = GraphArtifacts(source)
             self._live_delta = self._live_art.delta_patcher()
             self.artifact_rebuilds += 1
         return self._live_art

@@ -68,19 +68,31 @@ class RoundProgram:
         The cached :class:`GraphArtifacts` of the instance graph.
     network_graph:
         The object handed to :class:`SynchronousNetwork` for
-        message-passing backends.  Defaults to ``artifacts.graph``;
-        geometric programs override it with the wrapper that provides
-        distance sensing (e.g. a :class:`UnitDiskGraph`).
+        message-passing backends.  Defaults to ``artifacts.graph``, read
+        only when a network is built (so a direct run never builds an
+        array-primary graph's networkx graph); geometric programs
+        assign the wrapper that provides distance sensing (e.g. a
+        :class:`UnitDiskGraph`).
     network_kwargs:
         Extra keyword arguments for the network constructor
         (``value_bits``, ``strict_message_bits``, ...).
     """
 
     network_kwargs: dict = {}
+    _network_graph = None
 
     def __init__(self, artifacts: GraphArtifacts):
         self.artifacts = artifacts
-        self.network_graph = artifacts.graph
+
+    @property
+    def network_graph(self):
+        if self._network_graph is None:
+            return self.artifacts.graph
+        return self._network_graph
+
+    @network_graph.setter
+    def network_graph(self, graph) -> None:
+        self._network_graph = graph
 
     # ------------------------------------------------------------------
     def instrumentation(self) -> Instrumentation:

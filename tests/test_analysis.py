@@ -1,8 +1,11 @@
 """Unit tests for the analysis harness (stats, reporting, ratio, sweep,
 faults)."""
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.faults import (
     coverage_survival_curve,
@@ -20,6 +23,7 @@ from repro.analysis.stats import (
     summarize,
 )
 from repro.analysis.sweep import group_mean, sweep
+from repro.core.verify import coverage_counts
 from repro.errors import GraphError
 from repro.graphs.generators import gnp_graph
 from repro.graphs.udg import random_udg
@@ -218,3 +222,126 @@ class TestFaults:
         assert [c["kill_fraction"] for c in curve] == [0.0, 0.5, 1.0]
         assert curve[0]["uncovered_fraction"] <= \
             curve[-1]["uncovered_fraction"]
+
+
+# ----------------------------------------------------------------------
+# The matvec trials against the per-trial networkx loop they replaced
+# ----------------------------------------------------------------------
+
+def _failure_oracle(graph, members, kill_fraction, trials, strategy, seed):
+    """``dominator_failure_experiment`` as it counted every trial with
+    ``coverage_counts`` on the networkx graph and ranked client loads
+    per trial."""
+    g = getattr(graph, "nx", graph)
+    member_list = sorted(set(members), key=repr)
+    if not member_list:
+        return {"uncovered_fraction": 1.0, "still_1_covered": 0.0,
+                "mean_residual_coverage": 0.0, "all_covered_probability": 0.0}
+    rng = np.random.default_rng(seed)
+    n_kill = int(round(kill_fraction * len(member_list)))
+    member_set = set(member_list)
+    clients = [v for v in g.nodes if v not in member_set]
+    uncovered_fracs, covered_fracs, residuals, all_covered = [], [], [], 0
+    for _ in range(trials):
+        if strategy == "random":
+            idx = rng.choice(len(member_list), size=n_kill, replace=False)
+            killed = {member_list[i] for i in idx}
+        else:
+            load = {m: sum(1 for w in g.neighbors(m) if w not in member_set)
+                    for m in member_list}
+            noise = rng.random(len(member_list))
+            ranked = sorted(range(len(member_list)),
+                            key=lambda i: (-load[member_list[i]], noise[i]))
+            killed = {member_list[i] for i in ranked[:n_kill]}
+        counts = coverage_counts(g, member_set - killed, convention="open")
+        if not clients:
+            uncovered_fracs.append(0.0)
+            covered_fracs.append(1.0)
+            residuals.append(0.0)
+            all_covered += 1
+            continue
+        uncovered = sum(1 for v in clients if counts[v] == 0)
+        uncovered_fracs.append(uncovered / len(clients))
+        covered_fracs.append(1.0 - uncovered / len(clients))
+        residuals.append(float(np.mean([counts[v] for v in clients])))
+        if uncovered == 0:
+            all_covered += 1
+    return {
+        "uncovered_fraction": float(np.mean(uncovered_fracs)),
+        "still_1_covered": float(np.mean(covered_fracs)),
+        "mean_residual_coverage": float(np.mean(residuals)),
+        "all_covered_probability": all_covered / trials,
+    }
+
+
+@st.composite
+def failure_cases(draw):
+    """A UDG (wrapper or its networkx graph) or a relabelled gnp graph,
+    with a member set drawn from its nodes."""
+    seed = draw(st.integers(0, 10**6))
+    kind = draw(st.sampled_from(("udg", "udg-nx", "gnp-str", "gnp-shuffled")))
+    n = draw(st.integers(1, 60))
+    if kind.startswith("udg"):
+        graph = random_udg(n, density=draw(st.sampled_from((3.0, 10.0))),
+                           seed=seed)
+        nodes = list(range(n))
+        if kind == "udg-nx":
+            graph = graph.nx
+    else:
+        graph = nx.gnp_random_graph(n, 0.2, seed=seed)
+        if kind == "gnp-str":
+            graph = nx.relabel_nodes(graph, {v: f"v{v}" for v in graph})
+        else:
+            perm = draw(st.permutations(range(n)))
+            graph = nx.relabel_nodes(graph, dict(zip(range(n), perm)))
+        nodes = list(graph.nodes)
+    if kind.startswith("udg") and draw(st.booleans()):
+        # A k-fold dominating set: members neighbor members, so a
+        # member's client load differs from its degree.
+        from repro.core.udg import solve_kmds_udg
+
+        members = set(solve_kmds_udg(random_udg(n, density=10.0, seed=seed),
+                                     k=draw(st.integers(1, 3)),
+                                     seed=seed).members)
+    else:
+        members = draw(st.sets(st.sampled_from(nodes), max_size=n))
+    return graph, members
+
+
+class TestFaultsOracle:
+    @given(case=failure_cases(),
+           kill=st.sampled_from((0.0, 0.2, 0.5, 0.9, 1.0)),
+           trials=st.integers(1, 5),
+           strategy=st.sampled_from(("random", "targeted")),
+           seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_per_trial_networkx_loop(self, case, kill, trials,
+                                             strategy, seed):
+        graph, members = case
+        want = _failure_oracle(graph, members, kill, trials, strategy, seed)
+        got = dominator_failure_experiment(graph, members, kill,
+                                           trials=trials, strategy=strategy,
+                                           seed=seed)
+        assert got == want
+
+    @pytest.mark.parametrize("kill", [0.25, 0.5])
+    @pytest.mark.parametrize("strategy", ["random", "targeted"])
+    def test_matches_per_trial_loop_on_kmds(self, kill, strategy):
+        from repro.core.udg import solve_kmds_udg
+
+        udg = random_udg(300, density=10.0, seed=5)
+        members = solve_kmds_udg(udg, k=2, seed=1).members
+        assert dominator_failure_experiment(
+            udg, members, kill, trials=4, strategy=strategy, seed=7) == \
+            _failure_oracle(udg, members, kill, 4, strategy, 7)
+
+    def test_unknown_member_raises(self):
+        udg = random_udg(20, seed=1)
+        with pytest.raises(GraphError, match="unknown node"):
+            dominator_failure_experiment(udg, {0, 99}, 0.5, trials=2,
+                                         seed=0)
+
+    def test_unknown_strategy_raises(self):
+        udg = random_udg(20, seed=1)
+        with pytest.raises(GraphError, match="unknown failure strategy"):
+            dominator_failure_experiment(udg, {0, 1}, 0.5, strategy="evil")

@@ -1,6 +1,10 @@
 """Unit tests for the (PP)/(DP) LP machinery."""
 
+import networkx as nx
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.lp import CoveringLP
 from repro.errors import GraphError
@@ -114,3 +118,84 @@ class TestVectorHelpers:
         lp = _lp(path4)
         sums = lp.neighborhood_sums(lp.x_vector({0: 1.0, 1: 0.0, 2: 1.0, 3: 0.0}))
         assert sums.tolist() == [1.0, 2.0, 1.0, 1.0]
+
+
+# ----------------------------------------------------------------------
+# The requirement array against the per-node loops it replaced
+# ----------------------------------------------------------------------
+
+def _loop_oracle(lp, coverage):
+    """``(requirements, feasible, witness, k_vector)`` computed node by
+    node over ``lp.nodes``."""
+    req = [int(coverage[v]) for v in lp.nodes]
+    sizes = [len(lp.closed_nbrs[lp.index[v]]) for v in lp.nodes]
+    witness = next((v for v, k, s in zip(lp.nodes, req, sizes) if k > s),
+                   None)
+    return req, all(k <= s for k, s in zip(req, sizes)), witness, \
+        np.asarray(req, dtype=float)
+
+
+@st.composite
+def lp_cases(draw):
+    """A gnp graph relabelled to int, shuffled-int or string ids, and a
+    requirement map that is sometimes infeasible."""
+    n = draw(st.integers(0, 25))
+    g = nx.gnp_random_graph(n, draw(st.sampled_from((0.0, 0.15, 0.4))),
+                            seed=draw(st.integers(0, 1000)))
+    labels = draw(st.sampled_from(("int", "shuffled", "str")))
+    if labels == "shuffled":
+        perm = draw(st.permutations(range(n)))
+        g = nx.relabel_nodes(g, dict(zip(range(n), perm)))
+    elif labels == "str":
+        g = nx.relabel_nodes(g, {v: f"n{v}" for v in range(n)})
+    coverage = {v: draw(st.integers(0, g.degree[v] + 2)) for v in g}
+    if draw(st.booleans()):
+        items = list(coverage.items())
+        coverage = dict(draw(st.permutations(items)))
+    return g, coverage
+
+
+class TestRequirementArray:
+    @given(case=lp_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_node_loops(self, case):
+        g, coverage = case
+        lp = CoveringLP(g, coverage)
+        req, feasible, witness, k_vec = _loop_oracle(lp, coverage)
+        assert lp.requirements.dtype == np.int64
+        assert lp.requirements.tolist() == req
+        assert not lp.requirements.flags.writeable
+        assert list(lp.coverage.items()) == list(zip(lp.nodes, req))
+        assert all(type(k) is int for k in lp.coverage.values())
+        assert lp.is_feasible() is feasible
+        assert lp.infeasible_witness() == witness
+        got = lp.k_vector()
+        assert got.dtype == k_vec.dtype and np.array_equal(got, k_vec)
+        got[:] = -1  # a fresh array each call
+        assert lp.k_vector().tolist() == k_vec.tolist()
+
+    @given(case=lp_cases(), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_errors_match_per_node_checks(self, case, data):
+        g, coverage = case
+        if not coverage:
+            return
+        nodes = list(g.nodes)
+        dropped = data.draw(st.sets(st.sampled_from(nodes), min_size=1))
+        partial = {v: k for v, k in coverage.items() if v not in dropped}
+        missing = [v for v in nodes if v not in partial]
+        with pytest.raises(GraphError) as err:
+            CoveringLP(g, partial)
+        assert str(err.value) == (f"coverage map missing {len(missing)} "
+                                  f"node(s), e.g. {missing[0]!r}")
+        negative = dict(coverage)
+        negative[data.draw(st.sampled_from(nodes))] = -1
+        with pytest.raises(GraphError,
+                           match="^coverage requirements must be "
+                                 "non-negative$"):
+            CoveringLP(g, negative)
+
+    def test_float_requirements_truncate_like_int(self, path4):
+        lp = CoveringLP(path4, {0: 1.9, 1: 2.0, 2: True, 3: -0.5})
+        assert lp.coverage == {0: 1, 1: 2, 2: 1, 3: 0}
+        assert lp.requirements.tolist() == [1, 2, 1, 0]
