@@ -20,8 +20,8 @@ closed-adjacency CSR (indicator vector in, per-node member counts out)
 instead of a Python loop over every adjacency.  That is the same kernel
 the direct backends of Algorithms 2/3 and the maintenance loop use, so
 there is exactly one coverage-counting implementation in the codebase.
-:func:`coverage_deficit_vector` exposes the raw index-aligned arrays
-for callers that want to stay in numpy.
+:func:`coverage_deficit_vector` and :func:`membership_mask` expose the
+raw index-aligned arrays for callers that want to stay in numpy.
 """
 
 from __future__ import annotations
@@ -84,9 +84,13 @@ def _as_set(members: Iterable[NodeId]) -> AbstractSet[NodeId]:
     return members if isinstance(members, Set) else set(members)
 
 
-def _member_mask(art: GraphArtifacts, member_set) -> np.ndarray:
-    """The index-aligned membership mask; unknown members raise
-    :class:`GraphError`."""
+def membership_mask(art: GraphArtifacts,
+                    members: Iterable[NodeId]) -> np.ndarray:
+    """The index-aligned boolean mask of ``members`` over ``art.nodes``.
+
+    :func:`repro.engine.kernels.member_mask` with the oracles' error: an
+    unknown member raises :class:`GraphError` naming it."""
+    member_set = _as_set(members)
     try:
         return kernels.member_mask(art, member_set)
     except KeyError:
@@ -112,7 +116,7 @@ def coverage_counts(graph, members: Iterable[NodeId], *,
     member_set = _as_set(members)
     if isinstance(graph, GraphArtifacts):
         counts_vec = kernels.member_counts(
-            graph, indicator=_member_mask(graph, member_set),
+            graph, indicator=membership_mask(graph, member_set),
             convention=convention)
         return dict(zip(graph.nodes, counts_vec.tolist()))
     g = as_nx(graph)
@@ -140,7 +144,7 @@ def coverage_deficit_vector(art: GraphArtifacts, members: Iterable[NodeId],
         raise GraphError(
             f"unknown convention {convention!r}; expected one of {CONVENTIONS}"
         )
-    mask = _member_mask(art, _as_set(members))
+    mask = membership_mask(art, members)
     counts = kernels.member_counts(art, indicator=mask,
                                    convention=convention)
     # The mask also exempts members under the open convention; the
@@ -220,7 +224,7 @@ def redundancy_profile(graph, members: Iterable[NodeId], *,
     member_set = _as_set(members)
     if isinstance(graph, GraphArtifacts):
         # All-numpy path: kernel counts, boolean mask, vector reduction.
-        mask = _member_mask(graph, member_set)
+        mask = membership_mask(graph, member_set)
         counts_vec = kernels.member_counts(graph, indicator=mask,
                                            convention=convention)
         if convention == "open":

@@ -7,9 +7,11 @@ from repro.core.verify import (
     coverage_counts,
     coverage_deficit,
     is_k_dominating_set,
+    membership_mask,
     redundancy_profile,
     uncovered_nodes,
 )
+from repro.engine.artifacts import graph_artifacts
 from repro.errors import GraphError
 
 
@@ -33,6 +35,18 @@ class TestCoverageCounts:
     def test_empty_set(self, triangle):
         counts = coverage_counts(triangle, set())
         assert all(c == 0 for c in counts.values())
+
+
+class TestMembershipMask:
+    def test_mask_is_index_aligned(self, path4):
+        art = graph_artifacts(path4)
+        assert membership_mask(art, [3, 1]).tolist() == \
+            [False, True, False, True]
+        assert membership_mask(art, ()).tolist() == [False] * 4
+
+    def test_unknown_member_rejected(self, path4):
+        with pytest.raises(GraphError, match="unknown node"):
+            membership_mask(graph_artifacts(path4), {1, 99})
 
 
 class TestIsKDominating:
