@@ -99,6 +99,24 @@ def _int_ids(nodes: Sequence[NodeId]) -> Optional[np.ndarray]:
     return raw.astype(np.int64, copy=False)
 
 
+def id_index_table(ids: np.ndarray) -> Optional[Tuple[int, np.ndarray]]:
+    """A dense id -> index lookup over unique int64 ``ids``, or ``None``
+    when their range is wide (``max - min >= 4 * len(ids)``).
+
+    Returns ``(lo, table)``: ``table[v - lo]`` is the position of id
+    ``v`` in ``ids``, ``-1`` where no id is, and one trailing ``-1``
+    past the range, which lookups can clamp out-of-range offsets to.
+    """
+    n = len(ids)
+    lo = int(ids.min()) if n else 0
+    span = int(ids.max()) - lo + 1 if n else 0
+    if span > 4 * n:
+        return None
+    table = np.full(span + 1, -1, dtype=np.int64)
+    table[ids - lo] = np.arange(n, dtype=np.int64)
+    return lo, table
+
+
 def _lazy_edges(graph) -> Optional[Tuple[np.ndarray, ...]]:
     """The edge arrays of an array-primary wrapper whose networkx graph
     is not built yet (:attr:`repro.graphs.udg.UnitDiskGraph.edge_arrays`),
@@ -161,12 +179,11 @@ class GraphArtifacts:
             total = int(lengths.sum())
             flat = itertools.chain.from_iterable(rows)
             ids = _int_ids(self.nodes)
-            lo = int(ids.min()) if n and ids is not None else 0
-            if n and ids is not None and int(ids.max()) - lo < 4 * n:
+            lookup = id_index_table(ids) if ids is not None else None
+            if lookup is not None:
                 # Vectorized id -> index relabel through a dense lookup
                 # table.
-                lut = np.empty(int(ids.max()) - lo + 1, dtype=np.int64)
-                lut[ids - lo] = np.arange(n, dtype=np.int64)
+                lo, lut = lookup
                 cols = lut[np.fromiter(flat, dtype=np.int64, count=total)
                            - lo]
             else:

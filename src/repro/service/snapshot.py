@@ -14,14 +14,18 @@ What a snapshot holds (all index-aligned over ``n`` live nodes):
 - the membership mask, per-node dominator counts (open convention,
   from :func:`repro.engine.kernels.member_counts` — the library's one
   coverage-counting plane) and the deficit vector against ``k``;
-- the epoch number and a capture timestamp (the snapshot-age metric).
+- the epoch number and a capture timestamp (the snapshot-age metric);
+- the inverse of ``nodes`` for :meth:`EpochSnapshot.index_of`: a dense
+  id -> index table (:func:`~repro.engine.artifacts.id_index_table`)
+  when the ids span less than ``4 n``, else the ids in sorted order.
 
 Capture shares the CSR pair and node table with the live artifacts
 instead of copying them: they are the bundle's primary arrays, and an
 :class:`~repro.engine.artifacts.ArtifactDelta` edit replaces them with
 new arrays rather than writing into them, so a later epoch's churn can
 never reach into a published snapshot.  What capture computes is
-O(|members|) for the membership mask plus one coverage matvec.
+O(|members|) for the membership mask, one coverage matvec and the id
+lookup (O(n) as a table, a sort otherwise).
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from typing import Dict, Optional, TYPE_CHECKING
 
 import numpy as np
 
+from repro.engine.artifacts import id_index_table
 from repro.engine.kernels import deficit_vector, member_counts, member_mask
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -60,7 +65,8 @@ class EpochSnapshot:
     __slots__ = (
         "epoch", "k", "n", "nodes", "indptr", "indices",
         "member_mask", "coverage", "deficit", "captured_at",
-        "_order", "_sorted_ids", "_graph", "_member_ids",
+        "_id_lo", "_id_table", "_order", "_sorted_ids", "_graph",
+        "_member_ids",
         "_dom_csr", "_min_dom",
     )
 
@@ -81,9 +87,17 @@ class EpochSnapshot:
         #: ``time.monotonic()`` at capture (for the snapshot-age metric).
         self.captured_at = (time.monotonic() if captured_at is None
                             else float(captured_at))
-        order = np.argsort(self.nodes, kind="stable")
-        self._order = _readonly(order)
-        self._sorted_ids = _readonly(self.nodes[order])
+        # Id lookup: a dense table over a compact id range, else the ids
+        # in sorted order for a binary search.
+        lookup = id_index_table(self.nodes)
+        if lookup is None:
+            order = np.argsort(self.nodes, kind="stable")
+            self._id_lo, self._id_table = 0, None
+            self._order = _readonly(order)
+            self._sorted_ids = _readonly(self.nodes[order])
+        else:
+            self._id_lo, self._id_table = lookup[0], _readonly(lookup[1])
+            self._order = self._sorted_ids = None
         self._graph: Optional["nx.Graph"] = None
         self._member_ids: Optional[frozenset] = None
         self._dom_csr = None
@@ -131,8 +145,17 @@ class EpochSnapshot:
 
         Dead or never-deployed ids are *expected* query traffic (clients
         race churn), so they map to the sentinel instead of raising.
+        A compact id range answers with one gather from the id table;
+        a wide one binary-searches the sorted ids.
         """
         ids = np.asarray(ids, dtype=np.int64)
+        table = self._id_table
+        if table is not None:
+            # Offsets outside the range, wrapped ones included, exceed
+            # the span as unsigned and clamp to the table's trailing -1.
+            off = np.minimum((ids - self._id_lo).view(np.uint64),
+                             len(table) - 1)
+            return table.take(off.view(np.int64))
         pos = np.searchsorted(self._sorted_ids, ids)
         pos_c = np.minimum(pos, max(0, self.n - 1))
         if self.n:
@@ -171,21 +194,30 @@ class EpochSnapshot:
         lifetime: the query plane serves every ``who_covers`` /
         ``dominator_of`` batch from this with plain gathers, which is
         what keeps batched point queries >= 10^6/s while churn runs.
+
+        The filter touches every CSR entry once, to find the member
+        entries; the rest works on those alone, with gathers and
+        ``compress`` (a boolean-mask index costs several times more)
+        and each temporary dropped once read.
         """
         if self._dom_csr is None:
-            if self.n:
-                lens = np.diff(self.indptr)
-                rows = np.repeat(np.arange(self.n, dtype=np.int64), lens)
-                keep = ((self.indices != rows)
-                        & self.member_mask[self.indices])
-                counts = np.bincount(rows[keep],
-                                     minlength=self.n).astype(np.int64)
-                indptr = np.zeros(self.n + 1, dtype=np.int64)
-                np.cumsum(counts, out=indptr[1:])
-                dom_ids = self.nodes[self.indices[keep]]
-            else:
-                indptr = np.zeros(1, dtype=np.int64)
-                dom_ids = np.zeros(0, dtype=np.int64)
+            n = self.n
+            pos = np.flatnonzero(self.member_mask.take(self.indices))
+            # Member entries per row: the positions split at the rows'
+            # boundaries.
+            per_row = np.diff(np.searchsorted(pos, self.indptr))
+            cols = self.indices.take(pos)
+            del pos
+            rows = np.repeat(np.arange(n, dtype=np.int64), per_row)
+            # Drop the diagonal entries (two in a self-loop's row).
+            keep = cols != rows
+            counts = per_row - np.bincount(rows.compress(~keep),
+                                           minlength=n)
+            del rows
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(counts, out=indptr[1:])
+            cols = cols.compress(keep)
+            dom_ids = self.nodes.take(cols)
             self._dom_csr = (_readonly(indptr), _readonly(dom_ids))
         return self._dom_csr
 
@@ -220,6 +252,7 @@ class EpochSnapshot:
             "n": self.n,
             "members": self.members,
             "fully_covered": self.fully_covered,
+            "id_index": "sorted" if self._id_table is None else "table",
             "age_s": self.age(),
         }
 
