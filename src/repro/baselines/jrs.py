@@ -42,7 +42,7 @@ from repro.engine import (Instrumentation, Lanes, RoundProgram, execute,
                           validate_seed)
 from repro.engine.artifacts import graph_artifacts
 from repro.errors import GraphError, InfeasibleInstanceError
-from repro.graphs.properties import as_nx
+from repro.graphs.properties import node_degrees
 from repro.simulation.messages import Message
 from repro.simulation.node import NodeProcess
 from repro.simulation.rng import spawn_node_rngs
@@ -285,10 +285,10 @@ class JRSProgram(RoundProgram):
 
     # ------------------------------------------------------------------
     def direct(self, instr: Instrumentation) -> DominatingSet:
-        g = self.artifacts.graph
+        nodes = self.artifacts.nodes
         convention = self.convention
         nbrs_of = self.artifacts.sorted_neighbors
-        rngs = spawn_node_rngs(g.nodes, self.seed)
+        rngs = spawn_node_rngs(nodes, self.seed)
         residual: Dict[NodeId, int] = dict(self.req)
         members: Set[NodeId] = set()
         phases = 0
@@ -312,12 +312,12 @@ class JRSProgram(RoundProgram):
                 raise GraphError(
                     f"LRG did not converge within {self.max_phases} phases"
                 )
-            spans = {v: span(v) for v in g.nodes}
+            spans = {v: span(v) for v in nodes}
             rounded = {v: _round_up_pow2(s) for v, s in spans.items()}
 
             # Candidates: rounded span maximal within distance 2.
             candidates: Set[NodeId] = set()
-            for v in g.nodes:
+            for v in nodes:
                 rv = rounded[v]
                 if rv == 0:
                     continue
@@ -329,7 +329,7 @@ class JRSProgram(RoundProgram):
 
             # Support of each deficient node: candidates that would cover it.
             support: Dict[NodeId, int] = {}
-            for u in g.nodes:
+            for u in nodes:
                 if residual[u] <= 0:
                     continue
                 cnt = sum(1 for w in nbrs_of[u] if w in candidates)
@@ -461,16 +461,16 @@ def jrs_kmds(graph, k: Union[int, CoverageMap] = 1, *,
             f"unknown convention {convention!r}; expected 'open' or 'closed'"
         )
     seed = validate_seed(seed)
-    g = as_nx(graph)
-    req = {v: k for v in g.nodes} if isinstance(k, int) else dict(k)
-    for v in g.nodes:
-        if convention == "closed" and req[v] > g.degree[v] + 1:
-            raise InfeasibleInstanceError(
-                f"node {v!r} requires {req[v]} covers but |N[v]| = "
-                f"{g.degree[v] + 1}",
-                witness=v,
-            )
-    program = JRSProgram(graph_artifacts(g), req, convention, seed,
-                         max_phases)
+    art = graph_artifacts(graph)
+    req = dict.fromkeys(art.nodes, k) if isinstance(k, int) else dict(k)
+    if convention == "closed":
+        for v, d in zip(*node_degrees(graph)):
+            if req[v] > d + 1:
+                raise InfeasibleInstanceError(
+                    f"node {v!r} requires {req[v]} covers but |N[v]| = "
+                    f"{d + 1}",
+                    witness=v,
+                )
+    program = JRSProgram(art, req, convention, seed, max_phases)
     return execute(program, mode, seed=seed, delay=delay,
                    delay_seed=delay_seed)

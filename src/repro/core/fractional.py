@@ -36,9 +36,9 @@ import numpy as np
 
 from repro.core.lp import CoveringLP
 from repro.engine import (Instrumentation, Lanes, RoundProgram, execute,
-                          validate_seed)
+                          graph_artifacts, validate_seed)
 from repro.errors import GraphError, InfeasibleInstanceError
-from repro.graphs.properties import as_nx
+from repro.graphs.properties import node_degrees
 from repro.simulation.messages import Message
 from repro.simulation.node import NodeProcess
 from repro.types import CoverageMap, FractionalSolution, NodeId, RunStats
@@ -63,18 +63,19 @@ def lemma_44_dual_violation_bound(t: int, delta: int) -> float:
 
 def _resolve_instance(graph, k: int | None,
                       coverage: CoverageMap | None) -> CoveringLP:
-    g = as_nx(graph)
+    art = graph_artifacts(graph)
     if coverage is None:
         if k is None:
             raise GraphError("give either k (uniform) or a coverage map")
-        coverage = {v: k for v in g.nodes}
-    lp = CoveringLP(g, coverage)
+        coverage = dict.fromkeys(art.nodes, k)
+    lp = CoveringLP(graph, coverage)
     witness = lp.infeasible_witness()
     if witness is not None:
+        _, degrees = node_degrees(graph)
         raise InfeasibleInstanceError(
             f"(PP) is infeasible: node {witness!r} requires "
             f"{lp.coverage[witness]} covers but its closed neighborhood has "
-            f"only {lp.graph.degree[witness] + 1} nodes; consider "
+            f"only {degrees[art.index[witness]] + 1} nodes; consider "
             "repro.graphs.feasible_coverage(graph, k)",
             witness=witness,
         )

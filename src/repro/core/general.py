@@ -14,7 +14,7 @@ from typing import AbstractSet
 
 from repro.core.fractional import fractional_kmds, theorem_45_ratio_bound
 from repro.core.rounding import randomized_rounding
-from repro.graphs.properties import as_nx, max_degree
+from repro.graphs.properties import max_degree
 from repro.types import (CoverageMap, DominatingSet, FractionalSolution,
                          NodeId, RunStats)
 
@@ -83,10 +83,9 @@ def solve_kmds_general(graph, k: int = 1, *,
         The integral solution, the fractional intermediate, and combined
         accounting (Algorithm 1 rounds + Algorithm 2 rounds).
     """
-    g = as_nx(graph)
-    frac = fractional_kmds(g, k, coverage=coverage, t=t, mode=mode,
+    frac = fractional_kmds(graph, k, coverage=coverage, t=t, mode=mode,
                            compute_duals=compute_duals, seed=seed)
-    ds = randomized_rounding(g, frac.x, k, coverage=coverage,
+    ds = randomized_rounding(graph, frac.x, k, coverage=coverage,
                              policy=rounding_policy, mode=mode, seed=seed)
     stats = RunStats()
     stats.absorb(frac.stats)

@@ -35,10 +35,10 @@ import numpy as np
 
 from repro.core.lp import CoveringLP
 from repro.engine import (Instrumentation, Lanes, RoundProgram, execute,
-                          validate_seed)
+                          graph_artifacts, validate_seed)
 from repro.engine import kernels
 from repro.errors import GraphError
-from repro.graphs.properties import as_nx
+from repro.graphs.properties import node_degrees
 from repro.simulation.messages import Message
 from repro.simulation.node import NodeProcess
 from repro.simulation.rng import spawn_node_rngs
@@ -344,12 +344,12 @@ def randomized_rounding(graph, x: Mapping[NodeId, float],
             f"unknown request policy {policy!r}; expected one of {REQUEST_POLICIES}"
         )
     seed = validate_seed(seed)
-    g = as_nx(graph)
+    art = graph_artifacts(graph)
     if coverage is None:
         if k is None:
             raise GraphError("give either k (uniform) or a coverage map")
-        coverage = {v: k for v in g.nodes}
-    lp = CoveringLP(g, coverage)
+        coverage = dict.fromkeys(art.nodes, k)
+    lp = CoveringLP(graph, coverage)
     missing = [v for v in lp.nodes if v not in x]
     if missing:
         raise GraphError(
@@ -359,10 +359,11 @@ def randomized_rounding(graph, x: Mapping[NodeId, float],
     witness = lp.infeasible_witness()
     if witness is not None:
         from repro.errors import InfeasibleInstanceError
+        _, degrees = node_degrees(graph)
         raise InfeasibleInstanceError(
             f"no k-fold dominating set exists: node {witness!r} requires "
             f"{lp.coverage[witness]} covers but |N_i| = "
-            f"{lp.graph.degree[witness] + 1}",
+            f"{degrees[art.index[witness]] + 1}",
             witness=witness,
         )
     if lp.n == 0:

@@ -16,8 +16,11 @@ currently maintained dominator set.  It interprets the event records of
   topology (what the vectorized :mod:`repro.core.verify` oracle and the
   sharded loop consume).  A state started from a deployment adopts a
   copy of the deployment's cached bundle (new object, shared arrays)
-  instead of building a second one, so the artifacts-only fast path
-  never builds a networkx graph;
+  instead of building a second one, and a state without a base graph
+  (a fresh one, or one after a bulk move) whose nodes are all alive
+  with ids ``0..n-1`` adopts a fresh unit disk graph's edge-array
+  bundle, so the artifacts-only fast path never builds a networkx
+  graph;
 - :meth:`live_udg` — a fresh :class:`~repro.graphs.udg.UnitDiskGraph`
   over only the live nodes (what a full recompute needs), plus the
   local-id -> global-id mapping.
@@ -66,6 +69,12 @@ from repro.types import NodeId, stable_sorted
 _MOVE_PATCH_FRACTION = 0.25
 
 Cell = Tuple[int, int]
+
+
+def _dense(ids: List[NodeId]) -> bool:
+    """Whether the stably sorted ``ids`` are exactly the ints 0..n-1."""
+    return (all(type(v) is int for v in ids)
+            and ids == list(range(len(ids))))
 
 
 class NetworkState:
@@ -130,9 +139,13 @@ class NetworkState:
         # mutating event copies it (copy-on-write).  _base_udg is such a
         # deployment whose networkx graph is not adopted yet (the first
         # graph() call adopts it; a geometry rebuild drops it).
+        # _base_snapshot holds the (points, ids) the live artifacts were
+        # built from when no base existed: the first graph() call builds
+        # the base from them, as it would have been built then.
         self._base_nx: nx.Graph | None = None
         self._base_shared = False
         self._base_udg: UnitDiskGraph | None = None
+        self._base_snapshot: Tuple[np.ndarray, List[NodeId]] | None = None
         # Nodes whose base-graph adjacency is stale (deferred join/move
         # patches; flushed lazily by graph() so the artifacts-only fast
         # path never pays nx mutation costs).
@@ -196,12 +209,14 @@ class NetworkState:
     def _has_base(self) -> bool:
         """Whether a base graph exists or waits to be adopted (join and
         move patches to it are then deferred)."""
-        return self._base_nx is not None or self._base_udg is not None
+        return (self._base_nx is not None or self._base_udg is not None
+                or self._base_snapshot is not None)
 
     def _drop_base(self) -> None:
         """Forget the base graph (geometry changed beyond patching)."""
         self._base_nx = None
         self._base_udg = None
+        self._base_snapshot = None
         self._base_shared = False
         self._base_dirty.clear()
 
@@ -400,10 +415,22 @@ class NetworkState:
     def _ordered_ids(self) -> List[NodeId]:
         return stable_sorted(self.positions)
 
-    def _rebuild_base(self) -> None:
+    def _geometry(self) -> Tuple[np.ndarray, List[NodeId]]:
+        """Every positioned node's point, in stable id order, and the ids."""
         ids = self._ordered_ids()
         points = np.array([self.positions[v] for v in ids], dtype=float)
-        udg = UnitDiskGraph(points.reshape(len(ids), 2), radius=self.radius)
+        return points.reshape(len(ids), 2), ids
+
+    def _rebuild_base(self) -> None:
+        """Build the base graph from the snapshot the live artifacts were
+        built from, if one waits (its deferred patches then apply), else
+        from the current geometry (which voids them)."""
+        snapshot, self._base_snapshot = self._base_snapshot, None
+        if snapshot is None:
+            snapshot = self._geometry()
+            self._base_dirty.clear()
+        points, ids = snapshot
+        udg = UnitDiskGraph(points, radius=self.radius)
         self._base_nx = nx.relabel_nodes(
             udg.nx, dict(enumerate(ids)), copy=True)
 
@@ -423,9 +450,8 @@ class NetworkState:
             self._base_udg = None
         if self._base_nx is None:
             self._rebuild_base()
-            self._base_dirty.clear()
             self._live_view = None
-        elif self._base_dirty:
+        if self._base_dirty:
             # Flush join/move patches deferred while only the artifacts
             # fast path was consuming the topology.
             self._patch_base_rewire(self._base_dirty)
@@ -449,7 +475,9 @@ class NetworkState:
         :meth:`apply_all` batch.  With ``incremental=False`` every call
         rebuilds (baseline behavior).  A state started from a
         deployment that has not changed yet adopts a copy of the
-        deployment's cached bundle instead (counted as the build).  The
+        deployment's cached bundle instead (counted as the build), and
+        one without a base graph, every node alive over ids ``0..n-1``,
+        a copy of its points' unit disk graph's bundle.  The
         bundle's node order is maintenance order, not insertion order —
         consume it through ``index`` / ``nodes``.
         """
@@ -464,8 +492,19 @@ class NetworkState:
             # deployment's own bundle needs no build at all.
             pristine = (not self._base_dirty
                         and len(self.alive) == len(self.positions))
+            geometry = (self._geometry()
+                        if pristine and not self._has_base() else None)
             if pristine and self._base_udg is not None:
                 self._live_art = graph_artifacts(self._base_udg).copy()
+            elif geometry is not None and _dense(geometry[1]):
+                # No base graph (a fresh state, or one after a bulk
+                # move) over ids 0..n-1: the live topology is the unit
+                # disk graph of the points in id order.  Adopt its
+                # edge-array bundle, as for a deployment, and leave the
+                # base graph to graph(), built from the same snapshot.
+                udg = UnitDiskGraph(geometry[0], radius=self.radius)
+                self._live_art = graph_artifacts(udg).copy()
+                self._base_snapshot = geometry
             else:
                 source = (self._base_nx
                           if pristine and self._base_nx is not None

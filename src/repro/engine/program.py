@@ -68,11 +68,11 @@ class RoundProgram:
         The cached :class:`GraphArtifacts` of the instance graph.
     network_graph:
         The object handed to :class:`SynchronousNetwork` for
-        message-passing backends.  Defaults to ``artifacts.graph``, read
-        only when a network is built (so a direct run never builds an
-        array-primary graph's networkx graph); geometric programs
-        assign the wrapper that provides distance sensing (e.g. a
-        :class:`UnitDiskGraph`).
+        message-passing backends.  Defaults to the bundle's source: an
+        array-primary wrapper (e.g. a fresh :class:`UnitDiskGraph`)
+        while its networkx graph is not built, so no backend builds it
+        to bind a network, else ``artifacts.graph``.  Geometric programs
+        assign the wrapper that provides distance sensing.
     network_kwargs:
         Extra keyword arguments for the network constructor
         (``value_bits``, ``strict_message_bits``, ...).
@@ -87,6 +87,9 @@ class RoundProgram:
     @property
     def network_graph(self):
         if self._network_graph is None:
+            source = self.artifacts._source
+            if getattr(source, "edge_arrays", None) is not None:
+                return source
             return self.artifacts.graph
         return self._network_graph
 

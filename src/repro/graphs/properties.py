@@ -1,8 +1,17 @@
-"""Graph property utilities shared by algorithms and experiments."""
+"""Graph property utilities shared by algorithms and experiments.
+
+The degree-only helpers (:func:`max_degree`, :func:`min_degree`,
+:func:`degree_histogram`, :func:`max_feasible_k`,
+:func:`feasible_coverage`, :func:`validate_coverage`) read an
+array-primary wrapper whose networkx graph is not built yet (a fresh
+:class:`~repro.graphs.udg.UnitDiskGraph`) through its cached
+:class:`~repro.engine.artifacts.GraphArtifacts`, so they never build it;
+results, key orders and error messages equal the networkx reads.
+"""
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Collection, Dict, List, Set, Tuple
 
 import networkx as nx
 
@@ -23,20 +32,28 @@ def as_nx(graph) -> nx.Graph:
 _as_nx = as_nx
 
 
+def node_degrees(graph) -> Tuple[Collection[NodeId], List[int]]:
+    """``graph``'s nodes in order and their degrees as networkx counts
+    them.  An array-primary wrapper whose networkx graph is not built
+    answers from its artifacts (its edges join distinct points, so no
+    self-loop makes the two counts differ); any other graph from
+    networkx."""
+    if getattr(graph, "edge_arrays", None) is not None:
+        from repro.engine.artifacts import graph_artifacts  # avoids a cycle
+        art = graph_artifacts(graph)
+        return art.nodes, art.degrees.tolist()
+    g = _as_nx(graph)
+    return g.nodes, [d for _, d in g.degree]
+
+
 def max_degree(graph) -> int:
     """The paper's Delta: the maximum degree in the network (0 if empty)."""
-    g = _as_nx(graph)
-    if g.number_of_nodes() == 0:
-        return 0
-    return max(d for _, d in g.degree)
+    return max(node_degrees(graph)[1], default=0)
 
 
 def min_degree(graph) -> int:
     """Minimum degree (0 if empty)."""
-    g = _as_nx(graph)
-    if g.number_of_nodes() == 0:
-        return 0
-    return min(d for _, d in g.degree)
+    return min(node_degrees(graph)[1], default=0)
 
 
 def closed_neighborhood(graph, v: NodeId) -> Set[NodeId]:
@@ -46,10 +63,10 @@ def closed_neighborhood(graph, v: NodeId) -> Set[NodeId]:
 
 
 def degree_histogram(graph) -> Dict[int, int]:
-    """Map degree -> number of nodes with that degree."""
-    g = _as_nx(graph)
+    """Map degree -> number of nodes with that degree (keys in order of
+    first appearance in node order)."""
     hist: Dict[int, int] = {}
-    for _, d in g.degree:
+    for d in node_degrees(graph)[1]:
         hist[d] = hist.get(d, 0) + 1
     return hist
 
@@ -57,10 +74,8 @@ def degree_histogram(graph) -> Dict[int, int]:
 def max_feasible_k(graph) -> int:
     """Largest uniform ``k`` for which a k-fold dominating set exists under
     the closed-neighborhood convention: ``min_v (deg(v) + 1)``."""
-    g = _as_nx(graph)
-    if g.number_of_nodes() == 0:
-        return 0
-    return min(d for _, d in g.degree) + 1
+    degrees = node_degrees(graph)[1]
+    return min(degrees) + 1 if degrees else 0
 
 
 def feasible_coverage(graph, k: int) -> Dict[NodeId, int]:
@@ -74,27 +89,27 @@ def feasible_coverage(graph, k: int) -> Dict[NodeId, int]:
     """
     if k < 0:
         raise GraphError(f"coverage requirement must be non-negative, got {k}")
-    g = _as_nx(graph)
-    return {v: min(k, g.degree[v] + 1) for v in g.nodes}
+    nodes, degrees = node_degrees(graph)
+    return {v: min(k, d + 1) for v, d in zip(nodes, degrees)}
 
 
 def validate_coverage(graph, coverage: CoverageMap) -> None:
     """Raise :class:`GraphError` unless ``coverage`` assigns a feasible,
     non-negative requirement to every node of ``graph``."""
-    g = _as_nx(graph)
-    missing = [v for v in g.nodes if v not in coverage]
+    nodes, degrees = node_degrees(graph)
+    missing = [v for v in nodes if v not in coverage]
     if missing:
         raise GraphError(
             f"coverage map is missing {len(missing)} node(s), e.g. {missing[0]!r}"
         )
-    for v in g.nodes:
+    for v, d in zip(nodes, degrees):
         k_v = coverage[v]
         if k_v < 0:
             raise GraphError(f"negative coverage requirement {k_v} at node {v!r}")
-        if k_v > g.degree[v] + 1:
+        if k_v > d + 1:
             raise GraphError(
                 f"infeasible requirement at node {v!r}: k_v={k_v} exceeds "
-                f"closed-neighborhood size {g.degree[v] + 1}"
+                f"closed-neighborhood size {d + 1}"
             )
 
 

@@ -7,6 +7,14 @@ delivery machinery used by :func:`repro.simulation.runner.run_protocol`.
 The network accepts either a plain ``networkx.Graph`` (optionally with
 ``pos`` node attributes for geometric protocols) or any object with an
 ``nx`` attribute holding one (e.g. :class:`repro.graphs.udg.UnitDiskGraph`).
+Node count, stream nodes, process checks and neighbor order come from the
+graph's :class:`~repro.engine.artifacts.GraphArtifacts`, so a unit disk
+graph whose networkx graph is not built yet runs without building it:
+its artifacts come from its edge arrays and its positions from its
+``points``.  :attr:`SynchronousNetwork.graph` resolves the networkx
+graph on first read, and only the consumers that walk it read it: the
+beta synchronizer's BFS trees, and the ``neighbors_within`` fallback
+and position loading of a graph without its own sensing or ``points``.
 
 Two kinds of run use a network:
 
@@ -51,12 +59,21 @@ from repro.types import NodeId
 class SynchronousNetwork:
     """A synchronous message-passing network over a fixed topology.
 
+    Binding reads the graph's artifacts only.  :attr:`graph` is a
+    property that builds a wrapper's networkx graph on first read, so a
+    unit disk graph's lane and process runs leave it unbuilt unless a
+    per-node consumer walks it (the beta synchronizer's BFS trees, or
+    ``neighbors_within`` and positions on a wrapper without sensing or
+    ``points``).
+
     Parameters
     ----------
     graph:
         ``networkx.Graph`` or an object exposing one via ``.nx``.  Node
-        positions, when present (``pos`` node attribute as an ``(x, y)``
-        pair), enable the distance-sensing primitives used by Algorithm 3.
+        positions, when present (a wrapper's ``points``, else the ``pos``
+        node attribute as an ``(x, y)`` pair), enable the
+        distance-sensing primitives used by Algorithm 3.  A wrapper's
+        networkx graph is built only if :attr:`graph` is read.
     processes:
         One :class:`NodeProcess` per graph node.
     seed:
@@ -75,9 +92,14 @@ class SynchronousNetwork:
                  strict_message_bits: int | None = None):
         self._bind(graph, seed, value_bits, strict_message_bits)
         self.processes: Dict[NodeId, NodeProcess] = {}
+        index = self._artifacts.index
         for proc in processes:
             node_id = proc.node_id
-            if node_id not in self.graph:
+            try:
+                known = node_id in index
+            except TypeError:  # unhashable: no node, as networkx answers
+                known = False
+            if not known:
                 raise SimulationError(
                     f"process for unknown node {node_id!r}"
                 )
@@ -89,7 +111,7 @@ class SynchronousNetwork:
         # Every process names a distinct graph node, so equal counts mean
         # every node has one; the missing set only words the error.
         if len(self.processes) != self.n:
-            missing = set(self.graph.nodes) - set(self.processes)
+            missing = set(self._artifacts.nodes) - set(self.processes)
             raise SimulationError(
                 f"no process supplied for {len(missing)} node(s), e.g. {next(iter(missing))!r}"
             )
@@ -113,12 +135,19 @@ class SynchronousNetwork:
         return net
 
     def _bind(self, graph, seed, value_bits, strict_message_bits) -> None:
-        self.graph: nx.Graph = getattr(graph, "nx", graph)
-        if not isinstance(self.graph, nx.Graph):
+        # An array-primary wrapper whose networkx graph is not built yet
+        # is read through its artifacts; any other input must be (or
+        # hold) a networkx graph.
+        lazy = getattr(graph, "edge_arrays", None) is not None
+        if not lazy and not isinstance(getattr(graph, "nx", graph), nx.Graph):
             raise SimulationError(
                 f"expected a networkx.Graph (or wrapper), got {type(graph).__name__}"
             )
-        self.n = self.graph.number_of_nodes()
+        self._source = graph
+        # Stable neighbor orderings come from the per-graph artifact
+        # cache, shared with direct-mode kernels and repeated runs.
+        self._artifacts = graph_artifacts(graph)
+        self.n = self._artifacts.n
         self.size_model = MessageSizeModel(max(1, self.n), value_bits=value_bits)
         self.strict_message_bits = strict_message_bits
         #: Root seed of the per-node streams (the columnar plane seeds
@@ -127,7 +156,7 @@ class SynchronousNetwork:
         # Lazy: streams are derived per node on first use, so runs that
         # never look one up (the columnar stepping plane, which draws
         # from its own lane-space pool) skip the O(n) spawn entirely.
-        self.rngs = LazyNodeRngs(self.graph.nodes, seed)
+        self.rngs = LazyNodeRngs(self._artifacts.nodes, seed)
 
         # Columnar outbox: one record per send *call* (a broadcast is a
         # single record regardless of degree), expanded lazily at
@@ -136,8 +165,8 @@ class SynchronousNetwork:
         # When the graph wrapper provides its own distance sensing (e.g.
         # NoisySensingUDG), delegate range queries to it so protocols see
         # the wrapper's (possibly imperfect) sensed distances.
-        has_sensing = graph is not self.graph and hasattr(graph,
-                                                          "neighbors_within")
+        has_sensing = (not isinstance(graph, nx.Graph)
+                       and hasattr(graph, "neighbors_within"))
         self._sensing = graph if has_sensing else None
         #: Communication radius: the wrapper's ``radius`` (a
         #: :class:`~repro.graphs.udg.UnitDiskGraph`), else the paper's 1.
@@ -145,17 +174,25 @@ class SynchronousNetwork:
         # Loaded by the first geometric query (see _geometry).
         self._positions_loaded = False
         self._positions: Optional[Dict[NodeId, Tuple[float, float]]] = None
-        # Stable neighbor orderings come from the per-graph artifact
-        # cache, shared with direct-mode kernels and repeated runs.
-        self._artifacts = graph_artifacts(self.graph)
         self._edge_distance_cache: Dict[Tuple[NodeId, NodeId], float] = {}
         self._gather_plan: Optional[GatherPlan] = None
 
     # ------------------------------------------------------------------
     # Topology and geometry
     # ------------------------------------------------------------------
+    @property
+    def graph(self) -> nx.Graph:
+        """The networkx graph, resolved on read: a wrapper's graph is
+        built by the first read (e.g. ``udg.nx``), never by binding."""
+        return getattr(self._source, "nx", self._source)
+
     def _load_positions(self) -> Optional[Dict[NodeId, Tuple[float, float]]]:
-        pos = nx.get_node_attributes(self.graph, "pos")
+        points = getattr(self._source, "points", None)
+        if points is not None and len(points) == self.n:
+            # A wrapper places node i at points[i]: no networkx needed.
+            pos = dict(enumerate(map(tuple, points.tolist())))
+        else:
+            pos = nx.get_node_attributes(self.graph, "pos")
         if len(pos) == self.n and self.n > 0:
             return {v: (float(p[0]), float(p[1])) for v, p in pos.items()}
         return None
