@@ -1,24 +1,34 @@
-"""Optional compiled kernels for the replica-batched direct backend.
+"""Optional compiled kernels for the hot loops of the library.
 
-The hot loops of the batched backend — PCG64 stream advancement and the
-per-round election scan — are memory-light, branch-heavy loops that
-NumPy can only express as dozens of full-array passes.  This package
-compiles ``kernels.c`` once with whatever plain C compiler the host has
-(``cc -O3 -shared -fPIC``), caches the shared object next to the source
-keyed by a content hash, and exposes it through :mod:`ctypes` (stdlib —
-no new dependency).  Everything here is strictly optional:
+The hot loops — PCG64 stream advancement, the per-round election scan,
+the Part II ball walks, the coverage matvec and the columnar plane's
+round reductions — are memory-light, branch-heavy loops that NumPy can
+only express as dozens of full-array passes.  This package compiles
+``kernels.c`` once into a CPython extension module with whatever C
+compiler the host has (``cc -O3 -march=native -shared -fPIC`` against
+the interpreter's headers), caches it next to the source as
+``_build/kernels-<digest><EXT_SUFFIX>`` (content hash + this
+interpreter's extension suffix), and loads it with
+:class:`importlib.machinery.ExtensionFileLoader`.  A kernel call hands
+its numpy arrays to C through the buffer protocol; the binding checks
+every buffer's item size, contiguity, writability and length before
+the kernel runs, so a bad call raises instead of writing out of
+bounds.  Everything here is strictly optional:
 
-* no compiler, a failed compile, or ``REPRO_NATIVE=0`` in the
-  environment all degrade to the pure-NumPy implementations, which are
-  bit-for-bit equivalent (pinned by ``tests/test_vecrng.py``);
-* the compiled path is an *implementation detail behind the existing
-  ``engine.kernels`` / ``simulation.vecrng`` surfaces* — callers never
-  see it.  A device backend would swap the ``.so`` for a device
-  module and keep the surface.
+* no compiler, no Python headers, a failed compile or load, or
+  ``REPRO_NATIVE=0`` in the environment all degrade to the pure-NumPy
+  implementations, which are bit-for-bit equivalent (pinned by
+  ``tests/test_dispatch.py``); :func:`load_error` says why;
+* a cached artifact is loaded only if it matches the size and sha256
+  recorded beside it at build time.  A truncated, empty or foreign
+  file, or one that fails to load, is removed and rebuilt once under
+  the build lock;
+* the compiled path is an *implementation detail behind*
+  :mod:`repro.engine.dispatch` — callers never see it.
 
 Threading: every kernel takes an explicit slab of its iteration space,
-so the shim can split one call across a worker pool.  ctypes releases
-the GIL for the duration of each call, per-lane work never reads
+so the shim can split one call across a worker pool.  The binding
+releases the GIL around each kernel body, per-lane work never reads
 another slab's state, and slabs are contiguous — so any thread count
 is bit-identical to the single-call path.  ``REPRO_NATIVE_THREADS``
 picks the worker count (default: the machine's cores; ``1`` keeps the
@@ -28,35 +38,46 @@ threading never taxes the n=10^3 regime.
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
+import importlib.machinery
+import importlib.util
 import os
 import subprocess
+import sys
+import sysconfig
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Tuple
+from types import ModuleType
+from typing import Callable, Iterator, List, Optional, Tuple
 
 _HERE = Path(__file__).resolve().parent
 _SOURCE = _HERE / "kernels.c"
 
-_lib: ctypes.CDLL | None = None
+_lib: ModuleType | None = None
 _tried = False
+#: Why the last load attempt left ``_lib`` None.
+_error: str | None = None
+
+#: The artifact suffix: extension modules of another interpreter in the
+#: same checkout carry another suffix, so neither prunes the other.
+_EXT_SUFFIX = (sysconfig.get_config_var("EXT_SUFFIX")
+               or importlib.machinery.EXTENSION_SUFFIXES[0])
 
 #: Below this many flat lanes a draw/seed call runs inline — the slab
 #: bookkeeping would cost more than the loop.
 _MIN_SLAB = 1 << 15
 
-#: Folded into the .so content hash so flag changes rebuild the cache.
-_BUILD_TAG = b"march-native-1"
+#: Folded into the artifact's content hash so flag changes rebuild it.
+_BUILD_TAG = b"cpython-ext-march-native-1"
 
 
 def build_digest() -> Optional[str]:
-    """The content digest the cached ``.so`` is keyed by (source bytes +
-    build tag), or None when ``kernels.c`` is unreadable.  Pure function
-    of the tree — it identifies the build without triggering one, so
-    the introspection surface (``repro kernels``) can report it even on
-    hosts with no compiler."""
+    """The content digest the cached extension is keyed by (source
+    bytes + build tag), or None when ``kernels.c`` is unreadable.  Pure
+    function of the tree — it identifies the build without triggering
+    one, so the introspection surface (``repro kernels``) can report it
+    even on hosts with no compiler."""
     try:
         source = _SOURCE.read_bytes()
     except OSError:
@@ -69,7 +90,7 @@ def _build_lock(build: Path):
     """Exclusive advisory lock over the build+prune sequence.
 
     The subprocess runtime matrix and parallel pytest runs can race one
-    process's stale-``.so`` prune against another's ``os.replace``;
+    process's stale-artifact prune against another's ``os.replace``;
     serializing the whole sequence on an ``fcntl`` lock removes the
     window.  Platforms without ``fcntl`` (or an unopenable lock file)
     fall back to the old unlocked behavior — the sequence itself is
@@ -97,122 +118,174 @@ def _build_lock(build: Path):
         fh.close()
 
 
+def _record(artifact: Path) -> Path:
+    """The fingerprint record written beside an artifact."""
+    return artifact.with_name(artifact.name + ".sha256")
+
+
+def _fingerprint(artifact: Path) -> str:
+    """``"<size> <sha256>"`` of an artifact's bytes."""
+    data = artifact.read_bytes()
+    return f"{len(data)} {hashlib.sha256(data).hexdigest()}"
+
+
+def _verified(artifact: Path) -> bool:
+    """True when ``artifact`` matches the fingerprint recorded at build
+    time.  Loading a truncated shared object faults the process with
+    SIGBUS, so nothing unverified is ever loaded."""
+    try:
+        return _record(artifact).read_text().strip() == _fingerprint(
+            artifact)
+    except OSError:
+        return False
+
+
+def _seal(artifact: Path) -> None:
+    """Record ``artifact``'s fingerprint (atomically, like the artifact)."""
+    tmp = artifact.with_name(f".{artifact.name}.{os.getpid()}.sha256")
+    tmp.write_text(_fingerprint(artifact) + "\n")
+    os.replace(tmp, _record(artifact))
+
+
+def _discard(artifact: Path) -> None:
+    artifact.unlink(missing_ok=True)
+    _record(artifact).unlink(missing_ok=True)
+
+
+def _include_dirs() -> List[str]:
+    """The interpreter's C header directories, or [] when ``Python.h``
+    is not installed (a runtime-only Python)."""
+    paths = sysconfig.get_paths()
+    dirs = list(dict.fromkeys(
+        p for p in (paths.get("include"), paths.get("platinclude")) if p))
+    if not any((Path(d) / "Python.h").is_file() for d in dirs):
+        return []
+    return dirs
+
+
 def _compile() -> Path | None:
-    """Compile kernels.c into a content-addressed cached .so, or return
-    the cached artifact if the source has not changed."""
+    """The verified cached extension for the current source, compiled
+    under the build lock when it is missing or fails verification; None
+    (with the reason in ``_error``) when it cannot be built."""
+    global _error
     digest = build_digest()
     if digest is None:
+        _error = f"kernel source {_SOURCE} is unreadable"
         return None
     build = _HERE / "_build"
-    target = build / f"kernels-{digest}.so"
-    if target.exists():
+    target = build / f"kernels-{digest}{_EXT_SUFFIX}"
+    if _verified(target):
         return target
+    includes = _include_dirs()
+    if not includes:
+        _error = ("Python headers (Python.h) are not installed for this "
+                  "interpreter")
+        return None
     try:
         build.mkdir(exist_ok=True)
-    except OSError:
+    except OSError as exc:
+        _error = f"cannot create {build}: {exc}"
         return None
+    extra = [f"-I{d}" for d in includes]
+    if sys.platform == "darwin":
+        extra += ["-undefined", "dynamic_lookup"]
     # -march=native first (worth ~10% on the 128-bit LCG loops); plain
     # -O3 as the fallback for compilers/targets without it.  The kernels
     # are pure integer arithmetic, so codegen never changes results.
     attempts = [(cc, flags)
                 for flags in (["-O3", "-march=native"], ["-O3"])
                 for cc in ("cc", "gcc", "clang")]
+    failure = "no C compiler found"
+    tmp = build / f".kernels-{digest}.{os.getpid()}{_EXT_SUFFIX}"
     with _build_lock(build):
-        if target.exists():  # built by whoever held the lock first
+        if _verified(target):  # built by whoever held the lock first
             return target
+        _discard(target)  # partial, corrupt or unrecorded: rebuild
         for cc, flags in attempts:
             try:
-                tmp = build / f".kernels-{digest}.{os.getpid()}.so"
                 proc = subprocess.run(
-                    [cc, *flags, "-shared", "-fPIC", "-o", str(tmp),
-                     str(_SOURCE)],
+                    [cc, *flags, "-shared", "-fPIC", *extra, "-o",
+                     str(tmp), str(_SOURCE)],
                     capture_output=True, timeout=120)
-                if proc.returncode == 0 and tmp.exists():
-                    os.replace(tmp, target)  # atomic under parallel use
-                    # A successful build supersedes every other digest:
-                    # prune them so edits don't accumulate stale
-                    # artifacts.  (Unlinking a dlopen'ed .so is safe on
-                    # POSIX — the inode survives until the mapping is
-                    # dropped.)
-                    for stale in build.glob("kernels-*.so"):
-                        if stale.name != target.name:
-                            stale.unlink(missing_ok=True)
-                    return target
-                tmp.unlink(missing_ok=True)
-            except (OSError, subprocess.SubprocessError):
+            except FileNotFoundError:  # no such compiler on PATH
                 continue
+            except (OSError, subprocess.SubprocessError) as exc:
+                tmp.unlink(missing_ok=True)
+                failure = f"{cc}: {exc}"
+                continue
+            if proc.returncode != 0 or not tmp.exists():
+                tmp.unlink(missing_ok=True)
+                err = proc.stderr.decode(errors="replace").strip()
+                failure = (f"{cc} {' '.join(flags)} exited {proc.returncode}"
+                           + (f": {err.splitlines()[-1]}" if err else ""))
+                continue
+            try:
+                os.replace(tmp, target)  # atomic under parallel use
+                _seal(target)
+            except OSError as exc:  # an unrecorded artifact never loads
+                failure = f"cannot store {target.name}: {exc}"
+                break
+            # A successful build supersedes every other digest of this
+            # interpreter's suffix: prune them so edits don't accumulate
+            # stale artifacts.  (Unlinking a loaded extension is safe on
+            # POSIX — the inode survives until the mapping is dropped.)
+            for stale in build.glob(f"kernels-*{_EXT_SUFFIX}"):
+                if stale.name != target.name:
+                    _discard(stale)
+            return target
+    _error = f"cannot compile {_SOURCE.name}: {failure}"
     return None
 
 
-def lib() -> ctypes.CDLL | None:
-    """The loaded kernel library, or None when unavailable."""
-    global _lib, _tried
+def _load(artifact: Path) -> ModuleType:
+    """Import the extension module at ``artifact``."""
+    name = f"{__name__}._kernels"
+    loader = importlib.machinery.ExtensionFileLoader(name, str(artifact))
+    spec = importlib.util.spec_from_file_location(name, artifact,
+                                                  loader=loader)
+    module = importlib.util.module_from_spec(spec)
+    loader.exec_module(module)
+    return module
+
+
+def lib() -> ModuleType | None:
+    """The loaded kernel extension, or None when unavailable (see
+    :func:`load_error`)."""
+    global _lib, _tried, _error
     if _tried:
         return _lib
     _tried = True
     if os.environ.get("REPRO_NATIVE", "1") == "0":
+        _error = "disabled by REPRO_NATIVE=0"
         return None
-    path = _compile()
-    if path is None:
-        return None
-    try:
-        cdll = ctypes.CDLL(str(path))
-        u64p = ctypes.POINTER(ctypes.c_uint64)
-        u8p = ctypes.POINTER(ctypes.c_uint8)
-        i64p = ctypes.POINTER(ctypes.c_int64)
-        cdll.repro_draw_masked.argtypes = [
-            u64p, u64p, u64p, u64p, u8p, u8p,
-            ctypes.c_int64, ctypes.c_int64, ctypes.c_uint64, i64p]
-        cdll.repro_draw_masked.restype = None
-        cdll.repro_elect_batch.argtypes = [
-            ctypes.c_int64, ctypes.c_int64,
-            i64p, i64p, i64p, i64p, i64p, u8p, u8p,
-            ctypes.c_int64, ctypes.c_int64, ctypes.c_int64]
-        cdll.repro_elect_batch.restype = None
-        u32p = ctypes.POINTER(ctypes.c_uint32)
-        cdll.repro_seed_lanes.argtypes = [
-            u32p, u32p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-            u64p, u64p, u64p, u64p]
-        cdll.repro_seed_lanes.restype = None
-        cdll.repro_ball_phase.argtypes = [
-            ctypes.c_int64, ctypes.c_int64, i64p, i64p, i64p, i64p,
-            i64p, u8p, i64p, i64p, u8p, u8p, i64p, i64p]
-        cdll.repro_ball_phase.restype = ctypes.c_int64
-        cdll.repro_ball_adopt.argtypes = [
-            ctypes.c_int64, ctypes.c_int64, i64p, i64p, i64p, i64p,
-            i64p, u8p, u8p, i64p]
-        cdll.repro_ball_adopt.restype = None
-        i32p = ctypes.POINTER(ctypes.c_int32)
-        cdll.repro_member_counts.argtypes = [
-            ctypes.c_int64, ctypes.c_int64, i64p, i32p, u8p,
-            ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, i64p]
-        cdll.repro_member_counts.restype = None
-        cdll.repro_deficit.argtypes = [
-            i64p, i64p, ctypes.c_int64, u8p,
-            ctypes.c_int64, ctypes.c_int64, i64p]
-        cdll.repro_deficit.restype = None
-        cdll.repro_scatter_cover.argtypes = [
-            ctypes.c_int64, i64p, i64p, i64p, ctypes.c_int64, i64p, i64p]
-        cdll.repro_scatter_cover.restype = None
-        f64p = ctypes.POINTER(ctypes.c_double)
-        cdll.repro_inbox_reduce.argtypes = [
-            i64p, f64p, u8p, f64p, ctypes.c_int64, ctypes.c_int64, f64p]
-        cdll.repro_inbox_reduce.restype = None
-        cdll.repro_state_scatter_f64.argtypes = [
-            i64p, f64p, ctypes.c_int64, ctypes.c_int64, f64p]
-        cdll.repro_state_scatter_f64.restype = None
-        cdll.repro_state_scatter_u8.argtypes = [
-            i64p, u8p, ctypes.c_int64, ctypes.c_int64, u8p]
-        cdll.repro_state_scatter_u8.restype = None
-    except (OSError, AttributeError):
-        return None
-    _lib = cdll
-    return _lib
+    # A verified artifact that still fails to load (a foreign file with
+    # a forged record, say) is discarded and rebuilt once.
+    for _ in range(2):
+        path = _compile()
+        if path is None:
+            return None
+        try:
+            _lib = _load(path)
+        except ImportError as exc:
+            _error = f"cannot load {path.name}: {exc}"
+            with _build_lock(path.parent):
+                _discard(path)
+            continue
+        _error = None
+        return _lib
+    return None
 
 
 def available() -> bool:
     """True when the compiled kernels are usable on this host."""
     return lib() is not None
+
+
+def load_error() -> Optional[str]:
+    """Why the compiled kernels are unavailable, or None when they
+    loaded: ``REPRO_NATIVE=0``, no compiler, no Python headers, or a
+    failed build or load."""
+    return None if lib() is not None else _error
 
 
 # ----------------------------------------------------------------------
@@ -254,15 +327,19 @@ def _slabs(total: int, parts: int) -> Iterator[Tuple[int, int]]:
 
 
 def _run_slabs(fn: Callable[[int, int], None], total: int,
-               min_slab: int = _MIN_SLAB) -> None:
+               min_slab: Optional[int] = None) -> None:
     """Run ``fn(lo, hi)`` over a slab partition of ``[0, total)``.
 
-    Uses the worker pool when the configured thread count and the work
-    size warrant it; otherwise one inline call (which is also the
-    degenerate partition, so results never depend on the choice).
+    Uses the worker pool when the work spans at least two slabs of
+    ``min_slab`` (default :data:`_MIN_SLAB`) and the configured thread
+    count allows; otherwise one inline call (which is also the
+    degenerate partition, so results never depend on the choice).  The
+    thread count is read only when the size admits threading, so small
+    calls skip the environment read.
     """
     global _executor, _executor_workers
-    workers = min(thread_count(), max(1, total // min_slab))
+    slabs = total // (_MIN_SLAB if min_slab is None else min_slab)
+    workers = min(thread_count(), slabs) if slabs > 1 else 1
     if workers <= 1:
         fn(0, total)
         return
@@ -278,34 +355,27 @@ def _run_slabs(fn: Callable[[int, int], None], total: int,
         f.result()
 
 
-def _ptr(arr, ctype):
-    return arr.ctypes.data_as(ctypes.POINTER(ctype))
-
+# ----------------------------------------------------------------------
+# Entry-point shims (see repro.engine.dispatch for the call sites)
+#
+# Arrays go to the extension as they are: it reads them through the
+# buffer protocol and raises TypeError / ValueError / BufferError on a
+# wrong item size, a strided or read-only buffer, or a short one, before
+# any kernel writes.
+# ----------------------------------------------------------------------
 
 def draw_masked(sh, sl, ih, il, mask, need, high: int, out) -> None:
     """Native masked bounded draw; see repro_draw_masked in kernels.c.
 
-    All arrays must be C-contiguous; ``need`` may be None.  States in
-    ``sh``/``sl`` advance in place.  Slabs split the flat lane axis;
-    each lane's advancement reads only its own limbs, so the result is
-    bit-identical at any thread count.
+    ``need`` may be None.  States in ``sh``/``sl`` advance in place.
+    Slabs split the flat lane axis; each lane's advancement reads only
+    its own limbs, so the result is bit-identical at any thread count.
     """
-    cdll = lib()
-    assert cdll is not None
-    nullp = ctypes.POINTER(ctypes.c_uint8)()
-    shp = _ptr(sh, ctypes.c_uint64)
-    slp = _ptr(sl, ctypes.c_uint64)
-    ihp = _ptr(ih, ctypes.c_uint64)
-    ilp = _ptr(il, ctypes.c_uint64)
-    mp = _ptr(mask, ctypes.c_uint8)
-    np_ = nullp if need is None else _ptr(need, ctypes.c_uint8)
-    outp = _ptr(out, ctypes.c_int64)
-    high_c = ctypes.c_uint64(high)
+    k = lib()
+    assert k is not None
 
     def call(lo: int, hi: int) -> None:
-        cdll.repro_draw_masked(shp, slp, ihp, ilp, mp, np_,
-                               ctypes.c_int64(lo), ctypes.c_int64(hi),
-                               high_c, outp)
+        k.draw_masked(sh, sl, ih, il, mask, need, lo, hi, high, out)
 
     _run_slabs(call, mask.size)
 
@@ -317,19 +387,11 @@ def seed_lanes(pool4, hc, R: int, n: int, ih, il, sh, sl) -> None:
     pure function of its (replica, spawn child) pair, so any partition
     seeds identically.
     """
-    cdll = lib()
-    assert cdll is not None
-    poolp = _ptr(pool4, ctypes.c_uint32)
-    hcp = _ptr(hc, ctypes.c_uint32)
-    ihp = _ptr(ih, ctypes.c_uint64)
-    ilp = _ptr(il, ctypes.c_uint64)
-    shp = _ptr(sh, ctypes.c_uint64)
-    slp = _ptr(sl, ctypes.c_uint64)
+    k = lib()
+    assert k is not None
 
     def call(lo: int, hi: int) -> None:
-        cdll.repro_seed_lanes(poolp, hcp, ctypes.c_int64(n),
-                              ctypes.c_int64(lo), ctypes.c_int64(hi),
-                              ihp, ilp, shp, slp)
+        k.seed_lanes(pool4, hc, R, n, lo, hi, ih, il, sh, sl)
 
     _run_slabs(call, R * n)
 
@@ -345,31 +407,20 @@ def elect_batch(R: int, n: int, sub, starts, deg, nbr_w,
     idempotent byte stores within the replica's own ``elected`` row),
     so any thread count elects the same nodes.
     """
-    cdll = lib()
-    assert cdll is not None
-    S = sub.size
-    subp = _ptr(sub, ctypes.c_int64)
-    startsp = _ptr(starts, ctypes.c_int64)
-    degp = _ptr(deg, ctypes.c_int64)
-    nbrp = _ptr(nbr_w, ctypes.c_int64)
-    idsp = _ptr(ids, ctypes.c_int64)
-    actp = _ptr(active, ctypes.c_uint8)
-    elp = _ptr(elected, ctypes.c_uint8)
-    masked_c = ctypes.c_int64(1 if ids_masked else 0)
+    k = lib()
+    assert k is not None
+    masked = 1 if ids_masked else 0
 
     def call(r_lo: int, r_hi: int) -> None:
-        cdll.repro_elect_batch(ctypes.c_int64(n), ctypes.c_int64(S),
-                               subp, startsp, degp, nbrp, idsp, actp, elp,
-                               ctypes.c_int64(r_lo), ctypes.c_int64(r_hi),
-                               masked_c)
+        k.elect_batch(R, n, sub, starts, deg, nbr_w, ids, active, elected,
+                      r_lo, r_hi, masked)
 
     # Replica rows are the unit of work here: thread only when several
     # rows of meaningful size are available.
-    workers = min(thread_count(), R) if R * max(S, 1) >= _MIN_SLAB else 1
-    if workers <= 1:
+    if R * max(sub.size, 1) < _MIN_SLAB:
         call(0, R)
-        return
-    _run_slabs(call, R, min_slab=1)
+    else:
+        _run_slabs(call, R, min_slab=1)
 
 
 def ball_phase(n: int, rows, nodes, indptr, indices, live, leader, krow,
@@ -381,16 +432,10 @@ def ball_phase(n: int, rows, nodes, indptr, indices, live, leader, krow,
     wholesale adoptions.  Returns the number of big-actor flat indices
     written to ``big``.
     """
-    cdll = lib()
-    assert cdll is not None
-    return int(cdll.repro_ball_phase(
-        ctypes.c_int64(n), ctypes.c_int64(rows.size),
-        _ptr(rows, ctypes.c_int64), _ptr(nodes, ctypes.c_int64),
-        _ptr(indptr, ctypes.c_int64), _ptr(indices, ctypes.c_int64),
-        _ptr(live, ctypes.c_int64), _ptr(leader, ctypes.c_uint8),
-        _ptr(krow, ctypes.c_int64), _ptr(cnt, ctypes.c_int64),
-        _ptr(small, ctypes.c_uint8), _ptr(picks, ctypes.c_uint8),
-        _ptr(touched, ctypes.c_int64), _ptr(big, ctypes.c_int64)))
+    k = lib()
+    assert k is not None
+    return k.ball_phase(n, rows, nodes, indptr, indices, live, leader,
+                        krow, cnt, small, picks, touched, big)
 
 
 def ball_adopt(n: int, rows, nodes, indptr, indices, coverage, leader,
@@ -398,19 +443,11 @@ def ball_adopt(n: int, rows, nodes, indptr, indices, coverage, leader,
     """Native promotion coverage + deficiency refresh; see
     repro_ball_adopt.  Mutates ``coverage`` and ``deficient`` in place.
     """
-    cdll = lib()
-    assert cdll is not None
-    cdll.repro_ball_adopt(
-        ctypes.c_int64(n), ctypes.c_int64(rows.size),
-        _ptr(rows, ctypes.c_int64), _ptr(nodes, ctypes.c_int64),
-        _ptr(indptr, ctypes.c_int64), _ptr(indices, ctypes.c_int64),
-        _ptr(coverage, ctypes.c_int64), _ptr(leader, ctypes.c_uint8),
-        _ptr(deficient, ctypes.c_uint8), _ptr(krow, ctypes.c_int64))
+    k = lib()
+    assert k is not None
+    k.ball_adopt(n, rows, nodes, indptr, indices, coverage, leader,
+                 deficient, krow)
 
-
-# ----------------------------------------------------------------------
-# Coverage-plane shims (see repro.engine.dispatch for the call sites)
-# ----------------------------------------------------------------------
 
 #: Rows per slab for the coverage matvec: each row costs (degree + 1)
 #: gathers (x R lanes), far heavier than an RNG lane, so slabs engage
@@ -429,19 +466,11 @@ def member_counts(n: int, R: int, indptr, idx32, xT, open_conv: int,
     row) cell is written exactly once, so any thread count is
     bit-identical.
     """
-    cdll = lib()
-    assert cdll is not None
-    indptrp = _ptr(indptr, ctypes.c_int64)
-    idxp = _ptr(idx32, ctypes.c_int32)
-    xp = _ptr(xT, ctypes.c_uint8)
-    outp = _ptr(out, ctypes.c_int64)
-    oc = ctypes.c_int64(1 if open_conv else 0)
+    k = lib()
+    assert k is not None
 
     def call(lo: int, hi: int) -> None:
-        cdll.repro_member_counts(ctypes.c_int64(n), ctypes.c_int64(R),
-                                 indptrp, idxp, xp, oc,
-                                 ctypes.c_int64(lo), ctypes.c_int64(hi),
-                                 outp)
+        k.member_counts(n, R, indptr, idx32, xT, open_conv, lo, hi, out)
 
     _run_slabs(call, n, min_slab=max(1, _MIN_ROW_SLAB // max(1, R // 4)))
 
@@ -455,19 +484,11 @@ member_counts_batch = member_counts
 def deficit_vector(counts, req_vec, req_scalar: int, members, out) -> None:
     """Native elementwise deficit; see repro_deficit.  ``req_vec`` and
     ``members`` may be None (uniform requirement / no exemption)."""
-    cdll = lib()
-    assert cdll is not None
-    i64null = ctypes.POINTER(ctypes.c_int64)()
-    u8null = ctypes.POINTER(ctypes.c_uint8)()
-    cp = _ptr(counts, ctypes.c_int64)
-    rp = i64null if req_vec is None else _ptr(req_vec, ctypes.c_int64)
-    mp = u8null if members is None else _ptr(members, ctypes.c_uint8)
-    outp = _ptr(out, ctypes.c_int64)
-    rs = ctypes.c_int64(int(req_scalar))
+    k = lib()
+    assert k is not None
 
     def call(lo: int, hi: int) -> None:
-        cdll.repro_deficit(cp, rp, rs, mp, ctypes.c_int64(lo),
-                           ctypes.c_int64(hi), outp)
+        k.deficit(counts, req_vec, req_scalar, members, lo, hi, out)
 
     _run_slabs(call, counts.size)
 
@@ -475,23 +496,17 @@ def deficit_vector(counts, req_vec, req_scalar: int, members, out) -> None:
 def inbox_reduce(indptr, values, mask, init, out) -> None:
     """Native columnar inbox reduction; see repro_inbox_reduce.
 
-    ``indptr`` is the receiver-major CSR row pointer (``out.size + 1``
-    entries), ``values``/``mask`` per-edge columns, ``init`` the
-    per-row starting term (the node's own contribution).  Rows are the
-    slab axis; each row is written exactly once, so any thread count is
-    bit-identical to the single pass."""
-    cdll = lib()
-    assert cdll is not None
-    n = out.size
-    indptrp = _ptr(indptr, ctypes.c_int64)
-    vp = _ptr(values, ctypes.c_double)
-    mp = _ptr(mask, ctypes.c_uint8)
-    ip = _ptr(init, ctypes.c_double)
-    outp = _ptr(out, ctypes.c_double)
+    ``indptr`` is the receiver-major CSR row pointer (one entry per
+    ``out`` row, plus one), ``values``/``mask`` per-edge columns,
+    ``init`` the per-row starting term (the node's own contribution).
+    Rows are the slab axis; each row is written exactly once, so any
+    thread count is bit-identical to the single pass."""
+    k = lib()
+    assert k is not None
+    n = indptr.size - 1
 
     def call(lo: int, hi: int) -> None:
-        cdll.repro_inbox_reduce(indptrp, vp, mp, ip, ctypes.c_int64(lo),
-                                ctypes.c_int64(hi), outp)
+        k.inbox_reduce(indptr, values, mask, init, lo, hi, out)
 
     avg_deg = max(1, values.size // max(1, n))
     _run_slabs(call, n, min_slab=max(1, _MIN_ROW_SLAB // avg_deg))
@@ -499,27 +514,17 @@ def inbox_reduce(indptr, values, mask, init, out) -> None:
 
 def state_scatter(idx, values, out) -> None:
     """Native permutation gather ``out[i] = values[idx[i]]``; see
-    repro_state_scatter_{f64,u8}.  Dispatches on the value dtype
-    (float64 payload columns, uint8 delivery masks); the edge axis is
+    repro_state_scatter_{f64,u8}.  Dispatches on the value item size
+    (8-byte payload columns, 1-byte delivery masks); the edge axis is
     the slab axis and every slot is written once, so any thread count
     is bit-identical."""
-    cdll = lib()
-    assert cdll is not None
-    idxp = _ptr(idx, ctypes.c_int64)
-    if values.dtype.itemsize == 1:
-        vp = _ptr(values, ctypes.c_uint8)
-        outp = _ptr(out, ctypes.c_uint8)
+    k = lib()
+    assert k is not None
+    gather = k.state_scatter_u8 if values.dtype.itemsize == 1 \
+        else k.state_scatter_f64
 
-        def call(lo: int, hi: int) -> None:
-            cdll.repro_state_scatter_u8(idxp, vp, ctypes.c_int64(lo),
-                                        ctypes.c_int64(hi), outp)
-    else:
-        vp = _ptr(values, ctypes.c_double)
-        outp = _ptr(out, ctypes.c_double)
-
-        def call(lo: int, hi: int) -> None:
-            cdll.repro_state_scatter_f64(idxp, vp, ctypes.c_int64(lo),
-                                         ctypes.c_int64(hi), outp)
+    def call(lo: int, hi: int) -> None:
+        gather(idx, values, lo, hi, out)
 
     _run_slabs(call, idx.size)
 
@@ -528,12 +533,8 @@ def scatter_cover(promoted, indptr, indices, sign: int, coverage,
                   touched) -> None:
     """Native frontier scatter; see repro_scatter_cover.  ``touched``
     must have capacity ``sum(indptr[p+1] - indptr[p])`` over the
-    promoted rows; serial (overlapping balls would race)."""
-    cdll = lib()
-    assert cdll is not None
-    cdll.repro_scatter_cover(
-        ctypes.c_int64(promoted.size),
-        _ptr(promoted, ctypes.c_int64),
-        _ptr(indptr, ctypes.c_int64), _ptr(indices, ctypes.c_int64),
-        ctypes.c_int64(int(sign)),
-        _ptr(coverage, ctypes.c_int64), _ptr(touched, ctypes.c_int64))
+    promoted rows (checked, like the rows' range); serial (overlapping
+    balls would race)."""
+    k = lib()
+    assert k is not None
+    k.scatter_cover(promoted, indptr, indices, sign, coverage, touched)

@@ -1,8 +1,12 @@
 /* Optional native kernels for the replica-batched direct backend.
  *
- * Compiled lazily by repro._native (plain `cc -O2 -shared -fPIC`) and
- * loaded through ctypes; every entry point has a bit-exact NumPy
- * fallback, so a missing compiler only costs speed, never correctness.
+ * Compiled lazily by repro._native (`cc -O3 -march=native -shared
+ * -fPIC` against the interpreter's headers, plain -O3 where the
+ * compiler rejects -march=native) into a CPython extension module: the
+ * binding section at the end of this file exports one function per
+ * kernel.  Every entry point has a bit-exact NumPy fallback, so a
+ * missing compiler or missing Python headers only cost speed, never
+ * correctness.
  *
  * The PCG64 arithmetic below mirrors repro.simulation.vecrng exactly:
  * 128-bit LCG step (state = state * PCG_MULT + inc), XSL-RR output,
@@ -12,10 +16,15 @@
  *
  * Every kernel takes an explicit slab of its iteration space ([lo, hi)
  * flat lanes for draw/seed, [r_lo, r_hi) replicas for elect) so the
- * ctypes shim can run slabs on a worker pool: ctypes drops the GIL for
- * the call, per-lane work never reads another slab's state, and the
- * shim's full-range single call is the thread-count-1 behavior.
+ * Python shim can run slabs on a worker pool: the binding releases the
+ * GIL around each kernel body, per-lane work never reads another
+ * slab's state, and the shim's full-range single call is the
+ * thread-count-1 behavior.
  */
+
+/* Python.h first: it sets feature macros the system headers read. */
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 
 #include <stdint.h>
 #include <stddef.h>
@@ -457,4 +466,525 @@ void repro_state_scatter_u8(const int64_t *idx, const uint8_t *values,
 {
     for (int64_t i = lo; i < hi; ++i)
         out[i] = values[idx[i]];
+}
+
+/* ======================================================================
+ * CPython binding: one METH_FASTCALL function per kernel.
+ *
+ * Arrays arrive through the buffer protocol.  PyBUF_SIMPLE admits only
+ * C-contiguous buffers, and PyBUF_WRITABLE refuses a read-only array
+ * in a position the kernel writes.  Every buffer's item size and the
+ * length the call's size arguments imply are checked before the
+ * kernel runs, so a bad call raises TypeError, ValueError or
+ * BufferError and writes nothing.  Lengths are checked against the
+ * whole call, never against the slab, so every slab of a threaded
+ * call passes or fails alike; a CSR's index array must hold indptr[n]
+ * entries.  Indices stored *inside* the arrays (CSR rows, lane ids)
+ * stay the caller's contract, except for scatter_cover, whose output
+ * capacity depends on them.  The GIL is released around each kernel
+ * body.
+ * ====================================================================== */
+
+#define RD 0   /* read-only operand */
+#define WR 1   /* operand the kernel writes */
+#define OPT 2  /* None is accepted and passed as NULL */
+#define MAX_BUFS 16
+
+typedef struct {
+    Py_buffer view[MAX_BUFS];
+    int held;
+} Bufs;
+
+static void
+bufs_release(Bufs *b)
+{
+    while (b->held > 0)
+        PyBuffer_Release(&b->view[--b->held]);
+}
+
+static int
+bad_argc(const char *fn, Py_ssize_t nargs, Py_ssize_t want)
+{
+    if (nargs == want)
+        return 0;
+    PyErr_Format(PyExc_TypeError, "%s() takes %zd arguments (%zd given)",
+                 fn, want, nargs);
+    return -1;
+}
+
+/* Borrow `obj` as a C-contiguous buffer of `itemsize`-byte items with
+ * at least `min_items` items; `*items` (when not NULL) gets its item
+ * count.  Returns 0, or -1 with an exception set. */
+static int
+arr(Bufs *b, PyObject *obj, const char *name, Py_ssize_t itemsize,
+    int mode, int64_t min_items, void *data, Py_ssize_t *items)
+{
+    void **out = (void **)data;
+    if ((mode & OPT) && obj == Py_None) {
+        *out = NULL;
+        return 0;
+    }
+    Py_buffer *v = &b->view[b->held];
+    if (PyObject_GetBuffer(obj, v,
+                           (mode & WR) ? PyBUF_WRITABLE : PyBUF_SIMPLE) < 0)
+        return -1;
+    b->held++;
+    if (v->itemsize != itemsize) {
+        PyErr_Format(PyExc_TypeError,
+                     "%s: expected %zd-byte items, got %zd-byte items",
+                     name, itemsize, v->itemsize);
+        return -1;
+    }
+    const Py_ssize_t count = v->len / itemsize;
+    if ((int64_t)count < min_items) {
+        PyErr_Format(PyExc_ValueError,
+                     "%s: needs at least %lld items, got %zd",
+                     name, (long long)min_items, count);
+        return -1;
+    }
+    *out = v->buf;
+    if (items != NULL)
+        *items = count;
+    return 0;
+}
+
+static int
+i64(PyObject *obj, int64_t *out)
+{
+    const long long v = PyLong_AsLongLong(obj);
+    if (v == -1 && PyErr_Occurred())
+        return -1;
+    *out = (int64_t)v;
+    return 0;
+}
+
+static int
+u64(PyObject *obj, uint64_t *out)
+{
+    PyObject *idx = PyNumber_Index(obj);
+    if (idx == NULL)
+        return -1;
+    const unsigned long long v = PyLong_AsUnsignedLongLong(idx);
+    Py_DECREF(idx);
+    if (v == (unsigned long long)-1 && PyErr_Occurred())
+        return -1;
+    *out = (uint64_t)v;
+    return 0;
+}
+
+/* A non-negative size argument. */
+static int
+size_arg(PyObject *obj, const char *name, int64_t *out)
+{
+    if (i64(obj, out) < 0)
+        return -1;
+    if (*out < 0) {
+        PyErr_Format(PyExc_ValueError, "%s must be >= 0, got %lld", name,
+                     (long long)*out);
+        return -1;
+    }
+    return 0;
+}
+
+/* *out = a * b for non-negative sizes, refusing int64 overflow. */
+static int
+mul(int64_t a, int64_t b, int64_t *out)
+{
+    if (b != 0 && a > INT64_MAX / b) {
+        PyErr_SetString(PyExc_ValueError, "size arguments overflow int64");
+        return -1;
+    }
+    *out = a * b;
+    return 0;
+}
+
+/* The slab [lo, hi) must lie inside [0, total). */
+static int
+slab(PyObject *lo_obj, PyObject *hi_obj, int64_t total, int64_t *lo,
+     int64_t *hi)
+{
+    if (i64(lo_obj, lo) < 0 || i64(hi_obj, hi) < 0)
+        return -1;
+    if (*lo < 0 || *lo > *hi || *hi > total) {
+        PyErr_Format(PyExc_ValueError,
+                     "slab [%lld, %lld) is outside [0, %lld)",
+                     (long long)*lo, (long long)*hi, (long long)total);
+        return -1;
+    }
+    return 0;
+}
+
+/* draw_masked(sh, sl, ih, il, mask, need, lo, hi, high, out) */
+static PyObject *
+py_draw_masked(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Bufs b = {.held = 0};
+    PyObject *ret = NULL;
+    uint64_t *sh, *sl, *ih, *il;
+    uint8_t *mask, *need;
+    int64_t *out, lo, hi;
+    uint64_t high;
+    Py_ssize_t n;
+    if (bad_argc("draw_masked", nargs, 10)
+        || arr(&b, args[4], "mask", 1, RD, 0, &mask, &n)
+        || arr(&b, args[0], "sh", 8, WR, n, &sh, NULL)
+        || arr(&b, args[1], "sl", 8, WR, n, &sl, NULL)
+        || arr(&b, args[2], "ih", 8, RD, n, &ih, NULL)
+        || arr(&b, args[3], "il", 8, RD, n, &il, NULL)
+        || arr(&b, args[5], "need", 1, RD | OPT, n, &need, NULL)
+        || arr(&b, args[9], "out", 8, WR, n, &out, NULL)
+        || slab(args[6], args[7], n, &lo, &hi)
+        || u64(args[8], &high))
+        goto done;
+    if (high == 0) {
+        PyErr_SetString(PyExc_ValueError, "high must be >= 1");
+        goto done;
+    }
+    Py_BEGIN_ALLOW_THREADS
+    repro_draw_masked(sh, sl, ih, il, mask, need, lo, hi, high, out);
+    Py_END_ALLOW_THREADS
+    ret = Py_NewRef(Py_None);
+done:
+    bufs_release(&b);
+    return ret;
+}
+
+/* seed_lanes(pool4, hc0, R, n, lo, hi, ih, il, sh, sl) */
+static PyObject *
+py_seed_lanes(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Bufs b = {.held = 0};
+    PyObject *ret = NULL;
+    uint32_t *pool4, *hc0;
+    uint64_t *ih, *il, *sh, *sl;
+    int64_t R, n, lanes, words, lo, hi;
+    if (bad_argc("seed_lanes", nargs, 10)
+        || size_arg(args[2], "R", &R) || size_arg(args[3], "n", &n)
+        || mul(R, n, &lanes) || mul(R, 4, &words)
+        || arr(&b, args[0], "pool4", 4, RD, words, &pool4, NULL)
+        || arr(&b, args[1], "hc0", 4, RD, R, &hc0, NULL)
+        || arr(&b, args[6], "ih", 8, WR, lanes, &ih, NULL)
+        || arr(&b, args[7], "il", 8, WR, lanes, &il, NULL)
+        || arr(&b, args[8], "sh", 8, WR, lanes, &sh, NULL)
+        || arr(&b, args[9], "sl", 8, WR, lanes, &sl, NULL)
+        || slab(args[4], args[5], lanes, &lo, &hi))
+        goto done;
+    Py_BEGIN_ALLOW_THREADS
+    repro_seed_lanes(pool4, hc0, n, lo, hi, ih, il, sh, sl);
+    Py_END_ALLOW_THREADS
+    ret = Py_NewRef(Py_None);
+done:
+    bufs_release(&b);
+    return ret;
+}
+
+/* elect_batch(R, n, sub, starts, deg, nbr_w, ids, active, elected,
+ *             r_lo, r_hi, ids_masked) */
+static PyObject *
+py_elect_batch(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Bufs b = {.held = 0};
+    PyObject *ret = NULL;
+    int64_t *sub, *starts, *deg, *nbr_w, *ids;
+    uint8_t *active, *elected;
+    int64_t R, n, plane, r_lo, r_hi, masked;
+    Py_ssize_t S;
+    if (bad_argc("elect_batch", nargs, 12)
+        || size_arg(args[0], "R", &R) || size_arg(args[1], "n", &n)
+        || mul(R, n, &plane)
+        || arr(&b, args[2], "sub", 8, RD, 0, &sub, &S)
+        || arr(&b, args[3], "starts", 8, RD, S, &starts, NULL)
+        || arr(&b, args[4], "deg", 8, RD, S, &deg, NULL)
+        || arr(&b, args[5], "nbr_w", 8, RD, 0, &nbr_w, NULL)
+        || arr(&b, args[6], "ids", 8, RD, plane, &ids, NULL)
+        || arr(&b, args[7], "active", 1, RD, plane, &active, NULL)
+        || arr(&b, args[8], "elected", 1, WR, plane, &elected, NULL)
+        || slab(args[9], args[10], R, &r_lo, &r_hi)
+        || i64(args[11], &masked))
+        goto done;
+    Py_BEGIN_ALLOW_THREADS
+    repro_elect_batch(n, S, sub, starts, deg, nbr_w, ids, active, elected,
+                      r_lo, r_hi, masked);
+    Py_END_ALLOW_THREADS
+    ret = Py_NewRef(Py_None);
+done:
+    bufs_release(&b);
+    return ret;
+}
+
+/* ball_phase(n, rows, nodes, indptr, indices, live, leader, krow, cnt,
+ *            small, picks, touched, big) -> number of big actors */
+static PyObject *
+py_ball_phase(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Bufs b = {.held = 0};
+    PyObject *ret = NULL;
+    int64_t *rows, *nodes, *indptr, *indices, *live, *krow, *cnt;
+    int64_t *touched, *big;
+    uint8_t *leader, *small, *picks;
+    int64_t n, plane, local, nb;
+    Py_ssize_t P, L, R;
+    if (bad_argc("ball_phase", nargs, 13)
+        || size_arg(args[0], "n", &n)
+        || arr(&b, args[1], "rows", 8, RD, 0, &rows, &P)
+        || arr(&b, args[2], "nodes", 8, RD, P, &nodes, NULL)
+        || arr(&b, args[3], "indptr", 8, RD, n + 1, &indptr, NULL)
+        || arr(&b, args[4], "indices", 8, RD, indptr[n], &indices, NULL)
+        || arr(&b, args[5], "live", 8, RD, 0, &live, &L)
+        || arr(&b, args[7], "krow", 8, RD, 0, &krow, &R)
+        || mul(R, n, &plane) || mul(L, n, &local)
+        || arr(&b, args[6], "leader", 1, RD, plane, &leader, NULL)
+        || arr(&b, args[8], "cnt", 8, WR, local, &cnt, NULL)
+        || arr(&b, args[9], "small", 1, WR, local, &small, NULL)
+        || arr(&b, args[10], "picks", 1, WR, local, &picks, NULL)
+        || arr(&b, args[11], "touched", 8, WR, local, &touched, NULL)
+        || arr(&b, args[12], "big", 8, WR, local, &big, NULL))
+        goto done;
+    Py_BEGIN_ALLOW_THREADS
+    nb = repro_ball_phase(n, P, rows, nodes, indptr, indices, live, leader,
+                          krow, cnt, small, picks, touched, big);
+    Py_END_ALLOW_THREADS
+    ret = PyLong_FromLongLong((long long)nb);
+done:
+    bufs_release(&b);
+    return ret;
+}
+
+/* ball_adopt(n, rows, nodes, indptr, indices, coverage, leader,
+ *            deficient, krow) */
+static PyObject *
+py_ball_adopt(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Bufs b = {.held = 0};
+    PyObject *ret = NULL;
+    int64_t *rows, *nodes, *indptr, *indices, *coverage, *krow;
+    uint8_t *leader, *deficient;
+    int64_t n, plane;
+    Py_ssize_t P, R;
+    if (bad_argc("ball_adopt", nargs, 9)
+        || size_arg(args[0], "n", &n)
+        || arr(&b, args[1], "rows", 8, RD, 0, &rows, &P)
+        || arr(&b, args[2], "nodes", 8, RD, P, &nodes, NULL)
+        || arr(&b, args[3], "indptr", 8, RD, n + 1, &indptr, NULL)
+        || arr(&b, args[4], "indices", 8, RD, indptr[n], &indices, NULL)
+        || arr(&b, args[8], "krow", 8, RD, 0, &krow, &R)
+        || mul(R, n, &plane)
+        || arr(&b, args[5], "coverage", 8, WR, plane, &coverage, NULL)
+        || arr(&b, args[6], "leader", 1, RD, plane, &leader, NULL)
+        || arr(&b, args[7], "deficient", 1, WR, plane, &deficient, NULL))
+        goto done;
+    Py_BEGIN_ALLOW_THREADS
+    repro_ball_adopt(n, P, rows, nodes, indptr, indices, coverage, leader,
+                     deficient, krow);
+    Py_END_ALLOW_THREADS
+    ret = Py_NewRef(Py_None);
+done:
+    bufs_release(&b);
+    return ret;
+}
+
+/* member_counts(n, R, indptr, indices32, xT, open_conv, lo, hi, out) */
+static PyObject *
+py_member_counts(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Bufs b = {.held = 0};
+    PyObject *ret = NULL;
+    int64_t *indptr, *out;
+    int32_t *indices;
+    uint8_t *xT;
+    int64_t n, R, plane, open_conv, lo, hi;
+    if (bad_argc("member_counts", nargs, 9)
+        || size_arg(args[0], "n", &n) || size_arg(args[1], "R", &R)
+        || mul(n, R, &plane)
+        || arr(&b, args[2], "indptr", 8, RD, n + 1, &indptr, NULL)
+        || arr(&b, args[3], "indices", 4, RD, indptr[n], &indices, NULL)
+        || arr(&b, args[4], "xT", 1, RD, plane, &xT, NULL)
+        || arr(&b, args[8], "out", 8, WR, plane, &out, NULL)
+        || i64(args[5], &open_conv)
+        || slab(args[6], args[7], n, &lo, &hi))
+        goto done;
+    Py_BEGIN_ALLOW_THREADS
+    repro_member_counts(n, R, indptr, indices, xT, open_conv, lo, hi, out);
+    Py_END_ALLOW_THREADS
+    ret = Py_NewRef(Py_None);
+done:
+    bufs_release(&b);
+    return ret;
+}
+
+/* deficit(counts, req, req_scalar, members, lo, hi, out) */
+static PyObject *
+py_deficit(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Bufs b = {.held = 0};
+    PyObject *ret = NULL;
+    int64_t *counts, *req, *out, req_scalar, lo, hi;
+    uint8_t *members;
+    Py_ssize_t n;
+    if (bad_argc("deficit", nargs, 7)
+        || arr(&b, args[0], "counts", 8, RD, 0, &counts, &n)
+        || arr(&b, args[1], "req", 8, RD | OPT, n, &req, NULL)
+        || arr(&b, args[3], "members", 1, RD | OPT, n, &members, NULL)
+        || arr(&b, args[6], "out", 8, WR, n, &out, NULL)
+        || i64(args[2], &req_scalar)
+        || slab(args[4], args[5], n, &lo, &hi))
+        goto done;
+    Py_BEGIN_ALLOW_THREADS
+    repro_deficit(counts, req, req_scalar, members, lo, hi, out);
+    Py_END_ALLOW_THREADS
+    ret = Py_NewRef(Py_None);
+done:
+    bufs_release(&b);
+    return ret;
+}
+
+/* scatter_cover(promoted, indptr, indices, sign, coverage, touched) */
+static PyObject *
+py_scatter_cover(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Bufs b = {.held = 0};
+    PyObject *ret = NULL;
+    int64_t *promoted, *indptr, *indices, *coverage, *touched, sign;
+    int64_t n, need = 0;
+    Py_ssize_t P, rows, cap;
+    if (bad_argc("scatter_cover", nargs, 6)
+        || arr(&b, args[0], "promoted", 8, RD, 0, &promoted, &P)
+        || arr(&b, args[1], "indptr", 8, RD, 1, &indptr, &rows))
+        goto done;
+    n = rows - 1;
+    if (arr(&b, args[2], "indices", 8, RD, indptr[n], &indices, NULL)
+        || arr(&b, args[4], "coverage", 8, WR, n, &coverage, NULL)
+        || arr(&b, args[5], "touched", 8, WR, 0, &touched, &cap)
+        || i64(args[3], &sign))
+        goto done;
+    /* The touched list holds every promoted row's closed ball. */
+    for (Py_ssize_t p = 0; p < P; ++p) {
+        const int64_t v = promoted[p];
+        if (v < 0 || v >= n) {
+            PyErr_Format(PyExc_IndexError,
+                         "promoted row %lld is outside [0, %lld)",
+                         (long long)v, (long long)n);
+            goto done;
+        }
+        need += indptr[v + 1] - indptr[v];
+    }
+    if ((int64_t)cap < need) {
+        PyErr_Format(PyExc_ValueError,
+                     "touched: needs at least %lld items, got %zd",
+                     (long long)need, cap);
+        goto done;
+    }
+    Py_BEGIN_ALLOW_THREADS
+    repro_scatter_cover(P, promoted, indptr, indices, sign, coverage,
+                        touched);
+    Py_END_ALLOW_THREADS
+    ret = Py_NewRef(Py_None);
+done:
+    bufs_release(&b);
+    return ret;
+}
+
+/* inbox_reduce(indptr, values, mask, init, lo, hi, out) */
+static PyObject *
+py_inbox_reduce(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Bufs b = {.held = 0};
+    PyObject *ret = NULL;
+    int64_t *indptr, lo, hi, n, nnz;
+    double *values, *init, *out;
+    uint8_t *mask;
+    Py_ssize_t rows;
+    if (bad_argc("inbox_reduce", nargs, 7)
+        || arr(&b, args[0], "indptr", 8, RD, 1, &indptr, &rows))
+        goto done;
+    n = rows - 1;
+    nnz = indptr[n];
+    if (arr(&b, args[1], "values", 8, RD, nnz, &values, NULL)
+        || arr(&b, args[2], "mask", 1, RD, nnz, &mask, NULL)
+        || arr(&b, args[3], "init", 8, RD, n, &init, NULL)
+        || arr(&b, args[6], "out", 8, WR, n, &out, NULL)
+        || slab(args[4], args[5], n, &lo, &hi))
+        goto done;
+    Py_BEGIN_ALLOW_THREADS
+    repro_inbox_reduce(indptr, values, mask, init, lo, hi, out);
+    Py_END_ALLOW_THREADS
+    ret = Py_NewRef(Py_None);
+done:
+    bufs_release(&b);
+    return ret;
+}
+
+/* state_scatter_{f64,u8}(idx, values, lo, hi, out) */
+static PyObject *
+state_scatter(const char *fn, Py_ssize_t itemsize, PyObject *const *args,
+              Py_ssize_t nargs)
+{
+    Bufs b = {.held = 0};
+    PyObject *ret = NULL;
+    int64_t *idx, lo, hi;
+    void *values, *out;
+    Py_ssize_t n;
+    if (bad_argc(fn, nargs, 5)
+        || arr(&b, args[0], "idx", 8, RD, 0, &idx, &n)
+        || arr(&b, args[1], "values", itemsize, RD, 0, &values, NULL)
+        || arr(&b, args[4], "out", itemsize, WR, n, &out, NULL)
+        || slab(args[2], args[3], n, &lo, &hi))
+        goto done;
+    Py_BEGIN_ALLOW_THREADS
+    if (itemsize == 8)
+        repro_state_scatter_f64(idx, values, lo, hi, out);
+    else
+        repro_state_scatter_u8(idx, values, lo, hi, out);
+    Py_END_ALLOW_THREADS
+    ret = Py_NewRef(Py_None);
+done:
+    bufs_release(&b);
+    return ret;
+}
+
+static PyObject *
+py_state_scatter_f64(PyObject *self, PyObject *const *args,
+                     Py_ssize_t nargs)
+{
+    return state_scatter("state_scatter_f64", 8, args, nargs);
+}
+
+static PyObject *
+py_state_scatter_u8(PyObject *self, PyObject *const *args,
+                    Py_ssize_t nargs)
+{
+    return state_scatter("state_scatter_u8", 1, args, nargs);
+}
+
+#define FASTCALL(name, doc) \
+    {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, doc}
+
+static PyMethodDef kernel_methods[] = {
+    FASTCALL(draw_masked, "repro_draw_masked over a checked slab."),
+    FASTCALL(seed_lanes, "repro_seed_lanes over a checked slab."),
+    FASTCALL(elect_batch, "repro_elect_batch over a replica slab."),
+    FASTCALL(ball_phase, "repro_ball_phase; returns the big-actor count."),
+    FASTCALL(ball_adopt, "repro_ball_adopt."),
+    FASTCALL(member_counts, "repro_member_counts over a row slab."),
+    FASTCALL(deficit, "repro_deficit over a checked slab."),
+    FASTCALL(scatter_cover, "repro_scatter_cover."),
+    FASTCALL(inbox_reduce, "repro_inbox_reduce over a row slab."),
+    FASTCALL(state_scatter_f64, "repro_state_scatter_f64 over a slab."),
+    FASTCALL(state_scatter_u8, "repro_state_scatter_u8 over a slab."),
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef kernel_module = {
+    PyModuleDef_HEAD_INIT,
+    "_kernels",
+    "Compiled kernels of repro._native (see kernels.c).",
+    -1,
+    kernel_methods,
+    NULL, NULL, NULL, NULL,
+};
+
+PyMODINIT_FUNC
+PyInit__kernels(void)
+{
+    return PyModule_Create(&kernel_module);
 }

@@ -21,7 +21,8 @@ Commands
 ``repro kernels``
     Show the kernel provider registry: which provider (native C /
     numpy) serves each hot entry point under the current
-    ``REPRO_KERNEL_BACKEND`` selection.
+    ``REPRO_KERNEL_BACKEND`` selection; exits 1 when a forced provider
+    leaves an entry point unavailable.
 ``repro experiment e1 [--scale full] [--seed 0] [--json out.json]``
     Run one of the E1-E23 experiments and print its report.
 ``repro report --out EXPERIMENTS.md --scale full``
@@ -445,9 +446,12 @@ def _cmd_kernels(args) -> int:
     The ops-facing face of :func:`repro.engine.dispatch.provider_status`
     (the same dict lands in ``repro serve --json`` and
     ``ExperimentReport.timing``): backend selection, native build
-    digest and thread count, and per-entry provider resolution.  A
-    misconfigured ``REPRO_KERNEL_BACKEND`` exits 2 with the registry's
-    error instead of a traceback.
+    digest, thread count and load error, and per-entry provider
+    resolution.  A misconfigured ``REPRO_KERNEL_BACKEND`` exits 2 with
+    the registry's error instead of a traceback; an entry point left
+    unavailable (``native`` forced where the compiled kernels did not
+    build or load) prints the table and exits 1, so a CI step that
+    expects the build fails loudly.
     """
     from repro.engine.dispatch import provider_status
     from repro.errors import KernelBackendError
@@ -461,7 +465,8 @@ def _cmd_kernels(args) -> int:
     print(f"backend: {status['backend']}"
           + (" (forced)" if status["forced"] else ""))
     print(f"native: available={native['available']} "
-          f"digest={native['digest'] or '-'} threads={native['threads']}")
+          f"digest={native['digest'] or '-'} threads={native['threads']}"
+          + (f" error={native['error']}" if native["error"] else ""))
     print()
     rows = []
     for entry, info in status["entry_points"].items():
@@ -478,6 +483,12 @@ def _cmd_kernels(args) -> int:
         pathlib.Path(args.json_path).write_text(
             json.dumps(status, indent=2, sort_keys=True) + "\n")
         print(f"wrote {args.json_path}")
+    missing = [entry for entry, info in status["entry_points"].items()
+               if info["provider"] == "unavailable"]
+    if missing:
+        print(f"error: {len(missing)} of {len(status['entry_points'])} "
+              "kernel entry points are unavailable", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -23,8 +23,11 @@ force one provider for every entry point; any other name raises.  Forcing an
 — never a silent fallback — while call-site applicability guards
 (contiguity, dtype, degree bounds) still apply, since they are
 correctness conditions, not preferences.  Every provider is bit-exact
-with the numpy reference (pinned by ``tests/test_dispatch.py``), so
-selection only ever changes speed.
+with the numpy reference (pinned by ``tests/test_dispatch.py`` and the
+generated cases of ``tests/test_native_binding.py``), so selection
+only ever changes speed.  :func:`kernel`, which the call sites ask on
+every kernel call, memoizes its answer; :func:`provider` and
+:func:`provider_status` resolve afresh on every call.
 
 A further provider (a device backend, say) is an additive module:
 implement the entry-point shims, register here, and no call site
@@ -36,6 +39,7 @@ from __future__ import annotations
 import os
 from typing import Any, Callable, Dict, Optional, Tuple
 
+from repro import _native
 from repro.errors import KernelBackendError
 
 __all__ = [
@@ -66,15 +70,15 @@ _THREADED_ENTRIES = frozenset({"seed_lanes", "draw_masked", "elect_batch",
 def _native_module():
     """The native provider module, or None when unavailable.  The
     compile/load probe is cached by :mod:`repro._native` itself (and
-    reset by its test fixtures), so no second cache here."""
-    from repro import _native
+    reset by its test fixtures)."""
     return _native if _native.available() else None
 
 
 def backend() -> str:
     """The selected backend name (``REPRO_KERNEL_BACKEND``, default
-    ``auto``).  Read per call, so tests and benchmarks flip providers
-    with one env var and no cache to invalidate."""
+    ``auto``), parsed on every call.  :func:`kernel` keys its memo on
+    the variable's raw value, so a changed value applies on the next
+    call there too."""
     raw = os.environ.get("REPRO_KERNEL_BACKEND", "auto").strip().lower()
     if raw not in BACKENDS:
         raise KernelBackendError(
@@ -104,8 +108,8 @@ def provider(entry: str, size: Optional[int] = None
         if mod is None:
             raise KernelBackendError(
                 "REPRO_KERNEL_BACKEND=native, but the compiled kernels are "
-                "unavailable on this host (no C compiler, failed build, or "
-                "REPRO_NATIVE=0); use 'auto' to fall back explicitly")
+                f"unavailable on this host ({_native.load_error()}); use "
+                "'auto' to fall back explicitly")
         return "native", getattr(mod, entry)
     # auto: native when built, else numpy
     mod = _native_module()
@@ -114,9 +118,36 @@ def provider(entry: str, size: Optional[int] = None
     return "numpy", None
 
 
+#: :func:`kernel`'s answers, keyed by ``(raw REPRO_KERNEL_BACKEND,
+#: entry, _native._lib, _native._tried)``: the last two are the native
+#: loader's state, so a load or a reset of the loader (``_lib`` /
+#: ``_tried``, as the tests do) starts a fresh key.
+_resolved: Dict[tuple, Optional[Callable]] = {}
+
+
 def kernel(entry: str, size: Optional[int] = None) -> Optional[Callable]:
-    """The resolved implementation for ``entry`` (None = numpy path)."""
-    return provider(entry, size)[1]
+    """The resolved implementation for ``entry`` (None = numpy path).
+
+    The call sites ask on every kernel call, so this is memoized: one
+    environment read and one dict lookup per call, with no import, no
+    ``available()`` probe and no parsing.  A changed
+    ``REPRO_KERNEL_BACKEND`` or a reset native loader misses the memo
+    and resolves through :func:`provider`, which also raises (and
+    memoizes nothing) for an unknown backend or a forced unavailable
+    one.  ``size`` is ignored, as in :func:`provider`.
+    """
+    raw = os.environ.get("REPRO_KERNEL_BACKEND")
+    try:
+        return _resolved[raw, entry, _native._lib, _native._tried]
+    except KeyError:
+        pass
+    impl = provider(entry)[1]
+    if len(_resolved) >= 256:  # bound the keys stale loader states hold
+        _resolved.clear()
+    # Keyed by the state *after* resolution: the probe may just have
+    # loaded the kernels.
+    _resolved[raw, entry, _native._lib, _native._tried] = impl
+    return impl
 
 
 def provider_status() -> Dict[str, Any]:
@@ -124,14 +155,13 @@ def provider_status() -> Dict[str, Any]:
 
     The dict behind ``repro kernels``, the ``kernels`` key of
     ``repro serve --json`` and ``ExperimentReport.timing``: backend
-    selection, native build digest / thread count, and the provider
-    each entry point resolves to.  A
-    forced-but-unavailable backend is reported per entry (provider
-    ``"unavailable"`` plus the error text) instead of raising, so the
-    status surface works exactly where the failure needs diagnosing.
+    selection, native build digest / thread count / load error (why
+    the compiled kernels are unavailable, else None), and the provider
+    each entry point resolves to.  A forced-but-unavailable backend is
+    reported per entry (provider ``"unavailable"`` plus the error text)
+    instead of raising, so the status surface works exactly where the
+    failure needs diagnosing.
     """
-    from repro import _native
-
     which = backend()
     status: Dict[str, Any] = {
         "backend": which,
@@ -140,6 +170,7 @@ def provider_status() -> Dict[str, Any]:
             "available": _native.available(),
             "digest": _native.build_digest(),
             "threads": _native.thread_count(),
+            "error": _native.load_error(),
         },
         "entry_points": {},
     }

@@ -265,6 +265,9 @@ class TestIntrospection:
         if HAS_NATIVE:
             assert len(status["native"]["digest"]) == 16
             assert status["native"]["threads"] >= 1
+            assert status["native"]["error"] is None
+        else:
+            assert status["native"]["error"]
         for entry, info in status["entry_points"].items():
             assert info["provider"] in ("native", "numpy")
             assert "min_size" not in info
@@ -295,6 +298,21 @@ class TestIntrospection:
         assert main(["kernels", "--json", str(path)]) == 0
         payload = json.loads(path.read_text())
         assert set(payload["entry_points"]) == set(ENTRY_POINTS)
+
+    def test_cli_kernels_unavailable_exits_nonzero(self, monkeypatch,
+                                                   capsys):
+        # Forcing native where it did not load must fail the command
+        # (CI runs it to check that the build engaged), after printing
+        # the table that says why.
+        monkeypatch.setattr(_native, "_lib", None)
+        monkeypatch.setattr(_native, "_tried", False)
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "native")
+        assert main(["kernels"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.count("| unavailable |") == len(ENTRY_POINTS)
+        assert "error=disabled by REPRO_NATIVE=0" in captured.out
+        assert "unavailable" in captured.err
 
     def test_cli_kernels_bad_backend(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "cuda")
