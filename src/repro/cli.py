@@ -413,6 +413,9 @@ def _cmd_serve(args) -> int:
         ("p50 batch latency", f"{report['p50_batch_ms']:.3f} ms"),
         ("p99 batch latency", f"{report['p99_batch_ms']:.3f} ms"),
         ("max epoch lag", report["max_epoch_lag"]),
+        ("dominator index carried / built",
+         f"{report['dominator_index']['carried']} / "
+         f"{sum(report['dominator_index']['built'].values())}"),
         ("last snapshot age", f"{report['last_snapshot_age_s']:.3f} s"),
         ("serving time", f"{report['duration_s']:.2f} s"),
     ]))

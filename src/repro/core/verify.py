@@ -20,8 +20,9 @@ closed-adjacency CSR (indicator vector in, per-node member counts out)
 instead of a Python loop over every adjacency.  That is the same kernel
 the direct backends of Algorithms 2/3 and the maintenance loop use, so
 there is exactly one coverage-counting implementation in the codebase.
-:func:`coverage_deficit_vector` and :func:`membership_mask` expose the
-raw index-aligned arrays for callers that want to stay in numpy.
+:func:`coverage_vectors`, :func:`coverage_deficit_vector` and
+:func:`membership_mask` expose the raw index-aligned arrays for callers
+that want to stay in numpy.
 """
 
 from __future__ import annotations
@@ -130,15 +131,16 @@ def coverage_counts(graph, members: Iterable[NodeId], *,
     return counts
 
 
-def coverage_deficit_vector(art: GraphArtifacts, members: Iterable[NodeId],
-                            k: Union[int, CoverageMap], *,
-                            convention: str = "open"
-                            ) -> Tuple[np.ndarray, List[NodeId]]:
-    """Index-aligned deficit array ``max(0, required - actual)``.
+def coverage_vectors(art: GraphArtifacts, members: Iterable[NodeId],
+                     k: Union[int, CoverageMap], *,
+                     convention: str = "open"
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index-aligned ``(mask, counts, deficit)``: the membership mask,
+    the per-node dominator counts and ``max(0, required - actual)``.
 
-    The all-numpy variant of :func:`coverage_deficit` for callers that
-    keep working in artifact index space (the maintenance loop): returns
-    ``(deficit, nodes)`` with ``deficit[i]`` belonging to ``nodes[i]``.
+    The all-numpy core of :func:`coverage_deficit` for callers that keep
+    working in artifact index space (the maintenance loop, whose final
+    verify hands all three to the service's snapshot).
     """
     if convention not in CONVENTIONS:
         raise GraphError(
@@ -152,7 +154,18 @@ def coverage_deficit_vector(art: GraphArtifacts, members: Iterable[NodeId],
     deficit = kernels.deficit_vector(
         art, counts, _required(art, k),
         member_idx=mask if convention == "open" else None)
-    return deficit, art.nodes
+    return mask, counts, deficit
+
+
+def coverage_deficit_vector(art: GraphArtifacts, members: Iterable[NodeId],
+                            k: Union[int, CoverageMap], *,
+                            convention: str = "open"
+                            ) -> Tuple[np.ndarray, List[NodeId]]:
+    """Index-aligned deficit array ``max(0, required - actual)``:
+    ``(deficit, nodes)`` with ``deficit[i]`` belonging to ``nodes[i]``
+    (the deficit of :func:`coverage_vectors`)."""
+    return coverage_vectors(art, members, k, convention=convention)[2], \
+        art.nodes
 
 
 def coverage_deficit(graph, members: Iterable[NodeId],

@@ -46,6 +46,7 @@ from repro.dynamics.loop import (
     EXECUTORS,
     DynamicsResult,
     MaintenanceLoop,
+    VerifiedCoverage,
     run_scenario,
 )
 from repro.dynamics.metrics import DynamicsTimeline, EpochRecord
@@ -91,6 +92,7 @@ __all__ = [
     "Scenario",
     "ScheduledCrashes",
     "SurplusDemotion",
+    "VerifiedCoverage",
     "assign_shards",
     "crash_scenario",
     "damage_units",

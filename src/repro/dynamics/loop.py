@@ -44,7 +44,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.core.verify import coverage_deficit, coverage_deficit_vector
+from repro.core.verify import coverage_deficit, coverage_vectors
 from repro.dynamics.demotion import DemotionOutcome, SurplusDemotion
 from repro.dynamics.metrics import DynamicsTimeline, EpochRecord
 from repro.dynamics.repair import RepairOutcome, RepairPolicy
@@ -92,6 +92,33 @@ class _ArtifactGraphView:
 
     def degree(self):
         return zip(self._art.nodes, self._art.degrees.tolist())
+
+
+@dataclass(frozen=True)
+class VerifiedCoverage:
+    """One verify's index-aligned coverage vectors, and what they
+    describe: the artifacts version, the state's ``members_version`` and
+    ``k`` they were computed at.
+
+    The loop keeps its last verify's vectors so the service's snapshot
+    capture can adopt them instead of recomputing the same mask, matvec
+    and deficit (:meth:`MaintenanceLoop.take_verified`).
+    """
+
+    version: int
+    members_version: int
+    k: int
+    mask: np.ndarray
+    counts: np.ndarray
+    deficit: np.ndarray
+
+    def describes(self, art, state: NetworkState, k: int) -> bool:
+        """Whether the vectors still hold for ``art`` / ``state`` at
+        ``k``: no edit and no membership change since they were
+        computed."""
+        return (self.version == art.version
+                and self.members_version == state.members_version
+                and self.k == k)
 
 
 @dataclass
@@ -216,6 +243,7 @@ class MaintenanceLoop:
         self._state: Optional[NetworkState] = None
         self._timeline: Optional[DynamicsTimeline] = None
         self._epoch = 0
+        self._verified: Optional[VerifiedCoverage] = None
 
     # ------------------------------------------------------------------
     # Resident stepping API (the service layer drives epochs one by one)
@@ -258,6 +286,7 @@ class MaintenanceLoop:
         self._state = state
         self._timeline = DynamicsTimeline()
         self._epoch = 0
+        self._verified = None
         return state
 
     def step(self) -> EpochRecord:
@@ -290,6 +319,13 @@ class MaintenanceLoop:
         result.summary = self._timeline.summary()
         return result
 
+    def take_verified(self) -> Optional[VerifiedCoverage]:
+        """Hand over the last verify's coverage vectors and forget them
+        (``None`` if none were kept since the last hand-over; only an
+        incremental state's verify keeps them)."""
+        verified, self._verified = self._verified, None
+        return verified
+
     def close(self) -> None:
         """Release pooled resources (the process pool and its shared
         memory).  Idempotent; the loop remains usable — the pool is
@@ -312,11 +348,16 @@ class MaintenanceLoop:
     # Deficit measurement (vectorized on incremental states)
     # ------------------------------------------------------------------
     def _shortfalls(self, state: NetworkState, k) -> Dict[NodeId, int]:
-        """Deficient node -> shortfall over the live topology."""
+        """Deficient node -> shortfall over the live topology.  On an
+        incremental state the coverage vectors are kept for
+        :meth:`take_verified`."""
         if state.incremental:
             art = state.artifacts()
-            vec, nodes = coverage_deficit_vector(art, state.members, k,
+            mask, counts, vec = coverage_vectors(art, state.members, k,
                                                  convention="open")
+            self._verified = VerifiedCoverage(
+                art.version, state.members_version, k, mask, counts, vec)
+            nodes = art.nodes
             return {nodes[i]: int(vec[i]) for i in np.nonzero(vec)[0]}
         deficit = coverage_deficit(state.graph(), state.members, k,
                                    convention="open")

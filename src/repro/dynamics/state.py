@@ -128,6 +128,10 @@ class NetworkState:
         self.total_crashes = 0
         self.total_joins = 0
         self.total_moves = 0
+        #: Bumped by every change to ``members`` made through a crash,
+        #: :meth:`promote` or :meth:`demote` (so a coverage vector
+        #: computed earlier can tell whether it still describes them).
+        self.members_version = 0
         #: Incremental-maintenance counters (surfaced per epoch by the
         #: maintenance loop next to engine ``cache_stats()``).
         self.artifact_patches = 0
@@ -304,6 +308,7 @@ class NetworkState:
             return  # already dead (e.g. battery ran out the same epoch)
         self.alive.discard(node)
         self.members.discard(node)
+        self.members_version += 1
         self.total_crashes += 1
         self._live_view = None
         self._edit(("remove", node))
@@ -405,9 +410,11 @@ class NetworkState:
             raise GraphError(
                 f"cannot promote dead node(s), e.g. {next(iter(dead))!r}")
         self.members |= nodes
+        self.members_version += 1
 
     def demote(self, nodes: Iterable[NodeId]) -> None:
         self.members -= set(nodes)
+        self.members_version += 1
 
     # ------------------------------------------------------------------
     # Graph views

@@ -245,6 +245,8 @@ class GraphArtifacts:
         self._closed_nbrs: Optional[List[np.ndarray]] = None
         self._stable_order: Optional[Tuple[List[NodeId], np.ndarray, bool]] \
             = None
+        # ``False`` until built (``None`` is the wide-range answer).
+        self._id_lookup = False
         #: Scratch for :mod:`repro.engine.kernels` over this graph alone
         #: (the ``kernel_cache`` of its one-graph :class:`StackedGraphs`);
         #: dropped by every :class:`ArtifactDelta` edit.
@@ -376,6 +378,18 @@ class GraphArtifacts:
                     f"like {self.nodes[0]!r}")
             self._nodes_array = ids
         return self._nodes_array
+
+    def id_lookup(self) -> Optional[Tuple[int, np.ndarray]]:
+        """The dense id -> index table (:func:`id_index_table`) over
+        :meth:`nodes_array`, or ``None`` for non-integer labels and wide
+        id ranges.  Built on first use and dropped by every edit."""
+        if self._id_lookup is False:
+            try:
+                ids = self.nodes_array()
+            except GraphError:
+                ids = None
+            self._id_lookup = None if ids is None else id_index_table(ids)
+        return self._id_lookup
 
     def open_csr(self) -> Tuple[np.ndarray, np.ndarray]:
         """Open-neighborhood CSR ``(indptr, indices)`` over node indices:

@@ -34,6 +34,7 @@ kernel-vs-reference suite in ``tests/test_mode_equivalence.py``.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from typing import Iterable, Tuple
 
 import numpy as np
@@ -87,21 +88,55 @@ def _member_indices(art: GraphArtifacts, members: MemberSet):
     return order[idx] if members.nodes is nodes else None
 
 
+def _table_indices(art: GraphArtifacts, members: Iterable):
+    """The artifact indices of integer ``members`` through the bundle's
+    dense id table (:meth:`GraphArtifacts.id_lookup`), or ``None`` when
+    it has none or ``members`` is not a collection of integers (bools
+    read as 0/1, as the dict lookup reads them).  An unknown member
+    raises ``KeyError``."""
+    lookup = art.id_lookup()
+    if lookup is None or not isinstance(members, Collection):
+        return None
+    # numpy infers an integer (or bool) dtype only when every element is
+    # one: a float, string, sequence or out-of-range int leaves the dict
+    # to decide.
+    try:
+        ids = np.array(list(members))
+    except ValueError:  # ragged sequences among the members
+        return None
+    if ids.dtype.kind not in "ib" or ids.ndim != 1:
+        return None
+    ids = ids.astype(np.int64, copy=False)
+    lo, table = lookup
+    # Offsets outside the range, wrapped ones included, exceed the span
+    # as unsigned and clamp to the table's trailing -1.
+    idx = table.take(np.minimum((ids - lo).view(np.uint64),
+                                len(table) - 1).view(np.int64))
+    if idx.size and idx.min() < 0:
+        raise KeyError(int(ids[np.argmin(idx)]))
+    return idx
+
+
 def member_mask(art: GraphArtifacts, members: Iterable) -> np.ndarray:
     """Index-aligned boolean membership mask of ``members`` (the native
     coverage kernels' operand; ``.astype(float)`` of it is exactly
     :func:`member_indicator`).  A :class:`~repro.types.MemberSet` over
     the identity labels or the artifacts' own node order is one scatter
-    of its index array; anything else is one ``np.fromiter`` over
-    ``art.index``.  An unknown member raises ``KeyError``."""
+    of its index array.  Integer members of an integer-labelled bundle
+    are read with one ``np.array`` and looked up in its dense id table;
+    anything else is one ``np.fromiter`` over ``art.index``.  An unknown
+    member raises ``KeyError``."""
     mask = np.zeros(art.n, dtype=bool)
     if isinstance(members, MemberSet):
         idx = _member_indices(art, members)
         if idx is not None:
             mask[idx] = True
             return mask
-    mask[np.fromiter(map(art.index.__getitem__, members),
-                     dtype=np.int64)] = True
+    idx = _table_indices(art, members)
+    if idx is None:
+        idx = np.fromiter(map(art.index.__getitem__, members),
+                          dtype=np.int64)
+    mask[idx] = True
     return mask
 
 

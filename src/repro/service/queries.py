@@ -124,11 +124,12 @@ def who_covers(snap: EpochSnapshot, ids
     rows; so do members themselves unless covered by other members
     (open convention: a dominator covers its neighbors, not itself).
 
-    One gather over the snapshot's cached
-    :meth:`~repro.service.snapshot.EpochSnapshot.dominator_csr` for the
-    whole batch: expand the queried rows with ``repeat``/``arange`` —
-    the self/non-member filtering already happened once at cache build,
-    so no per-batch masking remains.
+    One gather over the snapshot's
+    :meth:`~repro.service.snapshot.EpochSnapshot.dominator_csr` (derived
+    by the writer before publication) for the whole batch: expand the
+    queried rows' pool segments with ``repeat``/``arange`` — the
+    self/non-member filtering already happened when the index was
+    derived, so no per-batch masking remains.
     """
     ids = _id_batch(ids)
     idx = snap.index_of(ids)
@@ -136,9 +137,9 @@ def who_covers(snap: EpochSnapshot, ids
     indptr = np.zeros(len(ids) + 1, dtype=np.int64)
     if not known.any():
         return indptr, np.zeros(0, dtype=np.int64)
-    dom_indptr, dom_ids = snap.dominator_csr()
-    starts = dom_indptr.take(idx)
-    lens = np.where(known, dom_indptr.take(idx + 1) - starts, 0)
+    dom_starts, dom_counts, dom_ids = snap.dominator_csr()
+    starts = dom_starts.take(idx)
+    lens = np.where(known, dom_counts.take(idx), 0)
     np.cumsum(lens, out=indptr[1:])
     # Flat positions of every dominator entry of the batch.
     flat = np.repeat(starts - indptr[:-1], lens) \
@@ -154,8 +155,8 @@ def dominator_of(snap: EpochSnapshot, ids) -> np.ndarray:
     every client of a node agrees on the same clusterhead); an
     uncovered or unknown id gets ``-1``.
 
-    Two gathers against snapshot caches — the per-node minimum is
-    precomputed once per snapshot
+    Two gathers against the snapshot's index — the per-node minimum is
+    derived once per snapshot, by the writer for a captured one
     (:meth:`~repro.service.snapshot.EpochSnapshot.min_dominator`).
     """
     ids = _id_batch(ids)

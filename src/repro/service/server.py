@@ -70,6 +70,12 @@ class ServiceMetrics:
         self.batches = 0
         self.per_kind: Dict[str, int] = {k: 0 for k in QUERY_KINDS}
         self.epochs_published = 0
+        #: How each published snapshot's dominator index was derived:
+        #: carries (and the rows they rebuilt), full builds by reason.
+        self.index_carried = 0
+        self.index_rows_rebuilt = 0
+        self.index_built: Dict[str, int] = {
+            "first": 0, "topology": 0, "compaction": 0}
         self.max_epoch_lag = 0
         self.last_snapshot_age = 0.0
         self._latencies = deque(maxlen=self.MAX_SAMPLES)
@@ -87,9 +93,19 @@ class ServiceMetrics:
             if self._stopped_at is None:
                 self._stopped_at = time.monotonic()
 
-    def observe_publish(self) -> None:
+    def observe_publish(self, index: Optional[Dict[str, object]] = None
+                        ) -> None:
+        """Count one publication; ``index`` is the snapshot's
+        :attr:`~repro.service.snapshot.EpochSnapshot.index_path`."""
         with self._lock:
             self.epochs_published += 1
+            if index is None:
+                return
+            if index["path"] == "carried":
+                self.index_carried += 1
+                self.index_rows_rebuilt += int(index["rebuilt_rows"])
+            else:
+                self.index_built[index["reason"]] += 1
 
     def observe_batch(self, kind: str, size: int, latency_s: float,
                       epoch_lag: int, snapshot_age: float) -> None:
@@ -121,11 +137,16 @@ class ServiceMetrics:
             return {
                 "queries": self.queries,
                 "batches": self.batches,
-                "qps": self.queries / duration,
+                "qps": self.queries / duration if duration else 0.0,
                 "per_kind": dict(self.per_kind),
                 "p50_batch_ms": p50,
                 "p99_batch_ms": p99,
                 "epochs_published": self.epochs_published,
+                "dominator_index": {
+                    "carried": self.index_carried,
+                    "rows_rebuilt": self.index_rows_rebuilt,
+                    "built": dict(self.index_built),
+                },
                 "max_epoch_lag": self.max_epoch_lag,
                 "last_snapshot_age_s": self.last_snapshot_age,
                 "duration_s": duration,
@@ -177,12 +198,17 @@ class CoverageService:
         return record, snap
 
     def _publish(self, state) -> EpochSnapshot:
+        # Capture adopts the loop's final verify and carries the
+        # dominator index over from the current snapshot, so readers
+        # never build it; the handed-over vectors leave the loop.
         snap = EpochSnapshot.capture(state, self.loop.scenario.k,
-                                     self.loop.epochs_completed)
+                                     self.loop.epochs_completed,
+                                     previous=self._snapshot,
+                                     verified=self.loop.take_verified())
         # One reference swap — atomic under the GIL; readers keep
         # whatever snapshot they already hold.
         self._snapshot = snap
-        self.metrics.observe_publish()
+        self.metrics.observe_publish(snap.index_path)
         return snap
 
     # ------------------------------------------------------------------
@@ -229,6 +255,11 @@ class CoverageDaemon:
         self.epoch_interval = float(epoch_interval)
         self._queue: "queue.Queue[_QueryTask]" = queue.Queue()
         self._draining = threading.Event()
+        # Orders enqueueing against the drain flag: ``submit`` checks
+        # and enqueues under it, the flag is set under it, and the
+        # dispatch thread decides to exit under it.  Reentrant, so a
+        # signal handler that runs inside ``submit`` can still drain.
+        self._accepting = threading.RLock()
         self._dispatch_thread: Optional[threading.Thread] = None
         self._writer_thread: Optional[threading.Thread] = None
         self._writer_error: Optional[BaseException] = None
@@ -261,10 +292,12 @@ class CoverageDaemon:
         """Enqueue one batch; the future resolves to its answer."""
         if self._dispatch_thread is None:
             raise ServiceError("daemon not started")
-        if self._draining.is_set():
-            raise ServiceError("daemon is draining; not accepting queries")
         task = _QueryTask(kind=kind, ids=ids, targets=targets)
-        self._queue.put(task)
+        with self._accepting:
+            if self._draining.is_set():
+                raise ServiceError(
+                    "daemon is draining; not accepting queries")
+            self._queue.put(task)
         return task.future
 
     def query(self, kind: str, ids, targets=None):
@@ -279,8 +312,11 @@ class CoverageDaemon:
             try:
                 task = self._queue.get(timeout=self._POLL_S)
             except queue.Empty:
-                if self._draining.is_set():
-                    return
+                # Exit only once draining and nothing is queued: a batch
+                # enqueued before the flag was set is still answered.
+                with self._accepting:
+                    if self._draining.is_set() and self._queue.empty():
+                        return
                 continue
             snap = self.service.current()
             t0 = time.perf_counter()
@@ -325,8 +361,10 @@ class CoverageDaemon:
     # ------------------------------------------------------------------
     def request_drain(self) -> None:
         """Signal-safe shutdown request (idempotent): stop accepting
-        queries; the serving threads wind down asynchronously."""
-        self._draining.set()
+        queries; the serving threads wind down asynchronously, the
+        dispatch thread after answering every batch already queued."""
+        with self._accepting:
+            self._draining.set()
 
     def drain(self, timeout: Optional[float] = None) -> Dict[str, object]:
         """Graceful shutdown: refuse new queries, answer everything

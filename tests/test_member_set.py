@@ -344,6 +344,101 @@ def test_member_mask_unknown_ids_raise_like_sets():
         is_k_dominating_set(art, strangers, 1)
 
 
+def _dict_mask(art, members):
+    """The per-member dict lookup the id table replaced (the oracle)."""
+    mask = np.zeros(art.n, dtype=bool)
+    mask[np.fromiter(map(art.index.__getitem__, members),
+                     dtype=np.int64)] = True
+    return mask
+
+
+def _assert_mask_like_dict(art, members):
+    """``member_mask`` answers (or raises ``KeyError``) as the dict."""
+    try:
+        want = _dict_mask(art, members)
+    except KeyError:
+        with pytest.raises(KeyError):
+            member_mask(art, members)
+        return
+    got = member_mask(art, members)
+    assert got.dtype == bool and np.array_equal(got, want)
+
+
+@st.composite
+def _int_labelled(draw):
+    """An integer-labelled graph whose ids fill part of a compact range
+    (gaps included), shuffled against the index order."""
+    n = draw(st.integers(1, 24))
+    lo = draw(st.sampled_from([0, 1, 9, -30]))
+    labels = draw(st.permutations(range(lo, lo + 2 * n)))[:n]
+    g = nx.gnp_random_graph(n, 0.3, seed=draw(st.integers(0, 9)))
+    return _relabelled(g, dict(zip(g.nodes, labels))), labels
+
+
+@given(st.data())
+def test_member_mask_table_matches_dict_lookup(data):
+    """Integer members of an integer-labelled bundle go through its dense
+    id table; every form the dict accepts answers alike, and every id
+    it rejects raises ``KeyError``: unknown ids inside the range, below
+    it, beyond the table, at the int64 limits, bools (read as 0 and 1),
+    numpy ints, integral and fractional floats and strings."""
+    g, labels = data.draw(_int_labelled())
+    art = graph_artifacts(g)
+    assert art.id_lookup() is not None
+    picks = data.draw(st.lists(st.sampled_from(labels), max_size=12))
+    cast = data.draw(st.sampled_from([int, np.int64, np.int32]))
+    members = {cast(v) for v in picks}
+    _assert_mask_like_dict(art, members)
+    _assert_mask_like_dict(art, list(members))
+    lo, hi = min(labels), max(labels)
+    strays = [v for v in range(lo - 2, hi + 3) if v not in set(labels)]
+    stray = data.draw(st.sampled_from(
+        strays + [hi + 10 ** 6, -(2 ** 62), 2 ** 63 - 1, -(2 ** 63)]))
+    odd = data.draw(st.sampled_from(
+        [stray, True, False, np.int64(stray), float(labels[0]),
+         labels[0] + 0.5, str(labels[0]), 2 ** 64]))
+    _assert_mask_like_dict(art, members | {odd})
+
+
+def test_member_mask_reads_bools_as_the_dict_does():
+    """The dict finds node 1 for ``True`` and node 0 for ``False``; the
+    table must too, and reject them where those ids are missing."""
+    art = graph_artifacts(_relabelled(nx.path_graph(3), {0: 2, 1: 1, 2: 0}))
+    assert member_mask(art, {True}).tolist() == [False, True, False]
+    assert member_mask(art, [False, np.True_]).tolist() == \
+        [False, True, True]
+    shifted = graph_artifacts(_relabelled(nx.path_graph(3),
+                                          {0: 2, 1: 3, 2: 4}))
+    for members in ({True}, {False, 3}):
+        with pytest.raises(KeyError):
+            member_mask(shifted, members)
+
+
+def test_member_mask_table_follows_edits():
+    """An edit drops the id table with the bundle's other derived
+    structures: masks taken after it see the removal and the join."""
+    g = _relabelled(nx.path_graph(6), dict(zip(range(6), [4, 9, 5, 7, 6, 8])))
+    art = graph_artifacts(g).copy()
+    _assert_mask_like_dict(art, {9, 6})
+    art.delta_patcher().apply([("remove", 4), ("add", 20, [9, 8])])
+    assert art.id_lookup() is not None
+    with pytest.raises(KeyError):
+        member_mask(art, {4})
+    for members in ({20}, {9, 20, 5}, {np.int64(8), 7}):
+        _assert_mask_like_dict(art, members)
+    assert member_mask(art, {20})[art.index[20]]
+
+
+def test_member_mask_wide_or_named_labels_take_the_dict():
+    wide = _relabelled(nx.path_graph(3), {0: 0, 1: 10 ** 9, 2: -(10 ** 9)})
+    named = _relabelled(nx.path_graph(3), {0: "a", 1: "b", 2: "c"})
+    for graph, members in ((wide, {10 ** 9, 0}), (named, {"c"})):
+        art = graph_artifacts(graph)
+        assert art.id_lookup() is None
+        _assert_mask_like_dict(art, members)
+        _assert_mask_like_dict(art, members | {5})
+
+
 def test_stale_own_table_falls_back_to_lookup():
     g = _relabelled(nx.gnp_random_graph(30, 0.2, seed=2),
                     {v: f"n{v}" for v in range(30)})

@@ -174,14 +174,26 @@ def assert_bitwise(got, want) -> None:
     assert got.tobytes() == want.tobytes()
 
 
+def index_rows(snap: EpochSnapshot):
+    """The snapshot's dominator index in the oracle's ``(indptr,
+    dom_ids)`` form: every row's pool segment, back to back in row
+    order, whatever the pool's layout."""
+    starts, counts, pool = snap.dominator_csr()
+    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    flat = np.repeat(starts - indptr[:-1], counts) \
+        + np.arange(indptr[-1], dtype=np.int64)
+    return indptr, pool.take(flat)
+
+
 def assert_plane_matches(snap: EpochSnapshot, batch) -> None:
-    """Every point query, the lookup and both caches against the oracle."""
+    """Every point query, the lookup and the index against the oracle."""
     ref = ReferencePlane(snap)
     assert_bitwise(snap.index_of(batch), ref.index_of(batch))
     for kind in KINDS:
         assert_bitwise(qp.answer(snap, kind, batch),
                        getattr(ref, kind)(batch))
-    assert_bitwise(snap.dominator_csr(), ref.dominator_csr())
+    assert_bitwise(index_rows(snap), ref.dominator_csr())
     assert_bitwise(snap.min_dominator(), ref.min_dominator())
 
 

@@ -22,6 +22,9 @@ from __future__ import annotations
 
 import json
 import signal
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -409,6 +412,73 @@ class TestDaemon:
         with pytest.raises(ServiceError, match="draining"):
             daemon.submit("covered", np.array([0]))
 
+    def test_drain_between_check_and_enqueue_strands_nothing(self):
+        """A drain requested after ``submit`` checked the flag but before
+        it enqueued must still see the batch answered: the interleaving
+        is forced by draining from inside the queue's ``put``, and the
+        dispatch thread is given time to exit before the batch lands."""
+        service = _fresh_service()
+        daemon = CoverageDaemon(service, max_epochs=0)
+        daemon.start()
+        real_put = daemon._queue.put
+
+        def racing_put(task, *args, **kwargs):
+            daemon.request_drain()
+            daemon._dispatch_thread.join(0.5)
+            real_put(task, *args, **kwargs)
+
+        daemon._queue.put = racing_put
+        ids = service.current().nodes[:8]
+        future = daemon.submit("covered", ids)
+        assert future.result(timeout=10).tolist() == \
+            qp.covered(service.current(), ids).tolist()
+        report = daemon.drain(timeout=30)
+        assert not daemon._dispatch_thread.is_alive()
+        assert report["batches"] == 1
+        with pytest.raises(ServiceError, match="draining"):
+            daemon.submit("covered", ids)
+
+    def test_drain_under_concurrent_submits_answers_every_batch(self):
+        """Clients racing a drain (more threads than cores, a short
+        switch interval): every batch ``submit`` accepted is answered,
+        and every client sees the refusal once the flag is set."""
+        service = _fresh_service()
+        daemon = CoverageDaemon(service, max_epochs=0)
+        daemon.start()
+        ids = service.current().nodes[:4]
+        accepted, lock = [], threading.Lock()
+
+        def client():
+            while True:
+                try:
+                    future = daemon.submit("covered", ids)
+                except ServiceError:
+                    return
+                with lock:
+                    accepted.append(future)
+                time.sleep(0)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            clients = [threading.Thread(target=client) for _ in range(6)]
+            for t in clients:
+                t.start()
+            time.sleep(0.05)
+            daemon.request_drain()
+            for t in clients:
+                t.join(10)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        want = qp.covered(service.current(), ids).tolist()
+        assert accepted
+        for future in accepted:
+            assert future.result(timeout=10).tolist() == want
+        report = daemon.drain(timeout=10)
+        assert not daemon._dispatch_thread.is_alive()
+        assert report["batches"] == len(accepted)
+
     def test_submit_before_start_rejected(self):
         daemon = CoverageDaemon(_fresh_service())
         with pytest.raises(ServiceError, match="not started"):
@@ -494,6 +564,13 @@ class TestServeCLI:
         assert data["metrics"]["epochs_published"] == 4
         assert data["metrics"]["queries"] >= 0
         assert data["snapshot"]["n"] > 0
+        # Epoch 0 is built in full; crash epochs carry it (or compact).
+        index = data["metrics"]["dominator_index"]
+        assert index["built"]["first"] == 1
+        assert index["carried"] + index["built"]["compaction"] == 3
+        assert data["snapshot"]["dominator_index"]["path"] in ("carried",
+                                                               "built")
+        assert "dominator index carried / built" in text
         assert data["config"]["executor"] == "thread"
 
     def test_serve_process_executor(self, capsys):
