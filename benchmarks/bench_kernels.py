@@ -1,33 +1,35 @@
 """Kernel benchmark: the vectorized direct backend of Algorithm 3 vs
-the per-node reference loop (and vs the pre-kernel tree).
+the per-node oracle loop (and vs the pre-kernel tree).
 
 Runs ``solve_kmds_udg(mode="direct")`` — Part I election + Part II
 adoption on the CSR kernel layer (:mod:`repro.engine.kernels`) with
 batched PCG64 node streams (:mod:`repro.simulation.vecrng`) — on random
 unit-disk graphs, and times the same computation two ways:
 
-- **reference flag** — ``execute(..., reference=True)``: the
-  per-node loops kept verbatim-faithful to the paper (the bit-exactness
-  oracle), running in-tree.  Asserted bit-identical to the kernel run
-  (same members, same ``RunStats``) before any speedup is reported.
+- **reference flag** — ``execute(..., "direct", reference=True)``:
+  the per-node generator loop of the message protocol on the
+  synchronous simulator (the one oracle), running in-tree.  Asserted
+  to give the kernel run's members and round count before any speedup
+  is reported (the loop also counts messages, which the kernels do
+  not charge).
 - **kernel** — the default direct path: scatter-max election over the
   flattened distance CSR, matvec coverage, incremental deficient
   frontier, and vectorized Lemire draws over all active node streams
   at once.
 
-The in-tree flag ratio *understates* the end-to-end win because the
-reference flag path shares this tree's other fixes (the incremental
-frontier in Part II).  Pass ``--before PATH/src`` pointing at a
-checkout of the pre-kernel tree (e.g. ``git worktree add .bench-before
-<base>``) to measure the true before/after ratio in a subprocess; the
+The in-tree flag ratio is not the before/after win: the oracle also
+builds a process per node and delivers every message.  Pass ``--before
+PATH/src`` pointing at a checkout of the pre-kernel tree (e.g. ``git
+worktree add .bench-before <base>``) to measure the true before/after
+ratio in a subprocess; the
 acceptance threshold — kernel >= 10x the pre-kernel tree at n=10^4 —
 is checked only then.  Without ``--before``, the in-tree flag ratio is
 held to a regression guard (>= 5x at n=10^4) so CI fails fast if the
 kernel path decays.
 
 The largest size (n=10^5) is part of the *smoke* scale on purpose: the
-run completing at all — and bit-identically across two invocations —
-is an acceptance criterion of its own.
+run completing at all — with the same members and rounds across two
+invocations — is an acceptance criterion of its own.
 
 Run standalone (no pytest needed)::
 
@@ -56,7 +58,7 @@ except ImportError:  # run standalone: benchmarks/ itself is on sys.path
                               write_report)
 
 SCALES = {
-    # sizes swept; the per-node reference path is skipped above the cap
+    # sizes swept; the per-node oracle is skipped above the cap
     # (its per-node spawn alone costs seconds there).
     "smoke": {"sizes": (2000, 10_000, 100_000), "reference_cap": 10_000},
     "full": {"sizes": (500, 2000, 10_000, 100_000),
@@ -98,7 +100,7 @@ def timed_solve(udg, *, seed: int, repeats: int):
 
 
 def timed_reference(udg, *, seed: int, repeats: int):
-    """Best-of-``repeats`` wall time of the per-node reference loops."""
+    """Best-of-``repeats`` wall time of the per-node oracle loop."""
     best = float("inf")
     result = None
     for _ in range(repeats):
@@ -110,13 +112,13 @@ def timed_reference(udg, *, seed: int, repeats: int):
 
 
 def assert_equivalent(reference_sol, kernel_sol) -> None:
-    """Members and RunStats must match exactly."""
+    """Members and round counts must match exactly."""
     if reference_sol.members != kernel_sol.members:
         raise AssertionError("kernel members diverged from reference")
-    if reference_sol.stats != kernel_sol.stats:
+    if reference_sol.stats.rounds != kernel_sol.stats.rounds:
         raise AssertionError(
-            f"RunStats diverged: reference={reference_sol.stats} "
-            f"kernel={kernel_sol.stats}")
+            f"rounds diverged: reference={reference_sol.stats.rounds} "
+            f"kernel={kernel_sol.stats.rounds}")
 
 
 def run_before(before_src: str, *, n: int, seed: int, repeats: int) -> dict:
@@ -154,7 +156,7 @@ def measure(n: int, *, seed: int, repeats: int, run_reference: bool,
                                else None)
     else:
         # No oracle at this size: at least pin determinism (two kernel
-        # runs must agree bit-for-bit).
+        # runs must agree).
         again = solve_kmds_udg(udg, k=K, mode="direct", seed=seed)
         assert_equivalent(again, kern_sol)
     if before_src is not None and n <= ACCEPTANCE_N:

@@ -23,18 +23,21 @@ k-coverage, used as the comparison point in experiment E12:
    progress without any global coordination);
 5. repeat until no residual demand remains anywhere within distance 2.
 
-The algorithm is an engine :class:`~repro.engine.program.RoundProgram`:
-``mode="direct"`` runs the phases centrally; ``mode="message"`` (and
-``"async"`` / ``"async-beta"``) runs them as a real 7-round-per-phase
-protocol — state, span, 2-hop span max, candidacy, support, coin joins,
-fallback joins — with per-message bit accounting.  Both consume the
+The algorithm is an engine :class:`~repro.engine.program.RoundProgram`
+that runs as a real 7-round-per-phase protocol — state, span, 2-hop span
+max, candidacy, support, coin joins, fallback joins — with per-message
+bit accounting.  ``mode="direct"`` and ``"message"`` both run it as a
+lane run on the columnar plane (``JRSStepper``; runs the plane declines,
+e.g. under fault injectors, take the per-node ``JRSNode`` loop, which is
+also the ``reference=True`` oracle); ``"async"`` / ``"async-beta"`` run
+the ``JRSNode`` processes under a synchronizer.  Every path consumes the
 per-node RNG streams identically, so the same seed yields the same set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Set, Union
+from typing import Dict, Iterator, List, Sequence, Union
 
 import numpy as np
 
@@ -45,12 +48,14 @@ from repro.errors import GraphError, InfeasibleInstanceError
 from repro.graphs.properties import node_degrees
 from repro.simulation.messages import Message
 from repro.simulation.node import NodeProcess
-from repro.simulation.rng import spawn_node_rngs
 from repro.types import (CoverageMap, DominatingSet, MemberSet, NodeId,
                          RunStats)
 
 #: Communication rounds per LRG phase (state: 1, span: 1, 2-hop span max:
-#: 1, candidacy: 1, support: 1, coin joins: 1, fallback joins: 1).
+#: 1, candidacy: 1, support: 1, coin joins: 1, fallback joins: 1).  A run
+#: takes ``ROUNDS_PER_PHASE * phases + 2`` rounds on a nonempty graph: the
+#: closing state and span exchange that finds no residual demand within
+#: distance 2 costs two more.
 ROUNDS_PER_PHASE = 7
 
 
@@ -285,105 +290,10 @@ class JRSProgram(RoundProgram):
 
     # ------------------------------------------------------------------
     def direct(self, instr: Instrumentation) -> DominatingSet:
-        nodes = self.artifacts.nodes
-        convention = self.convention
-        nbrs_of = self.artifacts.sorted_neighbors
-        rngs = spawn_node_rngs(nodes, self.seed)
-        residual: Dict[NodeId, int] = dict(self.req)
-        members: Set[NodeId] = set()
-        phases = 0
-
-        def closed(v: NodeId) -> List[NodeId]:
-            return [v] + list(nbrs_of[v])
-
-        def span(v: NodeId) -> int:
-            if v in members:
-                return 0
-            s = sum(1 for u in nbrs_of[v] if residual[u] > 0)
-            if convention == "closed":
-                s += 1 if residual[v] > 0 else 0
-            else:
-                s += residual[v]
-            return s
-
-        while any(r > 0 for r in residual.values()):
-            phases += 1
-            if phases > self.max_phases:
-                raise GraphError(
-                    f"LRG did not converge within {self.max_phases} phases"
-                )
-            spans = {v: span(v) for v in nodes}
-            rounded = {v: _round_up_pow2(s) for v, s in spans.items()}
-
-            # Candidates: rounded span maximal within distance 2.
-            candidates: Set[NodeId] = set()
-            for v in nodes:
-                rv = rounded[v]
-                if rv == 0:
-                    continue
-                two_hood = set(closed(v))
-                for w in nbrs_of[v]:
-                    two_hood.update(nbrs_of[w])
-                if rv >= max(rounded[u] for u in two_hood):
-                    candidates.add(v)
-
-            # Support of each deficient node: candidates that would cover it.
-            support: Dict[NodeId, int] = {}
-            for u in nodes:
-                if residual[u] <= 0:
-                    continue
-                cnt = sum(1 for w in nbrs_of[u] if w in candidates)
-                if u in candidates:
-                    cnt += 1
-                support[u] = cnt
-
-            # Candidates join with probability 1 / (median support of the
-            # deficient nodes they would cover).
-            joined: Set[NodeId] = set()
-            for v in sorted(candidates, key=repr):
-                covered = [u for u in closed(v) if residual[u] > 0]
-                if not covered:
-                    continue
-                med = float(np.median([support.get(u, 1) for u in covered]))
-                p = 1.0 if med <= 1 else 1.0 / med
-                if rngs[v].random() < p:
-                    joined.add(v)
-
-            # Local fallback: a candidate with no coin-flip join in its
-            # closed neighborhood joins iff its (span, id) is maximal
-            # among candidates within distance 2 (same rule the message
-            # protocol applies, so the backends stay in lockstep).
-            fallback: Set[NodeId] = set()
-            for v in candidates:
-                if v in joined or any(w in joined for w in closed(v)):
-                    continue
-                two_hood = set(closed(v))
-                for w in nbrs_of[v]:
-                    two_hood.update(nbrs_of[w])
-                best = max((u for u in two_hood if u in candidates),
-                           key=lambda u: (spans[u], repr(u)))
-                if best == v:
-                    fallback.add(v)
-            joined |= fallback
-
-            for v in joined:
-                members.add(v)
-                for u in nbrs_of[v]:
-                    if residual[u] > 0:
-                        residual[u] -= 1
-                if convention == "closed":
-                    if residual[v] > 0:
-                        residual[v] -= 1
-                else:
-                    residual[v] = 0
-
-        instr.charge_rounds(phases * ROUNDS_PER_PHASE)
-        return DominatingSet(
-            members=members,
-            stats=instr.stats,
-            details={"algorithm": "jrs-lrg", "phases": phases,
-                     "convention": convention},
-        )
+        # The LRG phases have no kernel of their own: the lane run (the
+        # columnar JRSStepper; a declined run takes the JRSNode loop)
+        # is the fast path, with the protocol's exact RunStats.
+        return execute(self, "message", seed=self.seed)
 
     # ------------------------------------------------------------------
     def lanes(self) -> Lanes:

@@ -41,7 +41,6 @@ from repro.errors import GraphError
 from repro.graphs.properties import node_degrees
 from repro.simulation.messages import Message
 from repro.simulation.node import NodeProcess
-from repro.simulation.rng import spawn_node_rngs
 from repro.simulation.vecrng import replica_node_streams
 from repro.types import CoverageMap, DominatingSet, MemberSet, NodeId, RunStats
 
@@ -164,9 +163,10 @@ class RoundingProgram(RoundProgram):
         """The vectorized kernel over a seed sweep: one rounding draw
         and one coverage mat-mat for every replica (lane = (replica,
         node)); only each replica's (few) deficient nodes run the
-        per-node REQ selection.  Bit-identical per replica to the
-        per-node reference loop, and a single run is the one-seed
-        case."""
+        per-node REQ selection.  Equal per replica, members and
+        ``RunStats``, to the per-node loop of :class:`RoundingNode`
+        (the ``reference=True`` oracle), and a single run is the
+        one-seed case."""
         lp, x, policy = self.lp, self.x, self.policy
         art = self.artifacts
         n = lp.n
@@ -228,50 +228,6 @@ class RoundingProgram(RoundProgram):
                          "policy": policy},
             ))
         return results
-
-    def direct_reference(self, instr: Instrumentation) -> DominatingSet:
-        """The per-node reference loop (bit-exactness oracle for the
-        kernel path; select with ``execute(..., reference=True)``)."""
-        lp, x, policy = self.lp, self.x, self.policy
-        rngs = spawn_node_rngs(lp.nodes, self.seed)
-        delta = lp.delta
-
-        # Line 1-2: independent randomized rounding.
-        members = {
-            v for v in lp.nodes
-            if rngs[v].random() < rounding_probability(x[v], delta)
-        }
-        sampled = len(members)
-
-        # Lines 4-7: deficient nodes recruit non-members from N_i.
-        # Neighbor order matches the simulator's stable order so that
-        # direct and message backends consume node randomness identically.
-        nbrs_of = self.artifacts.sorted_neighbors
-        requested: set = set()
-        req_messages = 0  # actual REQ sends (self-picks are local, not sent)
-        for v in lp.nodes:
-            closed = [v] + list(nbrs_of[v])
-            have = sum(1 for w in closed if w in members)
-            need = lp.coverage[v] - have
-            if need <= 0:
-                continue
-            candidates = [w for w in closed if w not in members]
-            for w in _choose_requests(rngs[v], v, candidates, x, need, policy):
-                requested.add(w)
-                if w != v:
-                    req_messages += 1
-        members |= requested
-
-        # Accounting implied by the two-exchange schedule.
-        instr.charge_messages(2 * self.artifacts.m,
-                              MembershipMsg(member=False), rounds=1)
-        instr.charge_messages(req_messages, ReqMsg(), rounds=1)
-        return DominatingSet(
-            members=members,
-            stats=instr.stats,
-            details={"sampled": sampled, "requested": len(requested),
-                     "policy": policy},
-        )
 
     def lanes(self) -> Lanes:
         from repro.simulation.columnar import lane_order

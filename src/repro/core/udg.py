@@ -152,12 +152,12 @@ def _as_udg(graph) -> UnitDiskGraph:
 
 
 # ======================================================================
-# Direct mode — per-node reference implementation
+# Part I for sensing subclasses the kernels cannot model
 #
-# Kept verbatim-faithful to the paper's per-node formulation: it is the
-# bit-exactness oracle the vectorized kernel path below is pinned
-# against (``execute(..., reference=True)`` and the kernel-vs-reference
-# suite in tests/test_mode_equivalence.py).
+# The per-node election over ``neighbors_within``: the route of
+# :func:`part_one_leaders` (the only Part-I-only path) on graphs that
+# ``kernels.supports_kernel_election`` rejects.  Full solves on those
+# graphs run the per-node message loop instead (see UDGProgram.direct).
 # ======================================================================
 
 def _part_one_direct(udg: UnitDiskGraph, rngs, details: dict) -> Set[int]:
@@ -186,61 +186,6 @@ def _part_one_direct(udg: UnitDiskGraph, rngs, details: dict) -> Set[int]:
     return active
 
 
-def _part_two_direct(udg: UnitDiskGraph, leaders: Set[int], k: int,
-                     rngs, policy: str, details: dict) -> Set[int]:
-    n = udg.n
-    adj = [sorted(udg.nx.neighbors(v)) for v in range(n)]
-    coverage = [0] * n
-    leader_flag = [False] * n
-    for v in leaders:
-        leader_flag[v] = True
-    for v in leaders:
-        coverage[v] += 1
-        for w in adj[v]:
-            coverage[w] += 1
-
-    # The deficient frontier, maintained incrementally across promotions:
-    # each while-iteration costs O(frontier ball), not O(n).  Only nodes
-    # in a promoted node's closed neighborhood can change deficiency.
-    deficient: Set[int] = {u for u in range(n)
-                           if not leader_flag[u] and coverage[u] < k}
-
-    iterations = 0
-    adopted_total = 0
-    while deficient:
-        iterations += 1
-        picks: Set[int] = set()
-        # Leaders with at least one deficient closed neighbor are exactly
-        # the closed-ball leaders of the frontier; leaders outside it had
-        # empty candidate lists (no picks, no RNG draws), so skipping
-        # them is consumption- and output-identical.
-        active_leaders = sorted({w for u in deficient
-                                 for w in [u] + adj[u] if leader_flag[w]})
-        for v in active_leaders:
-            candidates = [u for u in [v] + adj[v] if u in deficient]
-            picks.update(_pick(rngs[v], candidates, k, policy))
-        if not picks:
-            # No deficient node has a leader neighbor -- impossible after
-            # Part I (Lemma 5.1) on a true UDG, but guard against livelock
-            # on degenerate inputs by promoting the deficient nodes
-            # themselves.
-            picks = set(deficient)
-        for u in picks:
-            if not leader_flag[u]:
-                leader_flag[u] = True
-                adopted_total += 1
-                coverage[u] += 1
-                deficient.discard(u)  # members are exempt (open conv.)
-                for w in adj[u]:
-                    coverage[w] += 1
-                    if w in deficient and coverage[w] >= k:
-                        deficient.discard(w)
-
-    details["part2_iterations"] = iterations
-    details["part2_adopted"] = adopted_total
-    return {v for v in range(n) if leader_flag[v]}
-
-
 # ======================================================================
 # Direct mode — the kernels
 #
@@ -251,9 +196,10 @@ def _part_two_direct(udg: UnitDiskGraph, leaders: Set[int], k: int,
 # fused over that single Part I (Part I never reads k), re-running only
 # the adoption phase per k value.  Single and replica-batched runs are
 # the one-graph shapes of the same kernels.  Per-node RNG draws happen
-# in exactly the reference order, so every (graph, k, replica) cell is
-# bit-identical to the per-node reference above (pinned by
-# tests/test_mode_equivalence.py and tests/test_grid_equivalence.py).
+# in exactly the order of UDGNode's per-node loop, so every (graph, k,
+# replica) cell has that loop's members and round count (the
+# ``execute(..., reference=True)`` oracle; pinned by
+# tests/test_stepper_differential.py and tests/test_grid_equivalence.py).
 # ======================================================================
 
 def _part_one_kernel(udg: UnitDiskGraph, pool, details: dict) -> np.ndarray:
@@ -489,10 +435,11 @@ def _part_two_kernel_batch(art, leader: np.ndarray, k, streams,
             else:
                 picks[j, _pick(rng, cand.tolist(), int(ks_row[r]),
                                policy)] = True
-        # Degenerate-input livelock guard (see reference), applied per
-        # (row, block) cell: a block whose deficient nodes drew no
-        # picks adopts them wholesale, exactly as its own per-graph
-        # call would, while sibling blocks are untouched.
+        # Degenerate-input livelock guard (after Part I on a true UDG
+        # every deficient node has a leader neighbor, Lemma 5.1),
+        # applied per (row, block) cell: a block whose deficient nodes
+        # drew no picks adopts them wholesale, exactly as its own
+        # per-graph call would, while sibling blocks are untouched.
         p3 = picks.reshape(live.size, blocks, -1)
         fire = alive & ~p3.any(axis=2)
         if fire.any():
@@ -737,9 +684,10 @@ class UDGProgram(RoundProgram):
     def direct(self, instr: Instrumentation) -> DominatingSet:
         udg = self.udg
         if not kernels.supports_kernel_election(udg):
-            # A UDG subclass with bespoke sensing semantics: stay on the
-            # per-node reference path (correctness over speed).
-            return self.direct_reference(instr)
+            # A UDG subclass with bespoke sensing semantics: the
+            # columnar plane declines it too, so this runs the per-node
+            # loop (correctness over speed).
+            return execute(self, "message", seed=self.seed)
         details: dict = {"mode": "direct", "k": self.k}
         pool = node_stream_pool(range(udg.n), self.seed,
                                 bounded_ranges=_id_ranges(udg.n))
@@ -751,7 +699,7 @@ class UDGProgram(RoundProgram):
 
     def supports_direct_batch(self) -> bool:
         # The batched path runs on the distance CSR; exotic sensing
-        # subclasses must take the sequential reference fallback.
+        # subclasses take the sequential per-seed loop.
         return kernels.supports_kernel_election(self.udg)
 
     def direct_batch(self, instrs, seeds) -> List[DominatingSet]:
@@ -866,23 +814,6 @@ class UDGProgram(RoundProgram):
                      for r in range(R)]
                     for ki in range(K)]
         return results
-
-    def direct_reference(self, instr: Instrumentation) -> DominatingSet:
-        """The per-node reference implementation (bit-exactness oracle
-        for the kernel path; select with ``execute(..., reference=True)``)."""
-        udg, k, policy = self.udg, self.k, self.policy
-        details: dict = {"mode": "direct", "k": k}
-        rngs = spawn_node_rngs(range(udg.n), self.seed)
-
-        leaders = _part_one_direct(udg, rngs, details)
-        details["part1_leaders"] = len(leaders)
-        members = _part_two_direct(udg, set(leaders), k, rngs, policy,
-                                   details)
-
-        instr.charge_rounds(2 * len(details["theta_per_round"])
-                            + 2 + 3 * details["part2_iterations"])
-        return DominatingSet(members=members, stats=instr.stats,
-                             details=details)
 
     def processes(self) -> List[UDGNode]:
         n = self.udg.n
@@ -1039,9 +970,10 @@ def solve_kmds_udg_grid(graphs, seeds: Sequence, ks: Sequence[int] = (1,),
     block-diagonal CSR dispatch per (size, radius) class, the k axis is
     fused over one shared Part I, and the RNG pool widens to one lane per
     (replica, graph, node) — per-(graph, k, seed) results bit-identical
-    to the per-point loop and to the per-node reference (pinned by
-    ``tests/test_grid_equivalence.py``).  Message backends and exotic
-    sensing subclasses take the per-point loop.
+    to the per-point loop, with the members and round counts of the
+    per-node oracle (pinned by ``tests/test_grid_equivalence.py``).
+    Message backends and exotic sensing subclasses take the per-point
+    loop.
     ``timing`` (optional dict) receives the dispatch breakdown — see
     :func:`repro.engine.execute_grid`.  The E-series grids (E6/E7)
     route through here.

@@ -101,15 +101,15 @@ def execute(program: RoundProgram, mode: str = "direct", *,
         vectorized ``direct`` backend has no messages to inject into and
         rejects any injector.
     reference:
-        Run the backend's one reference oracle instead of its fast path:
-        on ``direct`` the program's per-node reference implementation
-        (:meth:`RoundProgram.direct_reference`) instead of its
-        vectorized kernels, on ``message`` the per-node generator loop
-        instead of the columnar protocol stepping plane
-        (:mod:`repro.simulation.columnar`).  The asynchronous backends
-        have no second path and ignore it.  Each fast path is pinned
-        bit-for-bit against its oracle by
-        ``tests/test_mode_equivalence.py`` and
+        Run the one reference oracle, the per-node generator loop on
+        the synchronous simulator, instead of the fast path (the
+        vectorized kernels on ``direct``, the columnar protocol
+        stepping plane of :mod:`repro.simulation.columnar` on
+        ``message``).  On ``direct`` the loop runs from the program's
+        own seed when ``seed=None`` and returns message-mode
+        ``RunStats`` and details.  The asynchronous backends have no
+        second path and ignore it.  The fast paths are pinned to the
+        oracle by ``tests/test_stepper_differential.py`` and
         ``tests/test_protocol_steppers.py``.
 
     On ``message``, a program with a columnar stepper runs as a *lane
@@ -135,9 +135,11 @@ def execute(program: RoundProgram, mode: str = "direct", *,
         # from the seed the program was built with.
         if seed is not None and getattr(program, "seed", seed) != seed:
             program = program.reseeded(seed)
-        if reference:
-            return program.direct_reference(program.instrumentation())
-        return program.direct(program.instrumentation())
+        if not reference:
+            return program.direct(program.instrumentation())
+        # The oracle is the per-node loop, run from the program's seed.
+        backend = "message"
+        seed = getattr(program, "seed", seed)
 
     # Imported lazily: the simulation layer itself imports the engine
     # (runner/network use Instrumentation/GraphArtifacts), so a module-level

@@ -27,9 +27,10 @@ Kernels never own randomness.  Callers draw from the **per-node**
 streams of :func:`repro.simulation.rng.spawn_node_rngs` in exactly the
 per-node reference order (one draw per active node per election round,
 one ``choice`` per over-subscribed leader, ...), so kernelized execution
-consumes each node's stream identically to the per-node reference
-implementation and results stay bit-identical — pinned by the
-kernel-vs-reference suite in ``tests/test_mode_equivalence.py``.
+consumes each node's stream identically to the per-node generator loop
+(the ``reference=True`` oracle) and results stay bit-identical — pinned
+by ``tests/test_stepper_differential.py`` and the kernel-vs-reference
+suite in ``tests/test_mode_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -406,8 +407,8 @@ def supports_kernel_election(udg) -> bool:
     True for the stock geometric classes (including QUDG, whose pruning
     rebuilds the same distance CSR, and noisy sensing, whose per-edge
     factors are fixed).  A subclass that overrides
-    ``neighbors_within`` with unknown semantics falls back to the
-    per-node reference path — correctness over speed.
+    ``neighbors_within`` with unknown semantics runs the per-node
+    message loop instead — correctness over speed.
     """
     from repro.graphs.udg import NoisySensingUDG, UnitDiskGraph
 

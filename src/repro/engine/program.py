@@ -6,7 +6,11 @@ distributed algorithm:
 - ``direct(instr)`` — the vectorized/centralized kernel (numpy over the
   cached :class:`~repro.engine.artifacts.GraphArtifacts`), charging its
   analytic round/message schedule on the given
-  :class:`~repro.engine.instrumentation.Instrumentation`;
+  :class:`~repro.engine.instrumentation.Instrumentation`.  A program
+  with no kernel of its own (the JRS baseline, Algorithm 3 on sensing
+  subclasses the kernels cannot model) runs its message-mode run here
+  instead: the lane run, or the per-node loop where the columnar plane
+  declines;
 - ``lanes()`` / ``collect_lanes(stepper, stats)`` — the lane hook of
   programs with a columnar stepper (:mod:`repro.simulation.steppers`):
   every node's parameters as scalars and lane-ordered arrays
@@ -16,15 +20,18 @@ distributed algorithm:
 - ``processes()`` — one :class:`~repro.simulation.node.NodeProcess`
   generator per node, executable on the synchronous simulator *or* on
   either asynchronous synchronizer (the generators are transport-
-  oblivious); the per-node oracle (``reference=True``), the
-  asynchronous backends and runs the columnar plane declines use them;
+  oblivious); the per-node oracle (``reference=True`` on ``direct``
+  and ``message`` alike), the asynchronous backends and runs the
+  columnar plane declines use them;
 - ``collect(processes, stats)`` — assemble the algorithm's result object
   from the final node states plus the transport's accounting.
 
 All paths must consume the per-node RNG streams identically, so every
 backend produces the same output for the same seed (asserted by
-``tests/test_mode_equivalence.py``; the lane and process paths are
-pinned against each other by ``tests/test_protocol_steppers.py``).
+``tests/test_mode_equivalence.py``; the kernels and the lane runs are
+pinned against the one per-node oracle by
+``tests/test_stepper_differential.py`` and
+``tests/test_protocol_steppers.py``).
 """
 
 from __future__ import annotations
@@ -107,17 +114,6 @@ class RoundProgram:
     def direct(self, instr: Instrumentation):
         """Vectorized execution; returns the algorithm's result object."""
         raise NotImplementedError
-
-    def direct_reference(self, instr: Instrumentation):
-        """Per-node reference implementation of :meth:`direct`.
-
-        Kernelized programs override this with the pre-vectorization
-        loop (the bit-exactness oracle behind
-        ``execute(..., reference=True)``); the default simply
-        runs :meth:`direct` for programs whose direct path has no
-        separate kernel layer.
-        """
-        return self.direct(instr)
 
     def reseeded(self, seed) -> "RoundProgram":
         """A shallow copy of this program with its root ``seed``

@@ -71,6 +71,7 @@ def run(*, scale: str = "quick", seed: int = 0) -> ExperimentReport:
                 mean_ratio <= 2.5,
         },
         notes=(f"t = recommended_t(graph) ~ log2(Delta); mean size ratio "
-               f"ours/JRS = {mean_ratio:.2f}; JRS rounds charge "
-               f"{ROUNDS_PER_PHASE} per LRG phase."),
+               f"ours/JRS = {mean_ratio:.2f}; JRS rounds are the "
+               f"protocol's: {ROUNDS_PER_PHASE} per LRG phase plus the "
+               f"2-round closing exchange that finds no demand left."),
     )

@@ -1,5 +1,6 @@
 """Unit tests for JRS, Gao, and heuristic baselines."""
 
+import networkx as nx
 import pytest
 
 from repro.baselines.gao import gao_mobile_centers
@@ -26,9 +27,16 @@ class TestJRS:
                                    convention=convention)
 
     def test_rounds_accounted(self, small_gnp):
+        # Every phase takes ROUNDS_PER_PHASE rounds, and the closing
+        # state + span exchange that finds no demand left takes 2.
         ds = jrs_kmds(small_gnp, 1, seed=0)
-        assert ds.stats.rounds == ds.details["phases"] * ROUNDS_PER_PHASE
+        assert ds.stats.rounds == ds.details["phases"] * ROUNDS_PER_PHASE + 2
         assert ds.details["phases"] >= 1
+        assert ds.stats.messages_sent > 0
+        idle = jrs_kmds(small_gnp, dict.fromkeys(small_gnp.nodes, 0), seed=0)
+        assert (idle.details["phases"], idle.stats.rounds) == (0, 2)
+        empty = jrs_kmds(nx.Graph(), 1, seed=0)
+        assert (empty.details["phases"], empty.stats.rounds) == (0, 0)
 
     def test_deterministic_per_seed(self, small_gnp):
         a = jrs_kmds(small_gnp, 1, seed=4)

@@ -12,8 +12,8 @@ graphs), the ``timing`` dispatch breakdown, degenerate axes, and native
 thread counts (subprocess matrix, since the worker pool is configured
 by environment at import-free call time).  Single and replica runs are
 one-graph grids on the same kernels, so sampled cells are also checked
-against the per-node reference (``execute(..., reference=True)``), the
-one independent oracle.
+against the one independent oracle, the per-node message loop
+(``execute(..., reference=True)``), on members and round counts.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ class TestGridIdentity:
 
 
 class TestReferenceOracle:
-    """Grid cells against the per-node reference loops, across vecrng's
+    """Grid cells against the per-node message loop, across vecrng's
     routing boundary (n = 256 takes the fallback streams, n = 257 the
     vector engine) and the geometric variants the kernels model."""
 
@@ -130,8 +130,7 @@ class TestReferenceOracle:
                     ref = execute(UDGProgram(g, k, policy, seed), "direct",
                                   seed=seed, reference=True)
                     assert cell.members == ref.members
-                    assert cell.stats == ref.stats
-                    assert cell.details == ref.details
+                    assert cell.stats.rounds == ref.stats.rounds
 
 
 class TestFallbacks:

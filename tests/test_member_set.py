@@ -279,7 +279,7 @@ def test_general_graph_fast_paths(labels):
     alg2 = RoundingProgram(lp, frac.x, "random", 4)
     jrs = JRSProgram(graph_artifacts(g), cov, "closed", 6, 10_000)
     for program, mode in ((alg2, "direct"), (alg2, "message"),
-                          (jrs, "message")):
+                          (jrs, "direct"), (jrs, "message")):
         _assert_fast(execute(program, mode, seed=program.seed),
                      execute(program, mode, seed=program.seed,
                              reference=True))

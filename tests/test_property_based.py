@@ -118,8 +118,8 @@ class TestUDGProperties:
              seed=0, policy="random")
     @settings(max_examples=40, **COMMON)
     def test_udg_always_valid(self, udg, k, seed, policy):
-        # The kernels, the per-node reference and the message protocol
-        # agree on one k-dominating set.
+        # The kernels, the per-node oracle (the generator loop) and the
+        # lane run agree on one k-dominating set.
         ds = solve_kmds_udg(udg, k=k, seed=seed, selection_policy=policy)
         assert is_k_dominating_set(udg, ds.members, k, convention="open")
         program = UDGProgram(udg, k, policy, seed)

@@ -23,6 +23,12 @@ Equal means equal results (float dicts and member sets with ``==``),
 equal ``RunStats``, equal loss-injector RNG state and ``dropped``
 count, equal crash sets and, for ``run_protocol``, equal process state
 after the run.  A run that raises must raise the same error on both.
+
+The direct backend (no injectors) is compared with the same oracle:
+Algorithm 1 and JRS on results and ``RunStats``, Algorithm 2 on members
+and ``RunStats`` (its kernel adds the ``sampled`` / ``requested``
+tallies to the details), and Algorithm 3 on members and rounds (its
+kernels charge rounds only) plus the invariants its details imply.
 """
 
 from __future__ import annotations
@@ -325,3 +331,62 @@ def test_process_run_matches_oracle(data, family):
         _, make = data.draw(injector_mixes(_nodes(program)))
     assert_run_protocol_matches_oracle(
         program, data.draw(st.integers(0, 99)), make)
+
+
+# ----------------------------------------------------------------------
+# execute(..., "direct"): the fast path vs the per-node oracle
+# ----------------------------------------------------------------------
+
+def assert_direct_matches_oracle(program, seed):
+    """The injector-free direct run and the per-node oracle give equal
+    results and ``RunStats``, or raise the same error."""
+    def run(mode, **kwargs):
+        def go(injectors):
+            result = execute(program, mode, seed=seed, **kwargs)
+            return _result(result), _stats(result.stats)
+        return go
+
+    assert _outcome(run("direct"), []) == \
+        _outcome(run("message", reference=True), [])
+
+
+def _direct_and_oracle(program, seed):
+    return (execute(program, "direct", seed=seed),
+            execute(program, "message", seed=seed, reference=True))
+
+
+@settings(**COMMON)
+@given(program=fractional_programs(), seed=st.integers(0, 99))
+def test_fractional_direct_matches_oracle(program, seed):
+    assert_direct_matches_oracle(program, seed)
+
+
+@settings(**COMMON)
+@given(program=rounding_programs(), seed=st.integers(0, 99))
+def test_rounding_direct_matches_oracle(program, seed):
+    direct, oracle = _direct_and_oracle(program, seed)
+    assert direct.members == oracle.members
+    assert _stats(direct.stats) == _stats(oracle.stats)
+    assert direct.details["policy"] == oracle.details["policy"]
+    assert (direct.details["sampled"] + direct.details["requested"]
+            == len(direct.members))
+
+
+@settings(**COMMON)
+@given(program=udg_programs(), seed=st.integers(0, 99))
+def test_udg_direct_matches_oracle(program, seed):
+    direct, oracle = _direct_and_oracle(program, seed)
+    assert direct.members == oracle.members
+    assert direct.stats.rounds == oracle.stats.rounds
+    details = direct.details
+    assert (details["part1_leaders"] + details["part2_adopted"]
+            == len(direct.members))
+    assert details["active_per_round"][-1] == details["part1_leaders"]
+    assert direct.stats.rounds == (2 * len(details["theta_per_round"]) + 2
+                                   + 3 * details["part2_iterations"])
+
+
+@settings(**COMMON)
+@given(program=jrs_programs(), seed=st.integers(0, 99))
+def test_jrs_direct_matches_oracle(program, seed):
+    assert_direct_matches_oracle(program, seed)
