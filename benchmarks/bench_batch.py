@@ -1,13 +1,13 @@
-"""Replica-batch benchmark: ``execute_batch`` vs the sequential
+"""Replica-batch benchmark: ``solve_kmds_udg_batch`` vs the sequential
 per-seed solve loop (and vs the pre-batch tree).
 
 A seed-replication sweep — the same Algorithm 3 instance solved under R
 independent seeds — used to be R full engine invocations: R artifact
 revalidations, R stream pools, R Python round loops.  The replica-batched
-direct backend (:func:`repro.engine.backends.execute_batch`, surfaced
-for UDG instances as :func:`repro.core.udg.solve_kmds_udg_batch`) lays
-the replicas out as a ``(R, n)`` lane plane over the *shared* CSR and
-runs the whole sweep as one kernel pass per round.  This benchmark times
+direct backend (:func:`repro.core.udg.solve_kmds_udg_batch`, the
+one-graph, one-k column of Algorithm 3's kernel grid) lays the replicas
+out as a ``(R, n)`` lane plane over the *shared* CSR and runs the whole
+sweep as one kernel pass per round.  This benchmark times
 the same 30-seed sweep two ways:
 
 - **sequential** — the per-seed ``solve_kmds_udg`` loop, exactly what

@@ -1,11 +1,10 @@
-"""Grid-batch benchmark: ``execute_grid`` vs the per-point
-``execute_batch`` double loop (and vs the pre-grid tree).
+"""Grid-batch benchmark: ``solve_kmds_udg_grid`` vs the per-point
+``solve_kmds_udg_batch`` double loop (and vs the pre-grid tree).
 
 A parameter study — G topologies x k in {1,2,3} x R seeds of
 Algorithm 3 — used to be G*K replica-batched calls: G*K artifact
 builds, G*K Part I election passes, G*K stream pools.  The grid
-dispatch (:func:`repro.engine.backends.execute_grid`, surfaced for UDG
-instances as :func:`repro.core.udg.solve_kmds_udg_grid`) stacks the
+dispatch (:func:`repro.core.udg.solve_kmds_udg_grid`) stacks the
 topologies into one block-diagonal CSR, fuses the k axis over a single
 shared Part I (elections are k-independent), and widens the vecrng pool
 to one lane per (replica, graph, node).  This benchmark times the same

@@ -24,8 +24,11 @@ worktree add .bench-before <base>``) to measure the true before/after
 ratio in a subprocess; the
 acceptance threshold — kernel >= 10x the pre-kernel tree at n=10^4 —
 is checked only then.  Without ``--before``, the in-tree flag ratio is
-held to a regression guard (>= 5x at n=10^4) so CI fails fast if the
-kernel path decays.
+held to a regression guard (>= 50x at n=10^4) so CI fails fast if the
+kernel path decays: the kernel reads several hundred times faster than
+the per-node loop with the compiled kernels and about 170x under
+``REPRO_KERNEL_BACKEND=numpy``, so 50x leaves 3x headroom on the slower
+backend.
 
 The largest size (n=10^5) is part of the *smoke* scale on purpose: the
 run completing at all — with the same members and rounds across two
@@ -67,7 +70,7 @@ SCALES = {
 #: Acceptance thresholds, checked at this n when present in the sweep.
 ACCEPTANCE_N = 10_000
 ACCEPTANCE_SPEEDUP = 10.0     # vs the pre-kernel tree (--before)
-INTREE_GUARD_SPEEDUP = 5.0    # vs the in-tree reference flag (always)
+INTREE_GUARD_SPEEDUP = 50.0   # vs the in-tree reference flag (always)
 
 DENSITY = 10.0
 K = 3

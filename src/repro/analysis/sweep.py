@@ -6,9 +6,9 @@ run — the shape every benchmark table is built from.
 
 Seed replication is the axis the replica-batched direct backend
 collapses: a measurement that can run all its seeds in one
-:func:`repro.engine.execute_batch` pass plugs in as ``measure_batch``
-and receives the whole validated seed list per grid point, instead of
-being called once per seed.
+:func:`repro.core.udg.solve_kmds_udg_batch` pass plugs in as
+``measure_batch`` and receives the whole validated seed list per grid
+point, instead of being called once per seed.
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ def sweep(measure: Callable[..., Mapping[str, Any]],
         ``measure_batch(seeds=list(seeds), **point)`` once per grid
         point and must return one result mapping per seed, in order.
         Implementations typically forward to
-        :func:`repro.engine.execute_batch` (or a wrapper like
-        ``solve_kmds_udg_batch``) so the whole replication axis runs as
-        one kernel pass.  When given, ``measure`` is not called.
+        :func:`repro.core.udg.solve_kmds_udg_batch` so the whole
+        replication axis runs as one kernel pass.  When given,
+        ``measure`` is not called.
     on_record:
         Optional callback invoked with each completed record (e.g. for
         incremental printing).

@@ -498,24 +498,19 @@ def _cmd_kernels(args) -> int:
 def _cmd_report(args) -> int:
     import pathlib
 
-    sections = []
-    failures = []
+    from repro.experiments.base import render_document
+
+    reports = []
     for eid in sorted(EXPERIMENTS, key=lambda e: int(e[1:])):
         print(f"running {eid} at scale {args.scale}...", flush=True)
-        report = run_experiment(eid, scale=args.scale, seed=args.seed)
-        sections.append(report.render_markdown())
-        if not report.passed:
-            failures.append((eid, report.failed_checks()))
-    header = (
-        "# EXPERIMENTS — paper claims vs measured\n\n"
-        f"Generated by `repro report --scale {args.scale} "
-        f"--seed {args.seed}`.  Each section validates one paper claim; "
-        "checkmarks are machine-verified assertions.\n\n---\n\n"
-    )
-    pathlib.Path(args.out).write_text(header + "\n\n".join(sections) + "\n")
+        reports.append(run_experiment(eid, scale=args.scale, seed=args.seed))
+    pathlib.Path(args.out).write_text(
+        render_document(reports, scale=args.scale, seed=args.seed))
     print(f"wrote {args.out}")
-    for eid, checks in failures:
-        print(f"!! {eid} failed: {checks}", file=sys.stderr)
+    failures = [r for r in reports if not r.passed]
+    for r in failures:
+        print(f"!! {r.experiment_id} failed: {r.failed_checks()}",
+              file=sys.stderr)
     return 1 if failures else 0
 
 

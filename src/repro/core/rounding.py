@@ -41,7 +41,7 @@ from repro.errors import GraphError
 from repro.graphs.properties import node_degrees
 from repro.simulation.messages import Message
 from repro.simulation.node import NodeProcess
-from repro.simulation.vecrng import replica_node_streams
+from repro.simulation.vecrng import node_stream_pool
 from repro.types import CoverageMap, DominatingSet, MemberSet, NodeId, RunStats
 
 REQUEST_POLICIES = ("random", "highest-x", "self-first")
@@ -157,77 +157,63 @@ class RoundingProgram(RoundProgram):
         return 8
 
     def direct(self, instr: Instrumentation) -> DominatingSet:
-        return self.direct_batch([instr], [self.seed])[0]
-
-    def direct_batch(self, instrs, seeds) -> List[DominatingSet]:
-        """The vectorized kernel over a seed sweep: one rounding draw
-        and one coverage mat-mat for every replica (lane = (replica,
-        node)); only each replica's (few) deficient nodes run the
-        per-node REQ selection.  Equal per replica, members and
-        ``RunStats``, to the per-node loop of :class:`RoundingNode`
-        (the ``reference=True`` oracle), and a single run is the
-        one-seed case."""
+        """The vectorized kernel: one rounding draw and one coverage
+        matvec over the node streams; only the (few) deficient nodes run
+        the per-node REQ selection.  Equal, members and ``RunStats``, to
+        the per-node loop of :class:`RoundingNode` (the
+        ``reference=True`` oracle)."""
         lp, x, policy = self.lp, self.x, self.policy
         art = self.artifacts
         n = lp.n
-        streams = replica_node_streams(lp.nodes, seeds)
+        streams = node_stream_pool(lp.nodes, self.seed)
         delta = lp.delta
 
-        # Lines 1-2 for every replica at once: one u64 per (replica,
-        # node) stream, then compare against each node's probability;
-        # streams are independent, so batching in lane order consumes
-        # them exactly as the reference loop does.
-        uniforms = streams.random(
-            np.arange(streams.replicas * n)).reshape(-1, n)
+        # Lines 1-2: one u64 per node stream, then compare against each
+        # node's probability; streams are independent, so drawing in
+        # lane order consumes them exactly as the reference loop does.
+        uniforms = streams.random(np.arange(n))
         probs = np.fromiter(
             (rounding_probability(x[v], delta) for v in lp.nodes),
             dtype=np.float64, count=n)
         perm = np.fromiter((streams.lane[v] for v in lp.nodes),
                            dtype=np.int64, count=n)
-        member_mat = uniforms[:, perm] < probs[None, :]
+        member_vec = uniforms[perm] < probs
+        sampled = int(member_vec.sum())
         # Lines 4-7: per-node closed-neighborhood member counts collapse
-        # to one CSR mat-mat; only the (few) deficient nodes then run
-        # the per-node selection logic, consuming their RNG streams
-        # exactly as the reference loop does.
-        counts = kernels.member_counts_batch(art, indicators=member_mat,
-                                             convention="closed")
+        # to one CSR matvec; only the (few) deficient nodes then run the
+        # per-node selection logic, consuming their RNG streams exactly
+        # as the reference loop does.
+        counts = kernels.member_counts(art, indicator=member_vec,
+                                       convention="closed")
         required = lp.requirements
         nbrs_of = art.sorted_neighbors
+        is_member = dict(zip(lp.nodes, member_vec.tolist()))
+        requested: set = set()
+        req_messages = 0  # REQ sends (self-picks are local, not sent)
+        for i in np.nonzero(required > counts)[0].tolist():
+            v = art.nodes[i]
+            need = int(required[i] - counts[i])
+            candidates = ([] if is_member[v] else [v]) \
+                + [w for w in nbrs_of[v] if not is_member[w]]
+            rng = streams.generator(streams.lane[v])
+            for w in _choose_requests(rng, v, candidates, x, need, policy):
+                requested.add(w)
+                if w != v:
+                    req_messages += 1
+        member_vec[np.fromiter(map(art.index.__getitem__, requested),
+                               dtype=np.int64, count=len(requested))] = True
+        # Accounting implied by the two-exchange schedule.
+        instr.charge_messages(2 * self.artifacts.m,
+                              MembershipMsg(member=False), rounds=1)
+        instr.charge_messages(req_messages, ReqMsg(), rounds=1)
         # Results index the artifacts' stable node order.
         nodes, order, _ = art.stable_order()
-
-        results = []
-        for r, instr in enumerate(instrs):
-            member_vec = member_mat[r]
-            sampled = int(member_vec.sum())
-            is_member = dict(zip(lp.nodes, member_vec.tolist()))
-            requested: set = set()
-            req_messages = 0  # REQ sends (self-picks are local, not sent)
-            for i in np.nonzero(required > counts[r])[0].tolist():
-                v = art.nodes[i]
-                need = int(required[i] - counts[r, i])
-                candidates = ([] if is_member[v] else [v]) \
-                    + [w for w in nbrs_of[v] if not is_member[w]]
-                rng = streams.generator(streams.flat_lane(r, streams.lane[v]))
-                for w in _choose_requests(rng, v, candidates, x, need,
-                                          policy):
-                    requested.add(w)
-                    if w != v:
-                        req_messages += 1
-            final = member_vec.copy()
-            final[np.fromiter(map(art.index.__getitem__, requested),
-                              dtype=np.int64, count=len(requested))] = True
-            # Accounting implied by the two-exchange schedule.
-            instr.charge_messages(2 * self.artifacts.m,
-                                  MembershipMsg(member=False), rounds=1)
-            instr.charge_messages(req_messages, ReqMsg(), rounds=1)
-            results.append(DominatingSet(
-                members=MemberSet.from_mask(final[order], nodes),
-                stats=instr.stats,
-                details={"sampled": sampled, "requested": len(requested),
-                         "policy": policy},
-            ))
-        return results
+        return DominatingSet(
+            members=MemberSet.from_mask(member_vec[order], nodes),
+            stats=instr.stats,
+            details={"sampled": sampled, "requested": len(requested),
+                     "policy": policy},
+        )
 
     def lanes(self) -> Lanes:
         from repro.simulation.columnar import lane_order

@@ -30,8 +30,6 @@ from repro.engine.backends import (
     BACKENDS,
     MESSAGE_BACKENDS,
     execute,
-    execute_batch,
-    execute_grid,
     resolve_backend,
     validate_seed,
 )
@@ -49,8 +47,6 @@ __all__ = [
     "StackedGraphs",
     "cache_stats",
     "execute",
-    "execute_batch",
-    "execute_grid",
     "graph_artifacts",
     "invalidate",
     "kernels",

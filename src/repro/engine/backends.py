@@ -16,6 +16,10 @@ All four consume the per-node RNG streams identically, so they produce
 the same solution for the same seed; they differ in speed and in the
 fidelity of the returned :class:`~repro.types.RunStats`.
 
+:func:`execute` runs one seed on one graph.  Seed sweeps and graph x k
+x seed grids are shapes of Algorithm 3's kernel grid, the one program
+that batches (:func:`repro.core.udg.solve_kmds_udg_grid`).
+
 Every solver entry point funnels its ``mode=`` argument through
 :func:`resolve_backend` and its ``seed=`` through :func:`validate_seed`,
 so unknown modes and malformed seeds raise the same error class with the
@@ -24,8 +28,7 @@ same message shape everywhere.
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -202,97 +205,3 @@ def _lanes_of(program: RoundProgram):
     if owner["lanes"] is not owner["processes"]:
         return None
     return program.lanes()
-
-
-def execute_batch(program: RoundProgram, seeds: Sequence[int],
-                  mode: str = "direct", *,
-                  delay: Callable[[np.random.Generator], float] | None = None,
-                  delay_seed: int | None = None,
-                  injectors: Iterable = ()) -> list:
-    """Run ``program`` once per seed; returns one result per seed.
-
-    On the ``direct`` backend, a program that implements
-    :meth:`RoundProgram.direct_batch` executes the *entire* Monte Carlo
-    sweep in one replica-batched kernel pass — every vecrng/kernel lane
-    is a ``(replica, node)`` pair, the graph artifacts are shared, and
-    per-replica results (solution + :class:`~repro.types.RunStats`) come
-    back bit-identical to the sequential loop ``[execute(program,
-    seed=s) for s in seeds]`` (pinned by the batch-equivalence suite in
-    ``tests/test_mode_equivalence.py``).  Everything else — message
-    backends, programs without a batched kernel, or ``seed=None``
-    replicas — runs exactly that sequential loop.
-    """
-    backend = resolve_backend(mode)
-    seed_list = [validate_seed(s) for s in seeds]
-    injectors = list(injectors)
-    if (backend == "direct" and not injectors and seed_list
-            and all(s is not None for s in seed_list)
-            and program.supports_direct_batch()):
-        instrs = [program.instrumentation() for _ in seed_list]
-        return program.direct_batch(instrs, seed_list)
-    return [execute(program, backend, seed=s, delay=delay,
-                    delay_seed=delay_seed, injectors=injectors)
-            for s in seed_list]
-
-
-def execute_grid(program: RoundProgram, graphs: Sequence,
-                 seeds: Sequence[int], ks: Sequence[int],
-                 mode: str = "direct", *,
-                 timing: dict | None = None) -> List[List[list]]:
-    """Run the full ``graphs x ks x seeds`` grid; returns
-    ``results[graph][k][seed]``.
-
-    On the ``direct`` backend, a program implementing
-    :meth:`RoundProgram.direct_grid` executes every eligible graph's
-    whole ``ks x seeds`` plane in stacked kernel dispatches — the
-    topology CSRs are concatenated (:class:`StackedGraphs`), the vecrng
-    lane pool widens to ``sum_g(R x n_g)``, and the k axis is fused over
-    one shared Part I — with per-(graph, k, replica) results
-    bit-identical to per-point ``execute_batch(program.grid_point(g, k),
-    seeds)`` calls (pinned by ``tests/test_grid_equivalence.py``).
-    Graphs the program declares ineligible (:meth:`grid_supported` —
-    e.g. exotic sensing subclasses), message backends and ``None``
-    seeds take exactly those per-point calls instead; a mixed list
-    partitions cleanly.
-
-    ``timing`` (optional dict, mutated): filled with ``path`` ("grid",
-    "per-point", or "mixed"), ``grid_graphs`` / ``per_point_graphs``
-    counts, and ``grid_seconds`` / ``per_point_seconds`` wall-clock —
-    the numbers :class:`~repro.experiments.base.ExperimentReport`
-    surfaces so BENCH artifacts record which path ran.
-    """
-    backend = resolve_backend(mode)
-    seed_list = [validate_seed(s) for s in seeds]
-    graph_list = list(graphs)
-    k_list = [int(k) for k in ks]
-    results: List[List[list]] = [[None] * len(k_list) for _ in graph_list]
-    stats = {"path": "per-point", "grid_graphs": 0, "per_point_graphs": 0,
-             "grid_seconds": 0.0, "per_point_seconds": 0.0}
-    eligible = (backend == "direct"
-                and bool(seed_list) and bool(k_list)
-                and all(s is not None for s in seed_list)
-                and program.supports_direct_grid())
-    grid_idx = [i for i, g in enumerate(graph_list)
-                if program.grid_supported(g)] if eligible else []
-    if grid_idx:
-        t0 = time.perf_counter()
-        sub = program.direct_grid([graph_list[i] for i in grid_idx],
-                                  k_list, seed_list)
-        stats["grid_seconds"] = time.perf_counter() - t0
-        for j, i in enumerate(grid_idx):
-            results[i] = sub[j]
-        stats["grid_graphs"] = len(grid_idx)
-        stats["path"] = "grid" if len(grid_idx) == len(graph_list) \
-            else "mixed"
-    rest = [i for i in range(len(graph_list)) if i not in set(grid_idx)]
-    if rest:
-        t0 = time.perf_counter()
-        for i in rest:
-            results[i] = [execute_batch(program.grid_point(graph_list[i], k),
-                                        seed_list, backend)
-                          for k in k_list]
-        stats["per_point_seconds"] = time.perf_counter() - t0
-        stats["per_point_graphs"] = len(rest)
-    if timing is not None:
-        timing.update(stats)
-    return results

@@ -628,12 +628,16 @@ def member_counts_stacked(stack: StackedGraphs, *,
     float64 matvecs — produces the same int64 counts.  Boolean
     indicators route through the registry's compiled providers over the
     stacked CSR (a block-diagonal CSR is just a CSR), same exact
-    integers again.
+    integers again.  A one-graph stack is its graph's artifacts, so it
+    takes :func:`member_counts_batch` and builds no float32 copy.
     """
     arr = np.asarray(indicators)
     if arr.ndim != 2 or arr.shape[1] != stack.total:
         raise ValueError(
             f"indicators must be (replicas, {stack.total}), got {arr.shape}")
+    if len(stack.artifacts) == 1:
+        return member_counts_batch(stack.artifacts[0], indicators=arr,
+                                   convention=convention)
     R = arr.shape[0]
     if (arr.dtype == np.bool_ and R and stack.total
             and max((a.delta_max for a in stack.artifacts), default=0) + 1

@@ -25,8 +25,8 @@ def replication_seeds(seed: int, replicas: int | None,
     """The algorithm-seed list for one experiment cell.
 
     Experiments that replicate over seeds pass the resulting list to a
-    batched solver (``solve_kmds_udg_batch`` / ``execute_batch``) so
-    the whole replication axis runs as one kernel pass.  ``replicas``
+    batched solver (``solve_kmds_udg_batch``) so the whole replication
+    axis runs as one kernel pass.  ``replicas``
     is the user override (``repro experiment --replicas N``); ``None``
     keeps the experiment's scale default.  Seeds are validated up
     front, consecutive from ``seed``.
@@ -59,9 +59,9 @@ class ExperimentReport:
         Free-form commentary (e.g. which OPT estimate was used).
     timing:
         Optional dispatch breakdown from the grid-batched backend (the
-        dict :func:`repro.engine.execute_grid` fills through its
-        ``timing`` parameter: which path ran, how many graphs took the
-        stacked dispatch vs the per-point fallback, and the seconds
+        dict :func:`repro.core.udg.solve_kmds_udg_grid` fills through
+        its ``timing`` parameter: which path ran, how many graphs took
+        the stacked dispatch vs the per-point fallback, and the seconds
         spent in each).  Empty for experiments that do not run grids.
     """
 
@@ -128,3 +128,52 @@ class ExperimentReport:
             lines.append("")
             lines.append(f"*Notes:* {self.notes}")
         return "\n".join(lines)
+
+
+_DOCUMENT_INTRO = """\
+# EXPERIMENTS — paper claims vs measured
+
+Reproduction record for **Kuhn, Moscibroda, Wattenhofer, "Fault-Tolerant
+Clustering in Ad Hoc and Sensor Networks" (ICDCS 2006)**.
+
+The paper has **no experimental section** — its results are Theorems
+4.5/4.6/5.7 and Lemmas 4.1–4.4/5.1–5.6, plus one figure (the hexagonal
+covering geometry).  Each experiment below validates one claim
+empirically; E14–E21 cover the extensions the paper sketches but does not
+evaluate (weighted version, unknown Δ, asynchronous execution) and a
+message-loss robustness study motivated by Section 1; E22 closes the loop
+on Section 1's premise by *maintaining* a k-fold dominating set under
+continuous churn (the `repro.dynamics` subsystem); E23 executes the
+repair protocol itself on the message transport under loss.
+
+Generated whole by `python -m repro report --scale {scale} --seed {seed}`;
+CI regenerates it under both kernel backends and fails on any difference.
+`python -m repro experiment <id> --scale {scale} --seed {seed} --markdown`
+prints one section, and `--scale quick` gives the faster variants that
+CI's claim-check steps run.  Checkmarks are machine-verified assertions,
+not judgement calls."""
+
+_DOCUMENT_EXPECTATIONS = """\
+**What to expect to match:** shapes and validity — who wins, how ratios
+scale with n/t/k, where the redundancy pays off.  Absolute constants
+(leader counts, exact ratios) depend on our schedule-anchoring and
+selection-policy choices (see the interpretation log in DESIGN.md) and on
+the LP-vs-exact OPT denominators; they are not calibrated to any original
+implementation (none was released)."""
+
+
+def render_document(reports: Sequence[ExperimentReport], *, scale: str,
+                    seed: int) -> str:
+    """The whole EXPERIMENTS.md: fixed intro, a summary row per report
+    (id, title and passed/total checks), the fixed note on what to
+    expect to match, then every report's markdown section."""
+    summary = ["## Summary", "", "| ID | Experiment | Checks |",
+               "|---|---|---|"]
+    for r in reports:
+        mark = "✅" if r.passed else "❌"
+        summary.append(f"| {r.experiment_id.upper()} | {r.title} | "
+                       f"{mark} {sum(r.checks.values())}/{len(r.checks)} |")
+    blocks = [_DOCUMENT_INTRO.format(scale=scale, seed=seed),
+              "\n".join(summary), _DOCUMENT_EXPECTATIONS, "---"]
+    blocks.extend(r.render_markdown() for r in reports)
+    return "\n\n".join(blocks) + "\n"

@@ -1,19 +1,25 @@
-"""Grid-dispatch equivalence: ``solve_kmds_udg_grid`` /
-``engine.execute_grid`` must be bit-identical to the per-point
-``solve_kmds_udg_batch`` double loop for every (graph, k, seed) cell.
+"""Grid-dispatch equivalence: every (graph, k, seed) cell of
+``solve_kmds_udg_grid`` must be bit-identical to the single solve
+``solve_kmds_udg(g, k, seed=s)``, and ``solve_kmds_udg_batch`` to the
+grid's column.
 
-This is the contract of the grid-batched backend: stacking topology
-CSRs block-diagonally, fusing the k axis over one shared Part I, and
-running the adoption phase cross-graph are *execution* strategies —
-never visible in the results.  The suite pins cell-level members,
-``RunStats`` and details across same-size groups, mixed size and
-radius classes, the per-point fallbacks (message mode, ineligible
-graphs), the ``timing`` dispatch breakdown, degenerate axes, and native
-thread counts (subprocess matrix, since the worker pool is configured
-by environment at import-free call time).  Single and replica runs are
-one-graph grids on the same kernels, so sampled cells are also checked
-against the one independent oracle, the per-node message loop
-(``execute(..., reference=True)``), on members and round counts.
+This is the contract of Algorithm 3's one kernel grid: stacking
+topology CSRs block-diagonally, fusing the k axis over one shared Part
+I, and running the adoption phase cross-graph are *execution*
+strategies — never visible in the results.  A generated suite draws
+grids of stock, quasi, noisy, bespoke-sensing and empty graphs on both
+sides of vecrng's n = 256 stream boundary, at two radii, with
+duplicated ks and seeds, under both selection policies, and pins cell
+members, ``RunStats`` and details plus the ``timing`` dispatch
+breakdown.  Fixed cells (same-size stacks, mixed size and radius
+classes) stay beside it, and hand-picked tests cover the per-point
+fallbacks (message mode, ineligible graphs), degenerate axes, and
+native thread counts
+(subprocess matrix, since the worker pool is configured by environment
+at import-free call time).  Single solves are 1 x 1 x 1 grids on the
+same kernel grid, so sampled cells are also checked against the one
+independent oracle, the per-node message loop (``execute(...,
+reference=True)``), on members and round counts.
 """
 
 from __future__ import annotations
@@ -25,9 +31,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
-from repro.core.udg import (UDGProgram, solve_kmds_udg_batch,
-                            solve_kmds_udg_grid)
+from repro.core.udg import (SELECTION_POLICIES, UDGProgram, solve_kmds_udg,
+                            solve_kmds_udg_batch, solve_kmds_udg_grid)
 from repro.engine import execute
 from repro.errors import GraphError
 from repro.graphs.udg import (NoisySensingUDG, QuasiUnitDiskGraph,
@@ -44,14 +52,23 @@ GRID_N = 300
 SMALL_N = 120
 
 
+class BespokeSensing(UnitDiskGraph):
+    """A sensing subclass the kernels cannot model (bespoke
+    ``neighbors_within``): its cells run as single solves on the
+    per-node loop."""
+
+    def neighbors_within(self, i, radius):
+        return super().neighbors_within(i, radius)
+
+
 def _graphs(sizes, base=50):
     return [random_udg(n, density=DENSITY, seed=base + i)
             for i, n in enumerate(sizes)]
 
 
 def _per_point(graphs, seeds, ks, **kw):
-    return [[solve_kmds_udg_batch(g, seeds, k=k, **kw) for k in ks]
-            for g in graphs]
+    return [[[solve_kmds_udg(g, k, seed=s, **kw) for s in seeds]
+             for k in ks] for g in graphs]
 
 
 def _assert_cells_equal(grid, point):
@@ -66,7 +83,86 @@ def _assert_cells_equal(grid, point):
                 assert a.details == b.details
 
 
+# ----------------------------------------------------------------------
+# Generated grids: every cell equals its single solve
+# ----------------------------------------------------------------------
+
+#: Sizes on both sides of the n = 256 stream boundary.
+GEN_SIZES = (40, 256, 257, 300)
+KINDS = ("stock", "qudg", "noisy", "bespoke", "empty")
+
+
+@st.composite
+def grid_graphs(draw, classes):
+    """One graph of a (size, radius) class drawn from ``classes``."""
+    kind = draw(st.sampled_from(KINDS))
+    event(f"graph: {kind}")
+    if kind == "empty":
+        return UnitDiskGraph([])
+    n, radius = draw(st.sampled_from(classes))
+    seed = draw(st.integers(0, 2 ** 16))
+    base = random_udg(n, density=DENSITY, radius=radius, seed=seed)
+    if kind == "qudg":
+        return QuasiUnitDiskGraph(base.points, alpha=0.75 * radius,
+                                  radius=radius, seed=seed + 1)
+    if kind == "noisy":
+        return NoisySensingUDG(base.points, sigma=0.05, radius=radius,
+                               noise_seed=seed + 1)
+    if kind == "bespoke":
+        return BespokeSensing(base.points, radius=radius)
+    return base
+
+
+@st.composite
+def grids(draw):
+    """1-4 graphs over one or two (size, radius) classes, so that graphs
+    often share a class and stack into one dispatch."""
+    classes = draw(st.lists(st.tuples(st.sampled_from(GEN_SIZES),
+                                      st.sampled_from((1.0, 0.5))),
+                            min_size=1, max_size=2))
+    graphs = draw(st.lists(grid_graphs(classes), min_size=1, max_size=4))
+    stacked = [(g.n, g.radius) for g in graphs
+               if g.n and not isinstance(g, BespokeSensing)]
+    event(f"largest stacked group: "
+          f"{max(map(stacked.count, stacked), default=0)}")
+    return graphs
+
+
+@settings(deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(graphs=grids(),
+       ks=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       seeds=st.lists(st.sampled_from((0, 1, 7)), min_size=1, max_size=3),
+       policy=st.sampled_from(SELECTION_POLICIES))
+def test_grid_cells_equal_single_solves(graphs, ks, seeds, policy):
+    event(f"sizes: {sorted({g.n for g in graphs})}")
+    timing = {}
+    grid = solve_kmds_udg_grid(graphs, seeds, ks, selection_policy=policy,
+                               timing=timing)
+    _assert_cells_equal(
+        grid, _per_point(graphs, seeds, ks, selection_policy=policy))
+    for g, per_k in zip(graphs, grid):
+        for k, column in zip(ks, per_k):
+            _assert_cells_equal(
+                [[solve_kmds_udg_batch(g, seeds, k=k,
+                                       selection_policy=policy)]],
+                [[column]])
+    stacked = sum(1 for g in graphs
+                  if g.n and not isinstance(g, BespokeSensing))
+    per_cell = sum(1 for g in graphs if isinstance(g, BespokeSensing))
+    assert timing["grid_graphs"] == stacked
+    assert timing["per_point_graphs"] == per_cell
+    assert timing["path"] == ("mixed" if stacked and per_cell else
+                              "grid" if stacked else "per-point")
+    assert (timing["grid_seconds"] > 0.0) == bool(stacked)
+    assert (timing["per_point_seconds"] > 0.0) == bool(per_cell)
+
+
 class TestGridIdentity:
+    """Fixed cells beside the generated suite: same-size stacks, mixed
+    size and radius classes, one cell, and the by-id policy."""
+
     def test_same_size_group(self):
         graphs = _graphs((GRID_N, GRID_N, GRID_N))
         grid = solve_kmds_udg_grid(graphs, SEEDS, KS)
@@ -91,10 +187,9 @@ class TestGridIdentity:
         _assert_cells_equal(
             grid, _per_point(graphs, SEEDS, KS, selection_policy="by-id"))
 
-
     def test_same_size_mixed_radii(self):
         # Equal n, different radii -> different theta schedules, so two
-        # stacked dispatches; each still matches the per-point loop.
+        # stacked dispatches; each still matches the single solves.
         graphs = [random_udg(GRID_N, radius=r, density=DENSITY, seed=60 + i)
                   for i, r in enumerate((1.0, 0.5, 1.0, 0.5))]
         grid = solve_kmds_udg_grid(graphs, SEEDS, KS)
@@ -140,8 +235,9 @@ class TestFallbacks:
         res = solve_kmds_udg_grid(graphs, (3,), (1,), mode="message",
                                   timing=timing)
         assert timing["path"] == "per-point"
-        point = solve_kmds_udg_batch(graphs[0], (3,), k=1, mode="message")
-        assert res[0][0][0].members == point[0].members
+        point = solve_kmds_udg(graphs[0], 1, mode="message", seed=3)
+        assert res[0][0][0].members == point.members
+        assert res[0][0][0].stats == point.stats
 
     def test_ineligible_graphs_partition_mixed(self):
         # A sensing subclass the kernels cannot model (bespoke
@@ -149,10 +245,6 @@ class TestFallbacks:
         # graphs -- including one small enough for the fallback
         # streams -- stay on the grid dispatch; every cell still
         # matches the per-point loop.
-        class BespokeSensing(UnitDiskGraph):
-            def neighbors_within(self, i, radius):
-                return super().neighbors_within(i, radius)
-
         stock = _graphs((GRID_N, GRID_N))
         exotic = BespokeSensing(random_udg(GRID_N, density=DENSITY,
                                            seed=99).points)
@@ -188,8 +280,8 @@ class TestTimingAndShapes:
         graphs = [_graphs((310,))[0], empty]
         res = solve_kmds_udg_grid(graphs, (5,), (2,))
         assert res[1][0][0].members == set()
-        point = solve_kmds_udg_batch(graphs[0], (5,), k=2)
-        assert res[0][0][0].members == point[0].members
+        point = solve_kmds_udg(graphs[0], 2, seed=5)
+        assert res[0][0][0].members == point.members
 
     def test_bad_k_rejected(self):
         with pytest.raises(GraphError):

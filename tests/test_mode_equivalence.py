@@ -252,22 +252,23 @@ def test_rounding_kernel_matches_reference_on_udg(seed):
 
 
 # ----------------------------------------------------------------------
-# Replica-batched execution: execute_batch on the direct backend must
-# be bit-identical, per replica, to the sequential ``[execute(program,
+# Replica-batched execution: solve_kmds_udg_batch on the direct backend
+# must be bit-identical, per replica, to the sequential ``[execute(program,
 # seed=s) for s in seeds]`` loop — same members, same RunStats, same
-# details.  This pins PR 6's lane = (replica, node) batching across
-# vecrng, the kernels, and the backend dispatch, the way the section
-# above pins the single-replica kernels against the per-node reference.
+# details.  This pins the lane = (replica, node) batching across vecrng,
+# the kernels, and Algorithm 3's kernel grid, the way the section above pins
+# the single-replica kernels against the per-node reference.
 # ----------------------------------------------------------------------
 
 BATCH_SEEDS = (0, 5, 17)
 
 
 def _assert_batch_matches_sequential(program, seeds=BATCH_SEEDS):
-    from repro.engine import execute, execute_batch
+    from repro.core.udg import solve_kmds_udg_batch
+    from repro.engine import execute
 
-    assert program.supports_direct_batch()
-    batch = execute_batch(program, seeds, "direct")
+    batch = solve_kmds_udg_batch(program.udg, seeds, k=program.k,
+                                 selection_policy=program.policy)
     seq = [execute(program, seed=s) for s in seeds]
     assert len(batch) == len(seq) == len(seeds)
     for one, ref in zip(batch, seq):
@@ -298,20 +299,6 @@ def test_udg_batch_matches_sequential_on_geometric_variants(graph_kind):
                                                 BATCH_SEEDS[0]))
 
 
-@pytest.mark.parametrize("k", (1, 2, 3))
-@pytest.mark.parametrize("policy", ("random", "highest-x", "self-first"))
-def test_rounding_batch_matches_sequential(policy, k):
-    from repro.core.lp import CoveringLP
-    from repro.core.rounding import RoundingProgram
-
-    g = _graph(7)
-    cov = feasible_coverage(g, k)
-    frac = fractional_kmds(g, coverage=cov, t=2, mode="direct", seed=7)
-    lp = CoveringLP(g, cov)
-    _assert_batch_matches_sequential(RoundingProgram(lp, frac.x, policy,
-                                                     BATCH_SEEDS[0]))
-
-
 def test_solve_kmds_udg_batch_matches_solve_loop():
     from repro.core.udg import solve_kmds_udg_batch
 
@@ -336,10 +323,9 @@ def test_batch_on_message_backend_falls_back_to_loop():
 
 
 def test_batch_on_exotic_subclass_falls_back_to_loop():
-    from repro.core.udg import UDGProgram, solve_kmds_udg_batch
+    from repro.core.udg import solve_kmds_udg_batch
 
     udg = CustomSensing(random_udg(60, density=8.0, seed=4).points)
-    assert not UDGProgram(udg, 2, "random", 0).supports_direct_batch()
     batch = solve_kmds_udg_batch(udg, (0, 9), k=2)
     for one, seed in zip(batch, (0, 9)):
         ref = solve_kmds_udg(udg, k=2, mode="direct", seed=seed)
