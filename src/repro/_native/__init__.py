@@ -1,12 +1,13 @@
 """Optional compiled kernels for the hot loops of the library.
 
 The hot loops — PCG64 stream advancement, the per-round election scan,
-the Part II ball walks, the coverage matvec and the columnar plane's
-round reductions — are memory-light, branch-heavy loops that NumPy can
-only express as dozens of full-array passes.  This package compiles
-``kernels.c`` once into a CPython extension module with whatever C
-compiler the host has (``cc -O3 -march=native -shared -fPIC`` against
-the interpreter's headers), caches it next to the source as
+the Part II ball walks, the coverage matvec, the columnar plane's
+round reductions and the artifact edit commit — are memory-light,
+branch-heavy loops that NumPy can only express as dozens of full-array
+passes.  This package compiles ``kernels.c`` once into a CPython
+extension module with whatever C compiler the host has (``cc -O3
+-march=native -shared -fPIC`` against the interpreter's headers),
+caches it next to the source as
 ``_build/kernels-<digest><EXT_SUFFIX>`` (content hash + this
 interpreter's extension suffix), and loads it with
 :class:`importlib.machinery.ExtensionFileLoader`.  A kernel call hands
@@ -538,3 +539,16 @@ def scatter_cover(promoted, indptr, indices, sign: int, coverage,
     k = lib()
     assert k is not None
     k.scatter_cover(promoted, indptr, indices, sign, coverage, touched)
+
+
+def csr_patch(indptr, indices, final, src, keys, out_indptr,
+              out_indices) -> int:
+    """Native commit of one artifact edit batch; see repro_csr_patch.
+    Writes the new closed CSR into ``out_indptr`` / ``out_indices``
+    and returns its entry count.  ``final`` / ``src`` (the slot map)
+    and ``keys`` are checked first, because ``out_indices`` must hold
+    the copied rows plus the keys; serial (one walk over the slots)."""
+    k = lib()
+    assert k is not None
+    return k.csr_patch(indptr, indices, final, src, keys, out_indptr,
+                       out_indices)

@@ -28,6 +28,7 @@
 
 #include <stdint.h>
 #include <stddef.h>
+#include <stdlib.h>
 
 typedef unsigned __int128 u128;
 
@@ -367,6 +368,92 @@ void repro_scatter_cover(int64_t P, const int64_t *promoted,
     }
 }
 
+/* One ArtifactDelta batch commit: the closed CSR after the batch, in
+ * one pass over the new slots.
+ *
+ * Old rows are indexed by uid (the bundle's index before the batch).
+ * final[u] is uid u's slot after the batch, or -1 once u was removed
+ * or rewired (a rewire drops every old edge of the node); src[s] is
+ * the uid whose old row slot s keeps (final[src[s]] == s), or -1 for a
+ * slot that holds an added or rewired node.  keys[0..K) are the
+ * batch's new entries as row << 32 | col keys, in row order.
+ *
+ * Slot s's row is its old row's surviving entries relabelled through
+ * final, followed by its new entries.  Old rows are sorted and most
+ * batches leave most rows untouched, so a row is insertion-sorted only
+ * when an entry came out of order (a relabelled column or an added
+ * entry).  Writes out_indptr[0..n1] and returns the entry count, or -1
+ * (having written only within the rows already done) when an old row
+ * holds a column outside [0, n0).  Serial: the walk is one pass.
+ */
+static int
+cmp_i64(const void *a, const void *b)
+{
+    const int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
+    return (x > y) - (x < y);
+}
+
+/* Sort row[0..len) ascending.  Insertion sort is linear on the nearly
+ * sorted rows a batch leaves; past a budget of shifts (a row whose
+ * columns many swap-with-last moves relabelled) qsort finishes the row
+ * in O(len log len). */
+static void
+sort_row(int64_t *row, int64_t len)
+{
+    int64_t budget = 8 * len;
+    for (int64_t i = 1; i < len; ++i) {
+        const int64_t v = row[i];
+        int64_t j = i;
+        while (j > 0 && row[j - 1] > v) {
+            row[j] = row[j - 1];
+            --j;
+        }
+        row[j] = v;
+        budget -= i - j;
+        if (budget < 0) {
+            qsort(row, (size_t)len, sizeof(int64_t), cmp_i64);
+            return;
+        }
+    }
+}
+
+int64_t repro_csr_patch(int64_t n0, int64_t n1,
+                        const int64_t *indptr, const int64_t *indices,
+                        const int64_t *final, const int64_t *src,
+                        int64_t K, const int64_t *keys,
+                        int64_t *out_indptr, int64_t *out)
+{
+    int64_t w = 0, p = 0;
+    out_indptr[0] = 0;
+    for (int64_t s = 0; s < n1; ++s) {
+        const int64_t start = w;
+        const int64_t u = src[s];
+        int64_t prev = -1;
+        int sorted = 1;
+        if (u >= 0) {
+            for (int64_t e = indptr[u]; e < indptr[u + 1]; ++e) {
+                const int64_t c = indices[e];
+                if (c < 0 || c >= n0)
+                    return -1;
+                const int64_t f = final[c];
+                if (f < 0)
+                    continue;
+                sorted &= f >= prev;
+                out[w++] = prev = f;
+            }
+        }
+        for (; p < K && (keys[p] >> 32) == s; ++p) {
+            const int64_t c = keys[p] & 0xFFFFFFFF;
+            sorted &= c >= prev;
+            out[w++] = prev = c;
+        }
+        if (!sorted)
+            sort_row(out + start, w - start);
+        out_indptr[s + 1] = w;
+    }
+    return w;
+}
+
 /* One election round over replicas [r_lo, r_hi).
  *
  * For each within-degree>0 node sub[s] and each replica r where that
@@ -480,9 +567,9 @@ void repro_state_scatter_u8(const int64_t *idx, const uint8_t *values,
  * whole call, never against the slab, so every slab of a threaded
  * call passes or fails alike; a CSR's index array must hold indptr[n]
  * entries.  Indices stored *inside* the arrays (CSR rows, lane ids)
- * stay the caller's contract, except for scatter_cover, whose output
- * capacity depends on them.  The GIL is released around each kernel
- * body.
+ * stay the caller's contract, except for scatter_cover and csr_patch,
+ * whose output capacity depends on them.  The GIL is released around
+ * each kernel body.
  * ====================================================================== */
 
 #define RD 0   /* read-only operand */
@@ -884,6 +971,95 @@ done:
     return ret;
 }
 
+/* csr_patch(indptr, indices, final, src, keys, out_indptr, out_indices)
+ * -> entries written.  The slot map and the keys are checked before
+ * the kernel runs, since the output capacity depends on them: final
+ * and src must be inverse partial maps between the n0 = len(indptr) - 1
+ * uids and the n1 = len(src) slots, every row src copies must lie
+ * inside indices, and the keys must be rows < n1 in order with columns
+ * < n1.  out_indices then needs room for the copied rows plus the
+ * keys. */
+static PyObject *
+py_csr_patch(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Bufs b = {.held = 0};
+    PyObject *ret = NULL;
+    int64_t *indptr, *indices, *final, *src, *keys, *out_indptr, *out;
+    int64_t n0, need, total;
+    Py_ssize_t rows, nnz, n1, K, cap;
+    if (bad_argc("csr_patch", nargs, 7)
+        || arr(&b, args[0], "indptr", 8, RD, 1, &indptr, &rows))
+        goto done;
+    n0 = rows - 1;
+    if (arr(&b, args[1], "indices", 8, RD, 0, &indices, &nnz)
+        || arr(&b, args[2], "final", 8, RD, n0, &final, NULL)
+        || arr(&b, args[3], "src", 8, RD, 0, &src, &n1)
+        || arr(&b, args[4], "keys", 8, RD, 0, &keys, &K)
+        || arr(&b, args[5], "out_indptr", 8, WR, (int64_t)n1 + 1,
+               &out_indptr, NULL)
+        || arr(&b, args[6], "out_indices", 8, WR, 0, &out, &cap))
+        goto done;
+    for (int64_t u = 0; u < n0; ++u) {
+        const int64_t f = final[u];
+        if (f < -1 || f >= n1 || (f >= 0 && src[f] != u)) {
+            PyErr_Format(PyExc_ValueError,
+                         "final[%lld] = %lld is not a slot whose src "
+                         "entry names it", (long long)u, (long long)f);
+            goto done;
+        }
+    }
+    need = K;
+    for (Py_ssize_t s = 0; s < n1; ++s) {
+        const int64_t u = src[s];
+        if (u < -1 || u >= n0 || (u >= 0 && final[u] != s)) {
+            PyErr_Format(PyExc_ValueError,
+                         "src[%zd] = %lld is not a uid whose final entry "
+                         "names it", s, (long long)u);
+            goto done;
+        }
+        if (u < 0)
+            continue;
+        if (indptr[u] < 0 || indptr[u] > indptr[u + 1]
+            || indptr[u + 1] > nnz) {
+            PyErr_Format(PyExc_ValueError,
+                         "indptr: row %lld is not inside indices",
+                         (long long)u);
+            goto done;
+        }
+        need += indptr[u + 1] - indptr[u];
+    }
+    for (Py_ssize_t p = 0; p < K; ++p) {
+        const int64_t row = keys[p] >> 32, col = keys[p] & 0xFFFFFFFF;
+        if (keys[p] < 0 || row >= n1 || col >= n1
+            || (p > 0 && row < (keys[p - 1] >> 32))) {
+            PyErr_Format(PyExc_ValueError,
+                         "keys[%zd] = %lld is out of row order or range",
+                         p, (long long)keys[p]);
+            goto done;
+        }
+    }
+    if ((int64_t)cap < need) {
+        PyErr_Format(PyExc_ValueError,
+                     "out_indices: needs at least %lld items, got %zd",
+                     (long long)need, cap);
+        goto done;
+    }
+    Py_BEGIN_ALLOW_THREADS
+    total = repro_csr_patch(n0, n1, indptr, indices, final, src, K, keys,
+                            out_indptr, out);
+    Py_END_ALLOW_THREADS
+    if (total < 0) {
+        PyErr_Format(PyExc_IndexError,
+                     "indices: a copied row holds a column outside "
+                     "[0, %lld)", (long long)n0);
+        goto done;
+    }
+    ret = PyLong_FromLongLong((long long)total);
+done:
+    bufs_release(&b);
+    return ret;
+}
+
 /* inbox_reduce(indptr, values, mask, init, lo, hi, out) */
 static PyObject *
 py_inbox_reduce(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
@@ -968,6 +1144,7 @@ static PyMethodDef kernel_methods[] = {
     FASTCALL(member_counts, "repro_member_counts over a row slab."),
     FASTCALL(deficit, "repro_deficit over a checked slab."),
     FASTCALL(scatter_cover, "repro_scatter_cover."),
+    FASTCALL(csr_patch, "repro_csr_patch; returns the entry count."),
     FASTCALL(inbox_reduce, "repro_inbox_reduce over a row slab."),
     FASTCALL(state_scatter_f64, "repro_state_scatter_f64 over a slab."),
     FASTCALL(state_scatter_u8, "repro_state_scatter_u8 over a slab."),

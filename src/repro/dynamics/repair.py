@@ -215,9 +215,17 @@ class LocalPatchRepair(RepairPolicy):
         members = set(state.members)
         promoted: Set[NodeId] = set()
         touched: Set[NodeId] = set()
+        # The graph does not change during the call: sort each row once.
+        rows: Dict[NodeId, List[NodeId]] = {}
+        # Copies sent per message class.  A message's bits depend only
+        # on its class, so each class is charged once, after the loop.
+        helps = adopts = announces = 0
 
         def nbrs(v) -> List[NodeId]:
-            return sorted(graph.neighbors(v))
+            row = rows.get(v)
+            if row is None:
+                row = rows[v] = sorted(graph.neighbors(v))
+            return row
 
         while deficient:
             outcome.iterations += 1
@@ -228,9 +236,7 @@ class LocalPatchRepair(RepairPolicy):
                 neighborhood = nbrs(u)
                 touched.add(u)
                 touched.update(neighborhood)
-                instr.charge_messages(len(neighborhood),
-                                      HelpMsg(deficit=deficient[u]))
-                outcome.messages += len(neighborhood)
+                helps += len(neighborhood)
             # (2) adoption: each dominator adjacent to a deficient node
             # picks up to k of its deficient neighbors.
             helpers = sorted({w for u in deficient for w in nbrs(u)
@@ -241,8 +247,7 @@ class LocalPatchRepair(RepairPolicy):
                     continue  # pragma: no cover — helper implies one
                 chosen = _pick(rng, candidates, k, self.selection_policy)
                 picks.update(chosen)
-                instr.charge_messages(len(chosen), AdoptMsg())
-                outcome.messages += len(chosen)
+                adopts += len(chosen)
             # Orphaned deficient nodes (no live dominator neighbor) heard
             # no adoption offer: they time out and self-promote.
             for u in sorted(deficient):
@@ -256,8 +261,7 @@ class LocalPatchRepair(RepairPolicy):
                 neighborhood = nbrs(p)
                 touched.add(p)
                 touched.update(neighborhood)
-                instr.charge_messages(len(neighborhood), LeaderAnnounceMsg())
-                outcome.messages += len(neighborhood)
+                announces += len(neighborhood)
                 for w in neighborhood:
                     if w in deficient:
                         deficient[w] -= 1
@@ -266,6 +270,10 @@ class LocalPatchRepair(RepairPolicy):
             instr.charge_rounds(3)
             outcome.rounds += 3
 
+        instr.charge_messages(helps, HelpMsg())
+        instr.charge_messages(adopts, AdoptMsg())
+        instr.charge_messages(announces, LeaderAnnounceMsg())
+        outcome.messages = helps + adopts + announces
         outcome.promoted = promoted
         outcome.touched = touched
         return outcome

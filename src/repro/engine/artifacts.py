@@ -29,14 +29,16 @@ epoch; rebuilding artifacts from scratch is O(n + m) work per epoch.
 :meth:`GraphArtifacts.delta_patcher` returns an :class:`ArtifactDelta`
 whose :meth:`~ArtifactDelta.apply` takes one epoch's ordered node
 removals, additions and rewires as one batch.  The index moves are
-replayed on plain integers (O(edits)); then the CSR is rebuilt once, in
-numpy.  A batch that leaves every old node in its slot (joins, removals
-of the last-indexed nodes) only truncates and appends to rows; any
-other batch relabels the kept entries, adds the new edges, and restores
-row order with one stable sort that only has to reorder the rows
-holding a relabelled or new entry.  An edit allocates new arrays and
-never writes into ones it handed out, so published snapshots and
-shared-memory exports may alias them.  Each edit counts as one patch.
+replayed on plain integers (O(edits)); then the CSR is committed once,
+by the ``csr_patch`` dispatch entry in one native pass over the new
+slots: each slot's old row is copied through the batch's slot map
+(dropping removed and rewired columns), the slot's new entries are
+appended, and only a row that came out of order is sorted.  Without
+the compiled kernels, ``_Replay._resort`` (its numpy reference)
+relabels every entry and restores row order with one stable sort.  An
+edit allocates new arrays and never writes into ones it handed out, so
+published snapshots and shared-memory exports may alias them.  Each
+edit counts as one patch.
 
 Edited artifacts maintain their *own* node order: removing a node moves
 the last-indexed node into the freed slot, so the ``nodes`` list may be
@@ -77,6 +79,7 @@ import networkx as nx
 import numpy as np
 import scipy.sparse as sp
 
+from repro.engine import dispatch
 from repro.errors import GraphError
 from repro.graphs.properties import as_nx
 from repro.types import NodeId, stable_sorted
@@ -420,6 +423,13 @@ class GraphArtifacts:
         return ArtifactDelta(self)
 
 
+def _pairs(mapping: Dict[int, int]) -> np.ndarray:
+    """An int -> int dict's items as a ``(len, 2)`` int64 array."""
+    flat = np.fromiter(itertools.chain.from_iterable(mapping.items()),
+                       dtype=np.int64, count=2 * len(mapping))
+    return flat.reshape(-1, 2)
+
+
 #: One :meth:`ArtifactDelta.apply` edit: ``("remove", node)``,
 #: ``("add", node, neighbors)`` or ``("rewire", node, neighbors)``.
 Edit = Tuple
@@ -434,6 +444,10 @@ class _Replay:
     node list and index are edited as each event would edit them; slot
     occupancy and uid positions are kept as sparse overrides of the
     identity, so the replay costs O(edits + new edges), not O(n).
+    :meth:`commit` turns them into the slot map (each old uid's final
+    slot, and its inverse) and the new entries' keys, and commits the
+    CSR through the ``csr_patch`` kernel, or through :meth:`_resort`,
+    its numpy reference, when the kernel is unavailable.
     """
 
     def __init__(self, art: GraphArtifacts):
@@ -530,28 +544,31 @@ class _Replay:
             if s >= 0:
                 new.append((s << _SHIFT) + s)
         new_keys = np.asarray(sorted(new), dtype=np.int64)
-        olds = [(u, s) for u, s in slot.items() if u < n0]
-        kept = n0 - len(olds)
-        if not rewired and all(s < 0 and u >= kept for u, s in olds):
-            counts, indices = self._append(kept, new_keys)
-        else:
-            counts, indices = self._resort(olds, rewired, new_keys)
-        indptr = np.zeros(n1 + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        degrees = counts - 1
+        # The slot map: each old uid's final slot, or -1 once it was
+        # removed or rewired (a rewire drops all of the node's old
+        # edges).
+        final = np.arange(n0, dtype=np.int64)
+        olds = _pairs(slot)
+        olds = olds[olds[:, 0] < n0]
+        final[olds[:, 0]] = olds[:, 1]
+        final[rewired] = -1
+        impl = dispatch.kernel("csr_patch")
+        indptr, indices = (self._resort(final, new_keys) if impl is None
+                           else self._patch(impl, final, new_keys))
+        degrees = np.diff(indptr) - 1
         if art._loops:
             art._loops = int(np.count_nonzero(
                 indices == np.repeat(np.arange(n1), degrees + 1))) - n1
         ids = art._nodes_array
-        moves = [(s, u) for s, u in self.occupant.items() if s < n1]
-        if ids is not None and moves:
+        moves = _pairs(self.occupant)
+        moves = moves[moves[:, 0] < n1]
+        if ids is not None and len(moves):
             added = _int_ids(self.added)
             if added is None:
                 ids = None
             else:
                 uid_at = np.arange(n1, dtype=np.int64)
-                for s, u in moves:
-                    uid_at[s] = u
+                uid_at[moves[:, 0]] = moves[:, 1]
                 ids = np.concatenate((ids, added))[uid_at]
         elif ids is not None:
             ids = ids[:n1]
@@ -564,57 +581,39 @@ class _Replay:
         art.version = next(_VERSIONS)
         art._clear_derived()
 
-    def _append(self, kept: int, new_keys: np.ndarray
-                ) -> Tuple[np.ndarray, np.ndarray]:
-        """Closed row lengths and CSR indices after a batch that left
-        the old nodes of slots ``[0, kept)`` in place and removed the
-        rest (joins and tail removals).  Every dropped or new entry then
-        sits at the end of its row, so rows are truncated and appended
-        to, never sorted."""
+    def _patch(self, impl, final: np.ndarray, new_keys: np.ndarray
+               ) -> Tuple[np.ndarray, np.ndarray]:
+        """The closed CSR ``(indptr, indices)`` after the batch, from
+        the ``csr_patch`` kernel: one walk over the new slots that
+        copies each kept row through ``final``, appends the slot's new
+        keys and sorts only the rows that came out of order."""
         art, n1 = self.art, self.n
-        cut = art.indptr[kept]
-        indices = art.indices[:cut]
-        counts = np.zeros(n1, dtype=np.int64)
-        counts[:kept] = art.degrees[:kept] + 1
-        if kept < self.n0:
-            # The CSR is symmetric: the removed rows list every entry
-            # the kept rows lose.
-            counts[:kept] -= np.bincount(art.indices[cut:],
-                                         minlength=self.n0)[:kept]
-            indices = indices[indices < kept]
-        if len(new_keys):
-            rows = new_keys >> _SHIFT
-            # Each new entry lands at its row's end (new rows follow the
-            # kept ones), shifted by the new entries placed before it.
-            ends = np.append(np.cumsum(counts[:kept]), len(indices))
-            at = ends[np.minimum(rows, kept)] \
-                + np.arange(len(rows), dtype=np.int64)
-            merged = np.empty(len(indices) + len(rows), dtype=np.int64)
-            old = np.ones(len(merged), dtype=bool)
-            old[at] = False
-            merged[at] = new_keys & _MASK
-            merged[old] = indices
-            indices = merged
-            counts += np.bincount(rows, minlength=n1)
-        return counts, indices
+        # Slot -> the old uid whose row it keeps (-1: a new row).
+        src = np.full(n1, -1, dtype=np.int64)
+        live = np.flatnonzero(final >= 0)
+        src[final[live]] = live
+        indptr = np.empty(n1 + 1, dtype=np.int64)
+        indices = np.empty(len(art.indices) + len(new_keys), dtype=np.int64)
+        total = impl(art.indptr, art.indices, final, src, new_keys, indptr,
+                     indices)
+        # Nothing else refers to the fresh buffer: shrink it in place.
+        indices.resize(total, refcheck=False)
+        return indptr, indices
 
-    def _resort(self, olds, rewired, new_keys: np.ndarray
+    def _resort(self, final: np.ndarray, new_keys: np.ndarray
                 ) -> Tuple[np.ndarray, np.ndarray]:
-        """Closed row lengths and CSR indices after any batch.
+        """The closed CSR ``(indptr, indices)`` after the batch: the
+        numpy reference of the ``csr_patch`` kernel, and its fallback.
 
         Every old entry becomes the key over its endpoints' final
-        slots, or a negative key once an endpoint was removed or
-        rewired (a rewire drops all of the node's old edges); the
-        surviving keys and the new ones go through one stable sort.
-        Only rows holding a relabelled or new entry are out of order,
-        so the sort (a run-merging timsort) costs little more than a
-        linear pass.
+        slots, or a negative key once an endpoint is gone (``final``
+        is -1); the surviving keys and the new ones go through one
+        stable sort.  Only rows holding a relabelled or new entry are
+        out of order, so the sort (a run-merging timsort) costs little
+        more than a linear pass, but every pass here is over all
+        entries.
         """
         art = self.art
-        final = np.arange(self.n0, dtype=np.int64)
-        for u, s in olds:
-            final[u] = s
-        final[rewired] = -1
         gone = final < 0
         row_key = np.where(gone, _GONE, final << _SHIFT)
         col_key = np.where(gone, _GONE, final)
@@ -623,7 +622,10 @@ class _Replay:
             keys = keys[keys >= 0]
         keys = np.concatenate((keys, new_keys))
         keys.sort(kind="stable")
-        return np.bincount(keys >> _SHIFT, minlength=self.n), keys & _MASK
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys >> _SHIFT, minlength=self.n),
+                  out=indptr[1:])
+        return indptr, keys & _MASK
 
 
 class ArtifactDelta:
@@ -633,7 +635,8 @@ class ArtifactDelta:
     additions and rewires — and leaves the bundle exactly as applying
     them one at a time would: same node order, same CSR, same counters.
     The index moves are replayed on plain integers; the CSR is then
-    rebuilt once per batch in numpy (see the module notes).
+    committed once per batch, in one native pass over the new slots or
+    by its numpy reference (see the module notes).
     :meth:`add_node`, :meth:`remove_node` and :meth:`rewire` are
     one-edit batches.
 

@@ -4,10 +4,10 @@ Every hot entry point of the library — the RNG limb kernels
 (``seed_lanes`` / ``draw_masked``), the election scan (``elect_batch``),
 the Part II ball walks (``ball_phase`` / ``ball_adopt``) and the
 coverage plane (``member_counts`` / ``member_counts_batch`` /
-``deficit_vector`` / ``scatter_cover``) and the columnar protocol
-plane's round reductions (``inbox_reduce`` / ``state_scatter``) —
-resolves its implementation here instead of probing ``repro._native``
-directly.  Two providers:
+``deficit_vector`` / ``scatter_cover``), the columnar protocol
+plane's round reductions (``inbox_reduce`` / ``state_scatter``) and
+the artifact edit commit (``csr_patch``) — resolves its implementation
+here instead of probing ``repro._native`` directly.  Two providers:
 
 - ``native`` — the compiled C kernels of :mod:`repro._native`
   (slab-threaded, ``REPRO_NATIVE_THREADS``); serves every entry point.
@@ -56,11 +56,12 @@ BACKENDS = ("auto", "native", "numpy")
 ENTRY_POINTS = ("seed_lanes", "draw_masked", "elect_batch", "ball_phase",
                 "ball_adopt", "member_counts", "member_counts_batch",
                 "deficit_vector", "scatter_cover", "inbox_reduce",
-                "state_scatter")
+                "state_scatter", "csr_patch")
 
 #: Entries whose native shim slab-threads (REPRO_NATIVE_THREADS); the
 #: ball walks and the frontier scatter are serial by design (their
-#: scatter targets overlap across work items).
+#: scatter targets overlap across work items), and so is the CSR patch
+#: (one walk whose write offsets depend on every earlier row).
 _THREADED_ENTRIES = frozenset({"seed_lanes", "draw_masked", "elect_batch",
                                "member_counts", "member_counts_batch",
                                "deficit_vector", "inbox_reduce",

@@ -175,7 +175,8 @@ class SynchronousNetwork:
         self._positions_loaded = False
         self._positions: Optional[Dict[NodeId, Tuple[float, float]]] = None
         self._edge_distance_cache: Dict[Tuple[NodeId, NodeId], float] = {}
-        self._gather_plan: Optional[GatherPlan] = None
+        # ``False`` until built (``None``: no plan, see gather_plan).
+        self._gather_plan = False
 
     # ------------------------------------------------------------------
     # Topology and geometry
@@ -277,12 +278,17 @@ class SynchronousNetwork:
         self._check_message(src, message)
         self._outbox.append((MULTICAST, src, dests, message))
 
-    def gather_plan(self) -> GatherPlan:
-        """The per-destination gather plan (built once per network)."""
-        if self._gather_plan is None:
+    def gather_plan(self) -> Optional[GatherPlan]:
+        """The per-destination gather plan (built once per network), or
+        ``None`` when the node labels do not sort naturally: the plan
+        gathers each inbox in the destination's own sorted neighbor
+        order, which is the send order only when that is the global
+        stable order restricted to the neighbors."""
+        if self._gather_plan is False:
             art = self._artifacts
-            self._gather_plan = GatherPlan(art.nodes, art.index,
-                                           art.sorted_neighbors)
+            self._gather_plan = (
+                GatherPlan(art.nodes, art.index, art.sorted_neighbors)
+                if art.stable_order()[2] else None)
         return self._gather_plan
 
     def drain_batch(self) -> RoundBatch:

@@ -62,9 +62,14 @@ class GatherPlan:
     C-level :func:`operator.itemgetter` per destination (built once per
     network, over the stable id-sorted neighbor order), instead of one
     Python-level append per delivered copy.  The gathered order (the
-    destination's id-sorted neighbors) equals the scatter order because
-    the runner advances senders in id-sorted order — the delivery-order
-    contract.
+    destination's id-sorted neighbors) is the scatter order only when
+    the node labels sort naturally: the runner advances senders in the
+    global stable order, and a natural order restricted to a node's
+    neighbors is their own sorted order.  Under the ``repr`` fallback it
+    need not be (on the graph {2-10, 2-'3', 10-'3', 2-5} the senders go
+    '3', 10, 2, 5, so '3' hears 10 before 2, while its int neighbors
+    sort as [2, 10]), and the network builds no plan
+    (:meth:`~repro.simulation.network.SynchronousNetwork.gather_plan`).
     """
 
     __slots__ = ("nodes", "index", "n", "gather", "degree")

@@ -17,9 +17,10 @@ from __future__ import annotations
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import _native
 from repro.dynamics import (
     LocalPatchRepair,
     MaintenanceLoop,
@@ -328,7 +329,23 @@ class TestBuild:
 
 
 class TestBatchedEdits:
-    @settings(max_examples=60, deadline=None)
+    """Batches against the per-event oracle, committed by the session's
+    kernel provider; the subclasses force each provider."""
+
+    #: ``REPRO_KERNEL_BACKEND`` for the class (None: the session's).
+    PROVIDER = None
+
+    @pytest.fixture(autouse=True)
+    def _provider(self, monkeypatch):
+        if self.PROVIDER == "native" and not _native.available():
+            pytest.skip("compiled kernels unavailable")
+        if self.PROVIDER is not None:
+            monkeypatch.setenv("REPRO_KERNEL_BACKEND", self.PROVIDER)
+
+    # The subclasses run this one method under another provider; an
+    # example does not depend on which instance runs it.
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.differing_executors])
     @given(graphs, st.data())
     def test_epochs_match_per_event_oracle(self, g, data):
         art, ref = _pair(g)
@@ -394,6 +411,19 @@ class TestBatchedEdits:
         _, delta, _, _ = pair
         with pytest.raises(GraphError, match="unknown artifact edit"):
             delta.apply([("move", 1)])
+
+
+class TestBatchedEditsNative(TestBatchedEdits):
+    """The same batches through the compiled ``csr_patch`` commit."""
+
+    PROVIDER = "native"
+
+
+class TestBatchedEditsNumpy(TestBatchedEdits):
+    """The same batches through the numpy reference commit
+    (``_Replay._resort``)."""
+
+    PROVIDER = "numpy"
 
 
 class TestDuplicateNeighbors:

@@ -482,6 +482,11 @@ class TestMessageTransportRepair:
         assert message.final_members == analytic.final_members
         assert (message.summary["messages_total"]
                 == analytic.summary["messages_total"])
+        # The analytic repair charges each message class's bits, as the
+        # real protocol's transport does.
+        for field in ("messages_sent", "bits_sent", "max_message_bits"):
+            assert (getattr(message.stats, field)
+                    == getattr(analytic.stats, field)), field
 
     def test_loss_inflates_rounds_but_not_coverage(self):
         lossless = run_scenario(

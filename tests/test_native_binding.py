@@ -29,6 +29,7 @@ import sys
 from pathlib import Path
 from unittest import mock
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -37,7 +38,7 @@ from hypothesis import strategies as st
 from repro import _native
 from repro.core import udg as udg_mod
 from repro.engine import dispatch, kernels
-from repro.engine.artifacts import graph_artifacts
+from repro.engine.artifacts import GraphArtifacts, graph_artifacts
 from repro.errors import KernelBackendError
 from repro.graphs.udg import random_udg
 from repro.simulation import columnar, vecrng
@@ -198,6 +199,21 @@ def _spec_state_scatter(dtype=np.float64):
     }, ("out",)
 
 
+def _spec_csr_patch():
+    # The batch [("remove", 0), ("add", 3, [2])] on the path 0 - 1 - 2:
+    # uid 2 moves into slot 0 and the new node takes slot 2.
+    return ["indptr", "indices", "final", "src", "keys", "out_indptr",
+            "out_indices"], {
+        "indptr": _INDPTR.copy(), "indices": _INDICES.copy(),
+        "final": np.array([-1, 1, 0], dtype=np.int64),
+        "src": np.array([2, 1, -1], dtype=np.int64),
+        "keys": np.array([2, (2 << 32) + 0, (2 << 32) + 2], dtype=np.int64),
+        "out_indptr": np.full(4, -7, dtype=np.int64),
+        # Exactly the copied rows plus the keys.
+        "out_indices": np.full(8, -7, dtype=np.int64),
+    }, ("out_indptr", "out_indices")
+
+
 #: (entry point, spec): args in call order (a string names an array),
 #: the arrays, and the names the kernel writes.
 SPECS = {
@@ -213,6 +229,7 @@ SPECS = {
     "inbox_reduce": _spec_inbox_reduce,
     "state_scatter": _spec_state_scatter,
     "state_scatter_u8": lambda: _spec_state_scatter(np.uint8),
+    "csr_patch": _spec_csr_patch,
 }
 
 #: A same-length stand-in of another item size.
@@ -299,6 +316,57 @@ def test_binding_refuses_bad_sizes_and_slabs():
     assert not cov.any()
 
 
+@needs_native
+def test_csr_patch_writes_the_patched_rows():
+    order, arrays, _ = _spec_csr_patch()
+    assert _call("csr_patch", order, arrays) == 7
+    assert arrays["out_indptr"].tolist() == [0, 3, 5, 7]
+    assert arrays["out_indices"][:7].tolist() == [0, 1, 2, 0, 1, 0, 2]
+
+
+#: Slot maps and keys csr_patch must refuse before writing: final and
+#: src not inverse (not injective), pointing past n0 or n1, rows outside
+#: the indices, and keys out of row order or range.
+_BAD_PATCHES = {
+    "src not injective": {"src": [2, 2, -1]},
+    "final not injective": {"final": [0, 1, 0], "src": [0, 1, -1]},
+    "final names an empty slot": {"src": [-1, 1, -1]},
+    "src past n0": {"final": [-1, 1, -1], "src": [3, 1, -1]},
+    "final past n1": {"final": [-1, 1, 3]},
+    "row past indices": {"indptr": [0, 2, 5, 9]},
+    "row reversed": {"indptr": [0, 2, 5, 4]},
+    "keys out of row order": {"keys": [(2 << 32) + 0, 2, (2 << 32) + 2]},
+    "key row past n1": {"keys": [2, (2 << 32) + 0, (3 << 32) + 2]},
+    "key column past n1": {"keys": [3, (2 << 32) + 0, (2 << 32) + 2]},
+    "negative key": {"keys": [-1, (2 << 32) + 0, (2 << 32) + 2]},
+}
+
+
+@needs_native
+@pytest.mark.parametrize("case", sorted(_BAD_PATCHES))
+def test_csr_patch_refuses_bad_slot_maps_and_keys(case):
+    order, arrays, written = _spec_csr_patch()
+    for name, value in _BAD_PATCHES[case].items():
+        arrays[name] = np.array(value, dtype=np.int64)
+    with pytest.raises(ValueError):
+        _call("csr_patch", order, arrays)
+    for w in written:
+        assert (arrays[w] == -7).all(), w
+
+
+@needs_native
+def test_csr_patch_bad_column_stays_inside_the_output():
+    # A copied row naming a uid past n0 is found mid-walk: the call
+    # raises, having written nothing past the output's capacity.
+    order, arrays, _ = _spec_csr_patch()
+    arrays["indices"] = np.array([0, 1, 0, 1, 9, 1, 2], dtype=np.int64)
+    guarded = np.full(8 + 4, -7, dtype=np.int64)
+    arrays["out_indices"] = guarded[:8]
+    with pytest.raises(IndexError, match="column"):
+        _call("csr_patch", order, arrays)
+    assert (guarded[8:] == -7).all()
+
+
 # ----------------------------------------------------------------------
 # Generated provider equality
 # ----------------------------------------------------------------------
@@ -347,6 +415,52 @@ GENERATED = settings(max_examples=30,
 
 def _graph(n, seed):
     return random_udg(n, density=8.0, seed=seed)
+
+
+#: Batch shapes the csr_patch test draws (see _batch).
+BATCHES = ("remove", "tail", "remove_all", "join", "rewire", "mix")
+
+
+def _batch(shape, nodes, loops, rng):
+    """One valid edit batch of ``shape`` over ``nodes`` (the artifact
+    order): crashes anywhere, crashes of the last-indexed nodes only
+    (no node moves), every node, joins, rewires, or a mix in which
+    removed nodes may rejoin."""
+    live = list(nodes)
+    if shape == "tail":
+        count = int(rng.integers(0, len(live) + 1))
+        return [("remove", v) for v in reversed(live[len(live) - count:])]
+    if shape in ("remove", "remove_all"):
+        count = len(live) if shape == "remove_all" \
+            else int(rng.integers(0, len(live) // 4 + 2))
+        picked = rng.permutation(len(live))[:count]
+        return [("remove", live[i]) for i in picked]
+    edits, gone, fresh = [], [], max(live, default=-1) + 1
+
+    def some(pool, most=8):
+        size = int(rng.integers(0, min(len(pool), most) + 1))
+        return [pool[i] for i in rng.permutation(len(pool))[:size]]
+
+    for _ in range(int(rng.integers(1, 24))):
+        op = shape if shape != "mix" else \
+            ("remove", "add", "rewire")[int(rng.integers(0, 3))]
+        if op == "remove" and live:
+            v = live.pop(int(rng.integers(0, len(live))))
+            gone.append(v)
+            edits.append(("remove", v))
+        elif op == "rewire" and live:
+            v = live[int(rng.integers(0, len(live)))]
+            if v not in loops:
+                edits.append(("rewire", v, some([w for w in live
+                                                 if w != v])))
+        else:
+            if gone and rng.random() < 0.5:
+                v = gone.pop(int(rng.integers(0, len(gone))))
+            else:
+                v, fresh = fresh, fresh + 1
+            edits.append(("add", v, some(live)))
+            live.append(v)
+    return edits
 
 
 @needs_native
@@ -492,6 +606,52 @@ class TestGeneratedProviderEquality:
 
         def run():
             return (columnar.inbox_reduce(indptr, values, mask, init),)
+
+        _assert_same(*_both(run))
+
+    @GENERATED
+    @given(n=sizes, seed=seeds, shape=st.sampled_from(BATCHES),
+           loops=st.integers(0, 3), epochs=st.integers(1, 3))
+    def test_csr_patch(self, n, seed, shape, loops, epochs):
+        # csr_patch is reached only through ArtifactDelta, whose numpy
+        # reference is _Replay._resort.
+        g = _graph(n, seed).nx.copy()
+        rng = np.random.default_rng(seed)
+        g.add_edges_from((v, v) for v in rng.permutation(n)[:loops].tolist())
+        looped = {v for v in g if g.has_edge(v, v)}
+        batches, art = [], GraphArtifacts(g)
+        for _ in range(epochs):  # edits valid on the evolving node set
+            batches.append(_batch(shape, art.nodes, looped, rng))
+            art.delta_patcher().apply(batches[-1])
+
+        def run():
+            art = GraphArtifacts(g)
+            out = []
+            for edits in batches:
+                handed = [a.copy() for a in art.closed_csr_arrays()]
+                arrays = art.closed_csr_arrays()
+                art.delta_patcher().apply(edits)
+                # A commit never writes into arrays it handed out.
+                assert all(np.array_equal(a, b)
+                           for a, b in zip(arrays, handed))
+                out += [art.indptr, art.indices, art.degrees,
+                        art.nodes_array(),
+                        np.array([art.n, art.m, art.delta_max, art._loops,
+                                  art.version > 0])]
+            return out
+
+        _assert_same(*_both(run))
+
+    def test_csr_patch_scrambled_rows(self):
+        # Removing the low half of a clique moves the high half into
+        # its slots in reverse, so every kept row comes out reversed:
+        # past the insertion sort's shift budget.
+        g = nx.complete_graph(40)
+
+        def run():
+            art = GraphArtifacts(g)
+            art.delta_patcher().apply([("remove", v) for v in range(20)])
+            return art.indptr, art.indices, art.nodes_array()
 
         _assert_same(*_both(run))
 

@@ -1,5 +1,6 @@
 """Unit tests for the SynchronousNetwork topology/delivery layer."""
 
+import networkx as nx
 import pytest
 
 from repro.core.fractional import ColorMsg
@@ -7,6 +8,7 @@ from repro.errors import GeometryError, ProtocolViolationError, SimulationError
 from repro.graphs.udg import random_udg
 from repro.simulation.network import SynchronousNetwork
 from repro.simulation.node import NodeProcess
+from repro.types import stable_sorted
 
 
 class Idle(NodeProcess):
@@ -116,6 +118,29 @@ class TestMessaging:
         msgs = [(0, 1, ColorMsg(gray=True)), (2, 1, ColorMsg(gray=False))]
         inboxes, _ = explicit_batch(msgs, net.sorted_neighbors).deliver()
         assert [src for src, _ in inboxes[1]] == [0, 2]
+
+    def test_full_broadcast_inbox_in_send_order_on_mixed_labels(self):
+        # Mixed labels sort by repr, so the senders go '3', 10, 2, 5,
+        # while the int neighbors of '3' sort as [2, 10] on their own.
+        # A full-broadcast round must hand '3' its inbox in send order,
+        # as the scatter path (any round with loss or crashes) does.
+        g = nx.Graph([(2, 10), (2, "3"), (10, "3"), (2, 5)])
+        net = _net(g)
+        order = stable_sorted(g.nodes)
+        assert order == ["3", 10, 2, 5]
+
+        def inboxes(plan):
+            for v in order:
+                net.make_context(v).broadcast(ColorMsg(gray=False))
+            batch = net.drain_batch()
+            if not plan:
+                batch.plan = None
+            boxes, _ = batch.deliver()
+            return {v: [src for src, _ in box] for v, box in boxes.items()}
+
+        full = inboxes(plan=True)
+        assert full["3"] == [10, 2]
+        assert full == inboxes(plan=False)
 
     def test_sorted_neighbors_stable(self, path4):
         net = _net(path4)
