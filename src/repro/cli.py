@@ -366,6 +366,7 @@ def _cmd_dynamics(args) -> int:
             "tail": result.timeline.to_dicts()[-max(0, args.tail):],
             "final_live": len(result.final_live),
             "final_members": len(result.final_members),
+            "verify": result.verify_paths,
         }
         pathlib.Path(args.json_path).write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -23,17 +23,24 @@ there is exactly one coverage-counting implementation in the codebase.
 :func:`coverage_vectors`, :func:`coverage_deficit_vector` and
 :func:`membership_mask` expose the raw index-aligned arrays for callers
 that want to stay in numpy.
+
+:func:`advance_coverage` carries an earlier :func:`coverage_vectors`
+result across one churn batch and a set of membership flips, working
+only on the rows they change; :func:`coverage_vectors` is its oracle,
+and the maintenance loop falls back to it whenever nothing exact can be
+carried.
 """
 
 from __future__ import annotations
 
 from collections.abc import Set
-from typing import AbstractSet, Dict, Iterable, List, Tuple, Union
+from typing import (AbstractSet, Dict, Iterable, List, Optional, Tuple,
+                    Union)
 
 import numpy as np
 
 from repro.engine import kernels
-from repro.engine.artifacts import GraphArtifacts
+from repro.engine.artifacts import GraphArtifacts, SlotMap
 from repro.errors import GraphError
 from repro.graphs.properties import as_nx
 from repro.types import CoverageMap, NodeId
@@ -154,6 +161,101 @@ def coverage_vectors(art: GraphArtifacts, members: Iterable[NodeId],
     deficit = kernels.deficit_vector(
         art, counts, _required(art, k),
         member_idx=mask if convention == "open" else None)
+    return mask, counts, deficit
+
+
+def row_positions(indptr: np.ndarray, rows: np.ndarray
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """The flat CSR positions of ``rows``' entries, row after row, and
+    each row's length."""
+    lo = indptr.take(rows)
+    lens = indptr.take(rows + 1) - lo
+    ends = np.cumsum(lens)
+    total = int(ends[-1]) if len(ends) else 0
+    pos = np.repeat(lo - (ends - lens), lens) \
+        + np.arange(total, dtype=np.int64)
+    return pos, lens
+
+
+def _scatter_open(counts: np.ndarray, art: GraphArtifacts, idx: np.ndarray,
+                  sign: int) -> None:
+    """Add ``sign`` to the open-convention count of every neighbor of
+    each node in ``idx``: over its closed row, minus its own entry."""
+    if idx.size:
+        kernels.scatter_cover(counts, art, idx, sign)
+        counts[idx] -= sign
+
+
+def advance_coverage(art: GraphArtifacts, mask: np.ndarray,
+                     counts: np.ndarray, k: Union[int, CoverageMap],
+                     members: AbstractSet[NodeId], *,
+                     slots: Optional[SlotMap] = None,
+                     changed: Iterable[NodeId] = ()
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`coverage_vectors` of ``members`` over ``art`` (open
+    convention), carried from an earlier verify's ``mask`` and
+    ``counts`` instead of recomputed.
+
+    The earlier vectors describe the bundle and the member set before
+    two changes, which apply in this order:
+
+    - ``slots``: one :class:`~repro.engine.artifacts.SlotMap` batch of
+      removals, additions and rewires, in which members left the set
+      only by removal.  Kept slots gather their old entries.  The old
+      rows of removed or rewired members lose one, the new rows of
+      added or rewired members gain one, and only the new rows are
+      recounted (their membership is read from ``members``);
+    - ``changed``: the nodes whose membership may have flipped since;
+      every other node kept its own (ids absent from ``art`` are
+      skipped).  A flip adds or takes one over the node's closed row,
+      minus its own entry (:func:`~repro.engine.kernels.scatter_cover`).
+
+    Beyond a few O(n) gathers, the work is O(touched rows).  The input
+    arrays are never written, so vectors handed out earlier stay valid.
+    Bundles with self-loops are outside the contract.
+    """
+    owned = slots is not None  # the churn step writes new arrays
+    if slots is not None:
+        final, src = slots.final, slots.src
+        lost = np.flatnonzero((final < 0) & mask)
+        fresh = np.flatnonzero(src < 0)
+        if len(mask):
+            # A new row's -1 reads the last old entry; it is reset below.
+            mask, counts = mask.take(src), counts.take(src)
+        else:
+            mask = np.zeros(art.n, dtype=bool)
+            counts = np.zeros(art.n, dtype=np.int64)
+        nodes = art.nodes
+        mask[fresh] = [nodes[i] in members for i in fresh.tolist()]
+        if lost.size:
+            pos, _ = row_positions(slots.indptr, lost)
+            hit = final.take(slots.indices.take(pos))
+            np.subtract.at(counts, hit.compress(hit >= 0), 1)
+        _scatter_open(counts, art, fresh.compress(mask.take(fresh)), 1)
+        if fresh.size:
+            # Every closed row holds its diagonal entry, so no row is
+            # empty and the segment starts are strictly increasing.
+            pos, lens = row_positions(art.indptr, fresh)
+            cols = art.indices.take(pos)
+            hits = mask.take(cols) & (cols != np.repeat(fresh, lens))
+            counts[fresh] = np.add.reduceat(hits, np.cumsum(lens) - lens,
+                                            dtype=np.int64)
+    index = art.index
+    idx = np.unique(np.fromiter((index[v] for v in changed if v in index),
+                                dtype=np.int64))
+    if idx.size:
+        nodes = art.nodes
+        now = np.fromiter((nodes[i] in members for i in idx.tolist()),
+                          dtype=bool, count=idx.size)
+        flip = now != mask.take(idx)
+        if flip.any():
+            if not owned:
+                mask, counts = mask.copy(), counts.copy()
+            mask[idx[flip]] = now[flip]
+            _scatter_open(counts, art, idx[flip & now], 1)
+            _scatter_open(counts, art, idx[flip & ~now], -1)
+    deficit = kernels.deficit_vector(art, counts, _required(art, k),
+                                     member_idx=mask)
     return mask, counts, deficit
 
 

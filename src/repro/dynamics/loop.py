@@ -6,17 +6,34 @@ under a :class:`~repro.dynamics.repair.RepairPolicy`.  Each epoch:
 1. the scenario's event streams fire and the
    :class:`~repro.dynamics.state.NetworkState` absorbs them (crashes
    shrink the dominator set — the damage);
-2. the coverage deficit of the live graph is measured with the
-   :mod:`repro.core.verify` oracle (open convention — live non-members
-   need ``k`` live dominator neighbors).  On an incremental state this
-   is one CSR matvec over the live
-   :class:`~repro.engine.artifacts.GraphArtifacts` instead of a Python
-   loop over every adjacency;
+2. the coverage deficit of the live graph is measured (open convention
+   — live non-members need ``k`` live dominator neighbors).  On an
+   incremental state the loop carries its last verify's coverage
+   vectors through the churn batch's
+   :class:`~repro.engine.artifacts.SlotMap`
+   (:func:`repro.core.verify.advance_coverage`): only the rows of
+   removed, added and rewired nodes are touched;
 3. the repair policy turns the deficit into a membership delta, charging
    its rounds and messages on the shared engine
    :class:`~repro.engine.instrumentation.Instrumentation`;
-4. the loop applies the delta, re-verifies, and appends an
+4. the loop applies the delta, re-verifies by carrying the vectors
+   through its own promotions and demotions (one scatter over their
+   closed rows), and appends an
    :class:`~repro.dynamics.metrics.EpochRecord` to the timeline.
+
+Verify paths
+------------
+A crash or a promotion changes coverage only inside its own closed
+neighborhood, so a carry is exact; the full verify
+(:func:`repro.core.verify.coverage_vectors`, one mask and one CSR
+matvec) is its oracle and runs instead whenever nothing exact can be
+carried: for the state's first verify (in :meth:`MaintenanceLoop.start`),
+after an artifact rebuild (a bulk move), on a bundle with self-loops,
+when the member set changed in a way the loop's own changes do not
+explain (``members_version`` moves once per crash and once per
+``promote`` / ``demote`` call), and on a non-incremental state, whose
+verify is the per-node oracle.  :attr:`MaintenanceLoop.verify_paths`
+counts each path, and the run's :class:`DynamicsResult` reports it.
 
 Sharded repair
 --------------
@@ -44,13 +61,15 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.core.verify import coverage_deficit, coverage_vectors
+from repro.core.verify import (advance_coverage, coverage_deficit,
+                               coverage_vectors)
 from repro.dynamics.demotion import DemotionOutcome, SurplusDemotion
 from repro.dynamics.metrics import DynamicsTimeline, EpochRecord
 from repro.dynamics.repair import RepairOutcome, RepairPolicy
 from repro.dynamics.scenario import Scenario
 from repro.dynamics.sharding import assign_shards, damage_units
 from repro.dynamics.state import NetworkState
+from repro.engine.artifacts import SlotMap
 from repro.engine.instrumentation import Instrumentation
 from repro.errors import ServiceError, ShardingError
 from repro.simulation.rng import spawn_named_rngs
@@ -58,6 +77,11 @@ from repro.types import NodeId, RunStats, stable_sorted
 
 #: Valid shard-dispatch executors for :class:`MaintenanceLoop`.
 EXECUTORS = ("thread", "process")
+
+#: Why a verify ran in full instead of carrying the last one's vectors
+#: (see the module notes).
+FULL_VERIFY_REASONS = ("first", "rebuild", "self-loops", "members",
+                       "not-incremental")
 
 
 class _ArtifactGraphView:
@@ -100,9 +124,10 @@ class VerifiedCoverage:
     describe: the artifacts version, the state's ``members_version`` and
     ``k`` they were computed at.
 
-    The loop keeps its last verify's vectors so the service's snapshot
-    capture can adopt them instead of recomputing the same mask, matvec
-    and deficit (:meth:`MaintenanceLoop.take_verified`).
+    The loop carries its last verify's vectors into the next one, and
+    the service's snapshot capture adopts them instead of recomputing
+    the same mask, matvec and deficit
+    (:meth:`MaintenanceLoop.take_verified`).
     """
 
     version: int
@@ -134,6 +159,8 @@ class DynamicsResult:
     stats: RunStats
     #: Summary aggregates (see :meth:`DynamicsTimeline.summary`).
     summary: Dict[str, float] = field(default_factory=dict)
+    #: Verifies by path (:attr:`MaintenanceLoop.verify_paths`).
+    verify_paths: Dict[str, object] = field(default_factory=dict)
 
     @property
     def always_covered(self) -> bool:
@@ -243,7 +270,22 @@ class MaintenanceLoop:
         self._state: Optional[NetworkState] = None
         self._timeline: Optional[DynamicsTimeline] = None
         self._epoch = 0
+        self._reset_verify()
+
+    def _reset_verify(self) -> None:
+        # The last verify's vectors: carried into the next verify, and
+        # handed over once (take_verified).
+        self._coverage: Optional[VerifiedCoverage] = None
         self._verified: Optional[VerifiedCoverage] = None
+        # What changed since that verify, as far as the loop knows: the
+        # churn batch's slot map (dropped once carried, since it holds
+        # the old CSR), the nodes it promoted or demoted, and the
+        # ``members_version`` bumps those explain.
+        self._slots: Optional[SlotMap] = None
+        self._changed: Set[NodeId] = set()
+        self._bumps = 0
+        self._carried = 0
+        self._full = dict.fromkeys(FULL_VERIFY_REASONS, 0)
 
     # ------------------------------------------------------------------
     # Resident stepping API (the service layer drives epochs one by one)
@@ -265,13 +307,22 @@ class MaintenanceLoop:
         """Epochs executed since the last :meth:`start`."""
         return self._epoch
 
+    @property
+    def verify_paths(self) -> Dict[str, object]:
+        """Verifies since the last :meth:`start`, by path:
+        ``{"carried": c, "full": {reason: count}}`` over
+        :data:`FULL_VERIFY_REASONS`."""
+        return {"carried": self._carried, "full": dict(self._full)}
+
     def start(self) -> NetworkState:
         """Arm (or re-arm) the loop for resident stepping.
 
         Builds the deployment's :class:`NetworkState` and an empty
-        timeline; any previous resident run is discarded.  :meth:`run`
-        calls this internally — use it directly only when stepping
-        epochs one at a time (e.g. from :mod:`repro.service`).
+        timeline; any previous resident run is discarded.  On an
+        incremental state it runs the state's first (full) verify, which
+        epoch 0 carries and :meth:`take_verified` hands over.
+        :meth:`run` calls this internally — use it directly only when
+        stepping epochs one at a time (e.g. from :mod:`repro.service`).
         """
         scenario = self.scenario
         state = NetworkState.from_udg(scenario.initial,
@@ -286,7 +337,9 @@ class MaintenanceLoop:
         self._state = state
         self._timeline = DynamicsTimeline()
         self._epoch = 0
-        self._verified = None
+        self._reset_verify()
+        if self.incremental:
+            self._shortfalls(state, scenario.k)
         return state
 
     def step(self) -> EpochRecord:
@@ -315,14 +368,16 @@ class MaintenanceLoop:
             final_members=set(self._state.members),
             final_live=set(self._state.alive),
             stats=self.instr.stats,
+            verify_paths=self.verify_paths,
         )
         result.summary = self._timeline.summary()
         return result
 
     def take_verified(self) -> Optional[VerifiedCoverage]:
-        """Hand over the last verify's coverage vectors and forget them
-        (``None`` if none were kept since the last hand-over; only an
-        incremental state's verify keeps them)."""
+        """Hand over the last verify's coverage vectors, once (``None``
+        if none were kept since the last hand-over; only an incremental
+        state's verify keeps them).  The loop keeps its own reference
+        to carry into its next verify, which never writes the arrays."""
         verified, self._verified = self._verified, None
         return verified
 
@@ -345,23 +400,62 @@ class MaintenanceLoop:
             self.close()
 
     # ------------------------------------------------------------------
-    # Deficit measurement (vectorized on incremental states)
+    # Deficit measurement (carried on incremental states)
     # ------------------------------------------------------------------
     def _shortfalls(self, state: NetworkState, k) -> Dict[NodeId, int]:
-        """Deficient node -> shortfall over the live topology.  On an
-        incremental state the coverage vectors are kept for
+        """Deficient node -> shortfall over the live topology: the one
+        verify entry point.  On an incremental state it carries the last
+        verify's coverage vectors where it can (see the module notes)
+        and keeps the result for the next verify and for
         :meth:`take_verified`."""
-        if state.incremental:
-            art = state.artifacts()
+        if not state.incremental:
+            self._full["not-incremental"] += 1
+            deficit = coverage_deficit(state.graph(), state.members, k,
+                                       convention="open")
+            return {v: d for v, d in deficit.items() if d > 0}
+        art = state.artifacts()
+        reason = self._carry_blocker(art, state)
+        if reason is None:
+            kept = self._coverage
+            mask, counts, vec = advance_coverage(
+                art, kept.mask, kept.counts, k, state.members,
+                slots=self._slots, changed=self._changed)
+            self._carried += 1
+        else:
             mask, counts, vec = coverage_vectors(art, state.members, k,
                                                  convention="open")
-            self._verified = VerifiedCoverage(
-                art.version, state.members_version, k, mask, counts, vec)
-            nodes = art.nodes
-            return {nodes[i]: int(vec[i]) for i in np.nonzero(vec)[0]}
-        deficit = coverage_deficit(state.graph(), state.members, k,
-                                   convention="open")
-        return {v: d for v, d in deficit.items() if d > 0}
+            self._full[reason] += 1
+        self._slots = None
+        self._changed = set()
+        self._bumps = 0
+        self._coverage = self._verified = VerifiedCoverage(
+            art.version, state.members_version, k, mask, counts, vec)
+        short = np.flatnonzero(vec)
+        return dict(zip(map(art.nodes.__getitem__, short.tolist()),
+                        vec.take(short).tolist()))
+
+    def _carry_blocker(self, art, state: NetworkState) -> Optional[str]:
+        """Why the last verify's vectors cannot be carried to ``art``
+        and the state's members (a full verify's reason), or ``None``."""
+        kept, slots = self._coverage, self._slots
+        if kept is None:
+            return "first"
+        start, end = ((kept.version, kept.version) if slots is None
+                      else (slots.version, slots.after))
+        if kept.version != start or end != art.version:
+            return "rebuild"
+        if art.self_loops:
+            return "self-loops"
+        if state.members_version != kept.members_version + self._bumps:
+            return "members"
+        return None
+
+    def _change_members(self, state: NetworkState, nodes: Set[NodeId], *,
+                        promote: bool) -> None:
+        """Promote or demote ``nodes`` and note it for the next carry."""
+        (state.promote if promote else state.demote)(nodes)
+        self._changed |= nodes
+        self._bumps += 1
 
     # ------------------------------------------------------------------
     # Sharded repair plan
@@ -452,8 +546,9 @@ class MaintenanceLoop:
         crashes_before = state.total_crashes
         joins_before = state.total_joins
         moves_before = state.total_moves
-        state.apply_all(events)
+        self._slots = state.apply_all(events)
         crashes = state.total_crashes - crashes_before
+        self._bumps += crashes  # one members_version bump per crash
         joins = state.total_joins - joins_before
         moved = state.total_moves > moves_before
 
@@ -475,9 +570,9 @@ class MaintenanceLoop:
                                          rng=self._rng, instr=self.instr)
             units, shards_active = (1 if shortfalls else 0), 0
         if outcome.demoted:
-            state.demote(outcome.demoted)
+            self._change_members(state, outcome.demoted, promote=False)
         if outcome.promoted:
-            state.promote(outcome.promoted)
+            self._change_members(state, outcome.promoted, promote=True)
 
         # (3b) decay: retire dominators the restored coverage no longer
         # needs (safe by construction — see repro.dynamics.demotion).
@@ -485,7 +580,7 @@ class MaintenanceLoop:
         if self.demoter is not None:
             decay = self.demoter.demote(state, k, instr=self.instr)
             if decay.demoted:
-                state.demote(decay.demoted)
+                self._change_members(state, decay.demoted, promote=False)
 
         # (4) verify the transition.
         deficient_after = len(self._shortfalls(state, k))

@@ -212,7 +212,10 @@ class LocalPatchRepair(RepairPolicy):
         if not deficient:
             return outcome
         outcome.repaired = True
-        members = set(state.members)
+        # The members as the call goes: the state's (read, not copied —
+        # the sharded loop calls this once per damage unit) plus the
+        # call's own promotions.
+        members = state.members
         promoted: Set[NodeId] = set()
         touched: Set[NodeId] = set()
         # The graph does not change during the call: sort each row once.
@@ -240,7 +243,7 @@ class LocalPatchRepair(RepairPolicy):
             # (2) adoption: each dominator adjacent to a deficient node
             # picks up to k of its deficient neighbors.
             helpers = sorted({w for u in deficient for w in nbrs(u)
-                              if w in members})
+                              if w in members or w in promoted})
             for leader in helpers:
                 candidates = [u for u in nbrs(leader) if u in deficient]
                 if not candidates:
@@ -251,11 +254,10 @@ class LocalPatchRepair(RepairPolicy):
             # Orphaned deficient nodes (no live dominator neighbor) heard
             # no adoption offer: they time out and self-promote.
             for u in sorted(deficient):
-                if not any(w in members for w in nbrs(u)):
+                if not any(w in members or w in promoted for w in nbrs(u)):
                     picks.add(u)
             # (3) promotion announcements + local coverage updates.
             for p in sorted(picks):
-                members.add(p)
                 promoted.add(p)
                 deficient.pop(p, None)  # members are exempt (open conv.)
                 neighborhood = nbrs(p)
@@ -295,7 +297,7 @@ class LocalPatchRepair(RepairPolicy):
         if not deficient:
             return outcome
         outcome.repaired = True
-        members = set(state.members)
+        members = state.members
 
         # Participants: the deficient nodes and their 1-hop balls.  Every
         # message of the patch protocol travels an edge incident to a

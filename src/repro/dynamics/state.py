@@ -35,7 +35,9 @@ records one artifact edit — a removal, an addition with the neighbors
 the hash finds among the nodes live at that moment, or a rewire.
 :meth:`NetworkState.apply_all` hands its events' edits to the live
 :class:`~repro.engine.artifacts.ArtifactDelta` as one batch at its end,
-so the live CSR is rebuilt once per epoch, not once per event.  Only a
+so the live CSR is rebuilt once per epoch, not once per event, and
+returns the batch's :class:`~repro.engine.artifacts.SlotMap` (what the
+maintenance loop carries its coverage vectors through).  Only a
 bulk move (full-network mobility, more than ``_MOVE_PATCH_FRACTION`` of
 the nodes) falls back to a from-scratch rebuild; it drops the live
 artifacts, pending edits included.  ``incremental=False`` restores the
@@ -45,7 +47,7 @@ rebuild-on-change behavior (kept as the scaling benchmark's baseline).
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import networkx as nx
 import numpy as np
@@ -57,7 +59,7 @@ from repro.dynamics.events import (
     JoinEvent,
     MoveEvent,
 )
-from repro.engine.artifacts import (ArtifactDelta, GraphArtifacts,
+from repro.engine.artifacts import (ArtifactDelta, GraphArtifacts, SlotMap,
                                     graph_artifacts, touch)
 from repro.errors import GraphError
 from repro.graphs.udg import UnitDiskGraph
@@ -271,10 +273,14 @@ class NetworkState:
         """Interpret one churn event (see :mod:`repro.dynamics.events`)."""
         self.apply_all([event])
 
-    def apply_all(self, events: Iterable[Event]) -> None:
+    def apply_all(self, events: Iterable[Event]) -> Optional[SlotMap]:
         """Interpret ``events`` in order, then edit the live artifacts
         once with every edit they recorded (also when an event raises:
-        the events before it stay applied)."""
+        the events before it stay applied).
+
+        Returns that edit's :class:`~repro.engine.artifacts.SlotMap`, or
+        ``None`` when no edit was recorded (no live artifacts, or no
+        event changed the topology)."""
         try:
             for event in events:
                 if isinstance(event, CrashEvent):
@@ -290,7 +296,8 @@ class NetworkState:
                         f"unknown event type {type(event).__name__}"
                     )
         finally:
-            self._flush_edits()
+            slots = self._flush_edits()
+        return slots
 
     def _edit(self, edit: Tuple) -> None:
         """Record one artifact edit for the current batch."""
@@ -298,10 +305,9 @@ class NetworkState:
             self._pending_edits.append(edit)
             self.artifact_patches += 1
 
-    def _flush_edits(self) -> None:
+    def _flush_edits(self) -> Optional[SlotMap]:
         edits, self._pending_edits = self._pending_edits, []
-        if edits:
-            self._live_delta.apply(edits)
+        return self._live_delta.apply(edits) if edits else None
 
     def _crash(self, node: NodeId) -> None:
         if node not in self.alive:

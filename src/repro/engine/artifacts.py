@@ -38,7 +38,9 @@ the compiled kernels, ``_Replay._resort`` (its numpy reference)
 relabels every entry and restores row order with one stable sort.  An
 edit allocates new arrays and never writes into ones it handed out, so
 published snapshots and shared-memory exports may alias them.  Each
-edit counts as one patch.
+edit counts as one patch.  ``apply`` returns the batch's
+:class:`SlotMap`, which index-aligned vectors over the old bundle
+follow to the new one (:func:`repro.core.verify.advance_coverage`).
 
 Edited artifacts maintain their *own* node order: removing a node moves
 the last-indexed node into the freed slot, so the ``nodes`` list may be
@@ -73,7 +75,8 @@ from __future__ import annotations
 import copy
 import itertools
 import weakref
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 import networkx as nx
 import numpy as np
@@ -413,6 +416,12 @@ class GraphArtifacts:
             self._open_csr = (indptr, self.indices[keep])
         return self._open_csr
 
+    @property
+    def self_loops(self) -> int:
+        """The number of self-loop edges (a loop's row holds its node
+        twice)."""
+        return self._loops
+
     def fingerprint(self) -> Tuple[int, int]:
         """The (n, m) pair used as the cache's legacy safety net."""
         return (self.n, self.m)
@@ -433,6 +442,26 @@ def _pairs(mapping: Dict[int, int]) -> np.ndarray:
 #: One :meth:`ArtifactDelta.apply` edit: ``("remove", node)``,
 #: ``("add", node, neighbors)`` or ``("rewire", node, neighbors)``.
 Edit = Tuple
+
+
+class SlotMap(NamedTuple):
+    """How one :meth:`ArtifactDelta.apply` batch moved the bundle's rows.
+
+    ``final[i]`` is the new slot of the node at old index ``i``, or -1
+    once it was removed or rewired (its row was dropped);
+    ``src[s]`` is the old index whose row new slot ``s`` keeps, or -1
+    for a new row (an added or rewired node).  ``indptr`` / ``indices``
+    are the closed CSR before the batch, ``version`` and ``after`` the
+    bundle's versions before and after it.  Holding the map holds the
+    old CSR: drop it once read.
+    """
+
+    version: int
+    after: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    final: np.ndarray
+    src: np.ndarray
 
 
 class _Replay:
@@ -525,9 +554,10 @@ class _Replay:
             raise GraphError(f"unknown artifact edit {op!r}")
         self.time += 1
 
-    def commit(self) -> None:
+    def commit(self) -> SlotMap:
         """Rebuild the bundle's arrays for the replayed edits (new
-        arrays; the old ones are never written)."""
+        arrays; the old ones are never written) and return the batch's
+        slot map."""
         art, n0, n1 = self.art, self.n0, self.n
         slot, reset = self.slot, self.reset
         rewired = [u for u in reset if u < n0]
@@ -552,9 +582,15 @@ class _Replay:
         olds = olds[olds[:, 0] < n0]
         final[olds[:, 0]] = olds[:, 1]
         final[rewired] = -1
+        # Slot -> the old uid whose row it keeps (-1: a new row).
+        src = np.full(n1, -1, dtype=np.int64)
+        live = np.flatnonzero(final >= 0)
+        src[final[live]] = live
+        version, old_indptr, old_indices = (art.version, art.indptr,
+                                            art.indices)
         impl = dispatch.kernel("csr_patch")
         indptr, indices = (self._resort(final, new_keys) if impl is None
-                           else self._patch(impl, final, new_keys))
+                           else self._patch(impl, final, src, new_keys))
         degrees = np.diff(indptr) - 1
         if art._loops:
             art._loops = int(np.count_nonzero(
@@ -580,18 +616,17 @@ class _Replay:
         art._nodes_array = ids
         art.version = next(_VERSIONS)
         art._clear_derived()
+        return SlotMap(version, art.version, old_indptr, old_indices, final,
+                       src)
 
-    def _patch(self, impl, final: np.ndarray, new_keys: np.ndarray
-               ) -> Tuple[np.ndarray, np.ndarray]:
+    def _patch(self, impl, final: np.ndarray, src: np.ndarray,
+               new_keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """The closed CSR ``(indptr, indices)`` after the batch, from
         the ``csr_patch`` kernel: one walk over the new slots that
-        copies each kept row through ``final``, appends the slot's new
-        keys and sorts only the rows that came out of order."""
+        copies each kept row through ``final`` (``src`` is its
+        inverse), appends the slot's new keys and sorts only the rows
+        that came out of order."""
         art, n1 = self.art, self.n
-        # Slot -> the old uid whose row it keeps (-1: a new row).
-        src = np.full(n1, -1, dtype=np.int64)
-        live = np.flatnonzero(final >= 0)
-        src[final[live]] = live
         indptr = np.empty(n1 + 1, dtype=np.int64)
         indices = np.empty(len(art.indices) + len(new_keys), dtype=np.int64)
         total = impl(art.indptr, art.indices, final, src, new_keys, indptr,
@@ -657,8 +692,9 @@ class ArtifactDelta:
         if artifacts._source is not None:
             _CACHE.pop(_cache_key(artifacts._source), None)
 
-    def apply(self, edits: Iterable[Edit]) -> None:
-        """Apply ``edits`` in order as one batch.
+    def apply(self, edits: Iterable[Edit]) -> Optional[SlotMap]:
+        """Apply ``edits`` in order as one batch; returns its
+        :class:`SlotMap` (``None`` for an empty batch).
 
         Each edit counts as one patch.  An added or rewired node's
         neighbors must be present, and distinct, when its edit runs
@@ -667,14 +703,16 @@ class ArtifactDelta:
         and the rest are not.
         """
         replay = _Replay(self.art)
+        slots = None
         try:
             for edit in edits:
                 replay(edit)
         finally:
             if replay.time:
-                replay.commit()
+                slots = replay.commit()
                 self.patches += replay.time
                 _STATS["delta_patches"] += replay.time
+        return slots
 
     def add_node(self, node: NodeId, neighbors: Iterable[NodeId]) -> None:
         """Append ``node`` with edges to ``neighbors`` (all present,

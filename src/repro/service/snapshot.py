@@ -63,8 +63,8 @@ from typing import Dict, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.verify import coverage_vectors, row_positions
 from repro.engine.artifacts import id_index_table
-from repro.engine.kernels import deficit_vector, member_counts, member_mask
 
 if TYPE_CHECKING:  # pragma: no cover
     import networkx as nx
@@ -80,19 +80,6 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     view = arr.view()
     view.flags.writeable = False
     return view
-
-
-def _row_positions(indptr: np.ndarray, rows: np.ndarray
-                   ) -> Tuple[np.ndarray, np.ndarray]:
-    """The flat CSR positions of ``rows``' entries, row after row, and
-    each row's length."""
-    lo = indptr.take(rows)
-    lens = indptr.take(rows + 1) - lo
-    ends = np.cumsum(lens)
-    total = int(ends[-1]) if len(ends) else 0
-    pos = np.repeat(lo - (ends - lens), lens) \
-        + np.arange(total, dtype=np.int64)
-    return pos, lens
 
 
 def _segment_min(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -196,9 +183,7 @@ class EpochSnapshot:
             mask, counts, deficit = (verified.mask, verified.counts,
                                      verified.deficit)
         else:
-            mask = member_mask(art, state.members)
-            counts = member_counts(art, indicator=mask, convention="open")
-            deficit = deficit_vector(art, counts, k, member_idx=mask)
+            mask, counts, deficit = coverage_vectors(art, state.members, k)
         snap = cls(epoch=epoch, k=k, nodes=nodes, indptr=indptr,
                    indices=indices, member_mask=mask, coverage=counts,
                    deficit=deficit, id_lookup=art.id_lookup())
@@ -375,7 +360,7 @@ class EpochSnapshot:
         moved = old != np.arange(n, dtype=np.int64)
         seeds = np.flatnonzero((mask != was) | (mask & moved))
         dirty = fresh.copy()
-        pos, _ = _row_positions(self.indptr, seeds)
+        pos, _ = row_positions(self.indptr, seeds)
         dirty[self.indices.take(pos)] = True
         # Crashed members: the predecessor's members without a row here.
         # Their predecessor neighborhoods map to rows here by id.
@@ -383,7 +368,7 @@ class EpochSnapshot:
         crashed = members.compress(
             self.index_of(previous.nodes.take(members)) < 0)
         if crashed.size:
-            pos, _ = _row_positions(previous.indptr, crashed)
+            pos, _ = row_positions(previous.indptr, crashed)
             hit = self.index_of(previous.nodes.take(
                 previous.indices.take(pos)))
             dirty[hit[hit >= 0]] = True
@@ -391,7 +376,7 @@ class EpochSnapshot:
 
         # The rebuilt rows, back to back: their member entries off the
         # diagonal, as ids.
-        pos, lens = _row_positions(self.indptr, rows)
+        pos, lens = row_positions(self.indptr, rows)
         cols = self.indices.take(pos)
         keep = mask.take(cols) & (cols != np.repeat(rows, lens))
         kept_before = np.zeros(len(keep) + 1, dtype=np.int64)

@@ -9,7 +9,8 @@ field and position for position, on generated graphs and generated
 mixed edit batches — plus the explicit corner cases of one batch: a
 crash and rejoin of the same id, a join next to a node that crashes
 later, a rewire onto such a node, removing every node, and an empty
-batch.
+batch.  Every batch's returned slot map is pinned to the per-event
+replay too.
 """
 
 from __future__ import annotations
@@ -280,11 +281,32 @@ def _pair(graph: nx.Graph):
     return art, ref
 
 
+def assert_slot_map(slots, edits, old_nodes, ref: ReferenceArtifacts,
+                    old_csr, version: int, art: GraphArtifacts) -> None:
+    """The batch's :class:`SlotMap` against the per-edit replay: a node
+    present before the batch keeps its row, at its final slot, unless
+    an edit of the batch removed or rewired it."""
+    if not edits:
+        assert slots is None
+        return
+    dropped = {e[1] for e in edits if e[0] != "add"}
+    final = np.asarray([-1 if v in dropped else ref.index[v]
+                        for v in old_nodes], dtype=np.int64)
+    src = np.full(ref.n, -1, dtype=np.int64)
+    src[final[final >= 0]] = np.flatnonzero(final >= 0)
+    for got, want in ((slots.final, final), (slots.src, src)):
+        np.testing.assert_array_equal(got, want)
+        assert got.dtype == np.int64
+    assert slots.indptr is old_csr[0] and slots.indices is old_csr[1]
+    assert (slots.version, slots.after) == (version, art.version)
+
+
 def _apply_both(art, delta, ref, oracle, edits) -> None:
     before = cache_stats()["delta_patches"]
     handed = [a.copy() for a in (*art.closed_csr_arrays(), art.degrees)]
     arrays = [*art.closed_csr_arrays(), art.degrees]
-    delta.apply(edits)
+    version, old_nodes = art.version, list(ref.nodes)
+    slots = delta.apply(edits)
     oracle.apply(edits)
     assert cache_stats()["delta_patches"] == before + len(edits)
     assert delta.patches == oracle.patches
@@ -292,6 +314,7 @@ def _apply_both(art, delta, ref, oracle, edits) -> None:
     for a, copy in zip(arrays, handed):
         np.testing.assert_array_equal(a, copy)
     assert_same(art, ref)
+    assert_slot_map(slots, edits, old_nodes, ref, arrays, version, art)
 
 
 class TestBuild:

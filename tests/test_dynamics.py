@@ -1,7 +1,10 @@
 """Tests for the repro.dynamics self-healing maintenance subsystem."""
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.udg import solve_kmds_udg
 from repro.core.verify import coverage_deficit, is_k_dominating_set
@@ -487,6 +490,34 @@ class TestMessageTransportRepair:
         for field in ("messages_sent", "bits_sent", "max_message_bits"):
             assert (getattr(message.stats, field)
                     == getattr(analytic.stats, field)), field
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 16), st.integers(6, 30),
+           st.floats(0.2, 0.6), st.integers(2, 4))
+    def test_analytic_rule_matches_protocol_on_random_damage(
+            self, seed, n, p, k):
+        """One repair call on a random graph and member set: the analytic
+        rule promotes the nodes, and charges the messages, that the
+        lossless protocol does — over every iteration, so a node
+        promoted in one iteration adopts in the next on both sides.
+        Sparse members and k >= 2 make about one call in ten need a
+        second iteration."""
+        g = nx.gnp_random_graph(n, p, seed=seed)
+        rng = np.random.default_rng(seed)
+        members = {v for v in g if rng.random() < 0.15}
+        deficit = {v: d for v, d in coverage_deficit(g, members, k).items()
+                   if d > 0}
+        state = NetworkState({v: (0.0, 0.0) for v in g}, members=members)
+        outcomes = [
+            LocalPatchRepair("by-id", transport=transport, patience=10
+                             ).repair(state, g, deficit, k,
+                                      rng=np.random.default_rng(0),
+                                      instr=Instrumentation.for_n(n))
+            for transport in ("analytic", "message")]
+        analytic, message = outcomes
+        assert analytic.promoted == message.promoted
+        assert analytic.messages == message.messages
+        assert state.members == members  # policies never write the state
 
     def test_loss_inflates_rounds_but_not_coverage(self):
         lossless = run_scenario(

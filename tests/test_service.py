@@ -12,7 +12,10 @@ Pinned guarantees:
   batches with :class:`QueryError`;
 - ``executor="process"`` produces a **bit-identical timeline** to the
   sequential and thread-pool loops for every ``(shards, workers)``
-  configuration (the acceptance criterion of the service PR);
+  configuration (the acceptance criterion of the service PR); a
+  worker killed between epochs fails the next sharded epoch with
+  ``BrokenProcessPool``, and ``close()`` still frees the pool's shared
+  memory;
 - the resident stepping API (``start``/``step``/``finish``) replays
   ``run()`` exactly, and the daemon lifecycle (submit/drain/signals)
   behaves.
@@ -20,11 +23,15 @@ Pinned guarantees:
 
 from __future__ import annotations
 
+import glob
 import json
+import os
 import signal
 import sys
 import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
+from multiprocessing.connection import wait
 
 import numpy as np
 import pytest
@@ -345,6 +352,31 @@ class TestProcessExecutor:
         second = loop.run()  # pool is re-created lazily
         assert len(list(first.timeline)) == 4
         assert len(list(second.timeline)) == 4
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/shm"),
+                        reason="no /dev/shm to inspect")
+    def test_killed_worker_fails_loudly_and_cleans_up(self):
+        """A worker killed between epochs breaks the next sharded epoch
+        with ``BrokenProcessPool``, and ``close()`` still frees every
+        shared-memory segment of the pool's store."""
+        loop = MaintenanceLoop(_scenario(epochs=6, kill=0.6),
+                               LocalPatchRepair(), shards=2, workers=2,
+                               executor="process")
+        try:
+            loop.start()
+            while loop._procpool is None:  # the first sharded repair
+                loop.step()
+            pool = loop._procpool
+            prefix = pool._store._prefix
+            assert glob.glob(f"/dev/shm/{prefix}*")
+            victim = next(iter(pool._pool._processes.values()))
+            os.kill(victim.pid, signal.SIGKILL)
+            assert wait([victim.sentinel], timeout=30)
+            with pytest.raises(BrokenProcessPool):
+                loop.step()
+        finally:
+            loop.close()
+        assert glob.glob(f"/dev/shm/{prefix}*") == []
 
 
 # ======================================================================
